@@ -5,13 +5,15 @@
 # packages that exercise the transport ownership contract, a smoke run of
 # the live/codec/TCP/shm microbenchmarks (1 iteration — catches benchmark bit-rot,
 # not performance), and the metrics-overhead gate (alloc-free increments plus
-# the <2% instrumentation bound on the live all-reduce).
+# the <2% instrumentation bound on the live all-reduce). The byte-path packages
+# are tested a second time under -tags purego, the build in which the portable
+# kernel loops do all the work.
 
 GO ?= go
 
-.PHONY: ci build test vet race chaos bench-smoke metrics-overhead bench bench-tcp bench-seg bench-shm bench-priority
+.PHONY: ci build test vet purego race chaos bench-smoke metrics-overhead bench bench-tcp bench-seg bench-shm bench-priority
 
-ci: vet build test race chaos bench-smoke metrics-overhead
+ci: vet build test purego race chaos bench-smoke metrics-overhead
 
 build:
 	$(GO) build ./...
@@ -22,11 +24,17 @@ test:
 vet:
 	$(GO) vet ./...
 
+# The portable arm of the wire kernels (internal/wire/kernels.go): on amd64 the
+# default build runs the assembly, so without this the Go loops that every
+# other target relies on would only ever run as the NaN and tail fallback.
+purego:
+	$(GO) test -tags purego ./internal/wire/ ./tensor/ ./compress/ ./collective/
+
 # ./transport/... is recursive: it covers the shared-memory rings
 # (transport/shmnet), the two-tier composition and the cross-transport
 # conformance suite alongside the mem and TCP transports.
-race:
-	$(GO) test -race ./collective/... ./transport/... ./engine/... ./mpi/... ./metrics/... ./internal/sendpool/... ./internal/gradsync/... ./internal/packing/... ./baseline/... ./fault/... .
+race: purego
+	$(GO) test -race ./collective/... ./transport/... ./engine/... ./mpi/... ./metrics/... ./internal/sendpool/... ./internal/gradsync/... ./internal/packing/... ./internal/wire/... ./baseline/... ./fault/... .
 
 # Seeded chaos soak (DESIGN.md §8): the pipelined ring all-reduce under ~20
 # randomized fault scenarios (crashes, partitions, drops, truncation, delay)
@@ -39,7 +47,7 @@ chaos:
 	$(GO) test -race -count=1 -short -run 'TestChaosSoak|TestAbort' ./collective/ ./transport/chaos/ ./engine/
 
 bench-smoke:
-	$(GO) test -run XXX -bench 'Live|Codec|TCP|Shm|Transport' -benchtime 1x .
+	$(GO) test -run XXX -bench 'Live|Codec|TCP|Shm|Transport|WireKernels' -benchtime 1x . ./internal/wire/
 
 # Observability cost gates (DESIGN.md §7, §8): the metric increment path must
 # be allocation-free, full-stack instrumentation must cost <2% on the live

@@ -280,10 +280,10 @@ func benchRingAllReduce(b *testing.B, net transport.Network, elems int) {
 // benchRingAllReduceCodec is benchRingAllReduce with an explicit wire codec,
 // reduce op and collective options (segment size for the pipelined ring).
 // The op matters for fp16: OpMax keeps the data fixed across iterations (max
-// is idempotent), so values stay in the normal half range and the SWAR
-// encode fast path — the steady state for real gradients — is what gets
-// measured, not the subnormal scalar fallback that all-zero or overflowed
-// OpSum data would hit.
+// is idempotent), so values stay finite and in the normal half range — the
+// steady state for real gradients — rather than overflowing to Inf, whose
+// opposite-signed sums are NaNs that send the kernels through their portable
+// detour.
 func benchRingAllReduceCodec(b *testing.B, net transport.Network, elems int, codec compress.Codec, op tensor.ReduceOp, opts ...collective.Option) {
 	b.Helper()
 	comms := make([]*mpi.Comm, 4)

@@ -139,8 +139,7 @@ func ringAllReduceCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, 
 	o := buildOptions(opts)
 	defer obsOp(mRing, opStart())
 	var p ringPipeline
-	fp := p.init(c, stream, len(data), codec, o)
-	defer putF32(fp)
+	p.init(c, stream, len(data), codec, o)
 	defer p.r.end()
 	if err := p.reduceScatter(data, op); err != nil {
 		return err
@@ -159,8 +158,7 @@ func ringReduceScatter(c Comm, stream int, data []float32, op tensor.ReduceOp, c
 	}
 	o := buildOptions(opts)
 	var p ringPipeline
-	fp := p.init(c, stream, len(data), codec, o)
-	defer putF32(fp)
+	p.init(c, stream, len(data), codec, o)
 	defer p.r.end()
 	return p.reduceScatter(data, op)
 }
@@ -175,8 +173,7 @@ func ringChunkAllGather(c Comm, stream int, data []float32, codec compress.Codec
 	}
 	o := buildOptions(opts)
 	var p ringPipeline
-	fp := p.init(c, stream, len(data), codec, o)
-	defer putF32(fp)
+	p.init(c, stream, len(data), codec, o)
 	defer p.r.end()
 	return p.allGather(data, !codecLossless(codec))
 }

@@ -441,12 +441,19 @@ func TestRingAllReduceOverTCP(t *testing.T) {
 // Property: the pipelined segmented ring is bit-exact against the serial
 // reference protocol for the lossless fp32 codec — every world size, payload
 // shape and segment size, including empty chunks (n > len(data)), segments
-// larger than a chunk, and single-segment chunks.
+// larger than a chunk, and single-segment chunks. The reference decodes into
+// scratch and reduces with ApplyParallel; the pipelined OpSum hop is the
+// fused Codec.DecodeAdd, so this grid is also what holds the fused kernels
+// to the two-step form inside a real ring: inputs carry NaNs with payloads,
+// opposite infinities and -0 on some ranks, chunks longer than one assembly
+// block, and results are compared as bit patterns. OpMax rides along for the
+// unfused branch and its lazily taken scratch.
 func TestPipelinedMatchesReferenceBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sizes := []int{2, 3, 4, 5, 8}
-	elemGrid := []int{1, 2, 3, 7, 64, 1000, 4099}
+	elemGrid := []int{1, 2, 3, 7, 64, 1000, 4099, 20011}
 	segGrid := []int64{1 << 30, 64, 256, 4 << 10} // 1 segment .. many tiny segments
+	specials := []uint32{0x7fc00001, 0xffc12345, 0x7f800000, 0xff800000, 0x80000000, 0x7f800055}
 	for _, size := range sizes {
 		for _, elems := range elemGrid {
 			inputs := make([][]float32, size)
@@ -454,36 +461,44 @@ func TestPipelinedMatchesReferenceBitExact(t *testing.T) {
 				inputs[r] = make([]float32, elems)
 				for i := range inputs[r] {
 					inputs[r][i] = rng.Float32()*2 - 1
+					if rng.Intn(50) == 0 {
+						inputs[r][i] = math.Float32frombits(specials[rng.Intn(len(specials))])
+					}
 				}
 			}
-			// Serial reference on one mesh...
-			want := make([][]float32, size)
-			runRanks(t, size, 1, func(c *mpi.Comm) error {
-				data := append([]float32(nil), inputs[c.Rank()]...)
-				if err := RingAllReduceCodecReference(c, 0, data, tensor.OpSum, compress.FP32{}); err != nil {
-					return err
-				}
-				want[c.Rank()] = data
-				return nil
-			})
-			// ...must match the pipelined ring bit for bit at every segment
-			// size.
-			for _, seg := range segGrid {
+			for _, op := range []tensor.ReduceOp{tensor.OpSum, tensor.OpMax} {
+				// Serial reference on one mesh...
+				want := make([][]float32, size)
 				runRanks(t, size, 1, func(c *mpi.Comm) error {
 					data := append([]float32(nil), inputs[c.Rank()]...)
-					if err := RingAllReduceCodec(c, 0, data, tensor.OpSum, compress.FP32{},
-						WithSegmentBytes(seg)); err != nil {
+					if err := RingAllReduceCodecReference(c, 0, data, op, compress.FP32{}); err != nil {
 						return err
 					}
-					for i := range data {
-						if data[i] != want[c.Rank()][i] {
-							t.Errorf("size=%d elems=%d seg=%d rank=%d: data[%d] = %v, want %v (bit-exact)",
-								size, elems, seg, c.Rank(), i, data[i], want[c.Rank()][i])
-							return nil
-						}
-					}
+					want[c.Rank()] = data
 					return nil
 				})
+				// ...must match the pipelined ring bit for bit at every
+				// segment size.
+				for _, seg := range segGrid {
+					if elems > 4099 && seg < 4<<10 {
+						continue // thousands of 16-element frames add time, not coverage
+					}
+					runRanks(t, size, 1, func(c *mpi.Comm) error {
+						data := append([]float32(nil), inputs[c.Rank()]...)
+						if err := RingAllReduceCodec(c, 0, data, op, compress.FP32{},
+							WithSegmentBytes(seg)); err != nil {
+							return err
+						}
+						for i := range data {
+							if g, w := math.Float32bits(data[i]), math.Float32bits(want[c.Rank()][i]); g != w {
+								t.Errorf("size=%d elems=%d seg=%d op=%v rank=%d: data[%d] = %#08x, want %#08x (bit-exact)",
+									size, elems, seg, op, c.Rank(), i, g, w)
+								return nil
+							}
+						}
+						return nil
+					})
+				}
 			}
 		}
 	}

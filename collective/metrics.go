@@ -50,6 +50,9 @@ var (
 	// how much of the op was spent blocked on the wire versus in codec and
 	// reduction kernels. A pipelining win shows up as the compute counter
 	// growing while wire-wait stays flat (compute hidden behind transfers).
+	// An OpSum reduce-scatter hop is one fused decode-accumulate pass and
+	// reports all of it under stage="reduce"; stage="decode" then holds the
+	// all-gather's decodes (and the decode half of OpMin/OpMax hops).
 	mSegCount = metrics.NewGauge("aiacc_collective_segment_count",
 		"Wire segments per max-size ring chunk of the most recent ring all-reduce.")
 	mSegEncodeNs = metrics.NewHistogram("aiacc_collective_segment_stage_ns",

@@ -189,7 +189,7 @@ type ringPipeline struct {
 	segBytes   int64
 	maxChunk   int // largest per-rank chunk, for slot sizing
 	r          segRing
-	scratch    []float32 // one segment of decode scratch
+	scratch    []float32 // one segment of decode scratch (unfused reduce ops only)
 	timed      bool      // metrics enabled at op start
 	yield      func()    // segment-boundary preemption hook (may be nil)
 }
@@ -204,28 +204,29 @@ func (p *ringPipeline) pause() {
 // init fills in the per-operation pipeline state for an all-reduce-shaped
 // collective over dataLen elements. It is a method rather than a
 // constructor so the pipeline stays a stack value on the hot path; the
-// caller owns the returned scratch box (putF32) and the send ring (p.r.end).
-func (p *ringPipeline) init(c Comm, stream, dataLen int, codec compress.Codec, o options) *[]float32 {
+// caller owns the send ring (p.r.end).
+func (p *ringPipeline) init(c Comm, stream, dataLen int, codec compress.Codec, o options) {
 	n := c.Size()
 	rank := c.Rank()
-	// Segments are cut from fp32 chunks, so wire buffers and the decode
-	// scratch only need one segment's worth of capacity: chunkBounds never
-	// yields a segment larger than ceil(chunk/segs) ≤ segElems elements.
 	maxChunk := dataLen/n + 1
-	segElems := maxChunk
-	if s := int(o.segBytes / 4); s >= 1 && s < segElems {
-		segElems = s
-	}
 	p.c, p.stream = c, stream
 	p.next, p.prev = (rank+1)%n, (rank-1+n)%n
 	p.codec, p.segBytes, p.maxChunk = codec, o.segBytes, maxChunk
 	p.yield = o.yield
-	p.r = beginSeg(int(codec.WireBytes(segElems)))
+	p.r = beginSeg(int(codec.WireBytes(p.segElems())))
 	p.timed = segTimed()
 	mSegCount.Set(int64(numSegments(maxChunk, o.segBytes)))
-	fp := getF32(segElems)
-	p.scratch = *fp
-	return fp
+}
+
+// segElems bounds the elements in one wire segment. Segments are cut from
+// fp32 chunks, so wire buffers and the decode scratch only need one
+// segment's worth of capacity: chunkBounds never yields a segment larger
+// than ceil(chunk/segs) ≤ segElems elements.
+func (p *ringPipeline) segElems() int {
+	if s := int(p.segBytes / 4); s >= 1 && s < p.maxChunk {
+		return s
+	}
+	return p.maxChunk
 }
 
 // reduceScatter runs the n-1 reduce-scatter ring steps over data. Its
@@ -236,6 +237,11 @@ func (p *ringPipeline) reduceScatter(data []float32, op tensor.ReduceOp) error {
 	n := p.c.Size()
 	rank := p.c.Rank()
 	phase := opStart()
+	if op != tensor.OpSum {
+		fp := getF32(p.segElems())
+		defer putF32(fp)
+		p.scratch = *fp
+	}
 	for step := 0; step < n-1; step++ {
 		sendIdx := (rank - step + n) % n
 		recvIdx := (rank - step - 1 + 2*n) % n
@@ -320,6 +326,11 @@ func (p *ringPipeline) encodeSend(chunk []float32, segs, i int, requant bool) er
 // the wire transfer of segment i+1 and each encode overlaps the in-flight
 // send. The prologue sends segment 0 before the first blocking receive — the
 // standard deadlock-free ring formulation, now per segment.
+//
+// For OpSum the decode and the reduction are one pass (Codec.DecodeAdd,
+// bit-identical to Decode + AddSlice) timed under mSegReduceNs; mSegDecodeNs
+// then sees only the all-gather's decodes. The other ops decode into the
+// scratch segment and reduce from it.
 func (p *ringPipeline) reduceStep(data []float32, sLo, sHi, rLo, rHi int, op tensor.ReduceOp) error {
 	send := data[sLo:sHi]
 	sendSegs := numSegments(len(send), p.segBytes)
@@ -342,14 +353,17 @@ func (p *ringPipeline) reduceStep(data []float32, sLo, sHi, rLo, rHi int, op ten
 			}
 		}
 		lo, hi := chunkBounds(rHi-rLo, recvSegs, i)
-		tmp := p.scratch[:hi-lo]
+		dst := data[rLo+lo : rLo+hi]
 		t0 := segStart(p.timed)
-		if err := p.codec.Decode(tmp, payload); err != nil {
-			p.r.giveBuf(payload)
-			return err
+		if op == tensor.OpSum {
+			err = p.codec.DecodeAdd(dst, payload)
+		} else {
+			tmp := p.scratch[:hi-lo]
+			if err = p.codec.Decode(tmp, payload); err == nil {
+				segObsNext(mSegDecodeNs, &t0)
+				err = op.ApplyParallel(dst, tmp)
+			}
 		}
-		segObsNext(mSegDecodeNs, &t0)
-		err = op.ApplyParallel(data[rLo+lo:rLo+hi], tmp)
 		segObs(mSegReduceNs, t0)
 		p.r.giveBuf(payload)
 		if err != nil {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"aiacc/internal/wire"
-	"aiacc/tensor"
 )
 
 // ErrCorrupt indicates a payload whose size does not match the element count.
@@ -29,6 +28,14 @@ type Codec interface {
 	EncodeTo(dst []byte, src []float32) []byte
 	// Decode parses buf into dst; len(dst) elements must be encoded in buf.
 	Decode(dst []float32, buf []byte) error
+	// DecodeAdd accumulates the len(dst) elements encoded in buf into dst.
+	// The result is bit-identical to Decode into a scratch slice followed by
+	// tensor.AddSlice(dst, scratch), but made in one pass over dst without
+	// materializing the decoded segment — only the codec can do that for its
+	// own format, which is why the reduce-scatter hop asks it rather than
+	// composing the two. A payload Decode would reject is rejected with the
+	// same error and dst untouched.
+	DecodeAdd(dst []float32, buf []byte) error
 	// WireBytes returns the encoded size of n elements.
 	WireBytes(n int) int64
 }
@@ -61,6 +68,15 @@ func (FP32) Decode(dst []float32, buf []byte) error {
 	return nil
 }
 
+// DecodeAdd implements Codec: the add reads straight from the wire bytes.
+func (FP32) DecodeAdd(dst []float32, buf []byte) error {
+	if len(buf) != 4*len(dst) {
+		return fmt.Errorf("%w: %d bytes for %d elements", ErrCorrupt, len(buf), len(dst))
+	}
+	wire.AddFloat32s(dst, buf)
+	return nil
+}
+
 // WireBytes implements Codec.
 func (FP32) WireBytes(n int) int64 { return int64(n) * 4 }
 
@@ -82,8 +98,8 @@ func (FP16) Name() string { return "fp16" }
 // Encode implements Codec.
 func (c FP16) Encode(src []float32) []byte { return c.EncodeTo(nil, src) }
 
-// EncodeTo implements Codec via the bulk binary16 kernel (SWAR pair
-// conversion on little-endian builds, the tensor kernel elsewhere).
+// EncodeTo implements Codec via the bulk binary16 kernel (F16C where the CPU
+// has it, the tensor package's portable loop elsewhere).
 func (FP16) EncodeTo(dst []byte, src []float32) []byte {
 	n := len(dst)
 	dst = wire.Grow(dst, 2*len(src))
@@ -96,7 +112,16 @@ func (FP16) Decode(dst []float32, buf []byte) error {
 	if len(buf) != 2*len(dst) {
 		return fmt.Errorf("%w: %d bytes for %d elements", ErrCorrupt, len(buf), len(dst))
 	}
-	tensor.DecodeHalf(dst, buf)
+	wire.DecodeHalf(dst, buf)
+	return nil
+}
+
+// DecodeAdd implements Codec: convert and accumulate in one pass.
+func (FP16) DecodeAdd(dst []float32, buf []byte) error {
+	if len(buf) != 2*len(dst) {
+		return fmt.Errorf("%w: %d bytes for %d elements", ErrCorrupt, len(buf), len(dst))
+	}
+	wire.DecodeHalfAdd(dst, buf)
 	return nil
 }
 

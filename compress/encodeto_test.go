@@ -13,7 +13,7 @@ import (
 // These property tests pin the append-style EncodeTo path to the original
 // per-element wire format: for every codec, EncodeTo must produce bytes
 // identical to a straightforward scalar reference, regardless of the bulk
-// kernels (memmove, SWAR, table lookups) used underneath, and appending after
+// kernels (memmove, F16C, table lookups) used underneath, and appending after
 // an arbitrary prefix must not change the emitted bytes.
 
 // referenceEncode is the original per-element encoding for the dense codecs.

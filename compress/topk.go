@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"aiacc/internal/wire"
+	"aiacc/tensor"
 )
 
 // TopK is a sparsifying codec in the spirit of Deep Gradient Compression
@@ -117,32 +118,74 @@ func (t TopK) EncodeTo(dst []byte, src []float32) []byte {
 	return dst[:pos]
 }
 
+// entries validates a payload for an n-element destination and returns its
+// (index, value) entries. Indices must be strictly ascending, as EncodeTo
+// emits them, and below n; checking that up front lets Decode and DecodeAdd
+// reject a corrupt payload before they write anything.
+func (t TopK) entries(n int, buf []byte) ([]byte, error) {
+	if len(buf) < 8 {
+		if len(buf) == 0 && n == 0 {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("%w: %d-byte top-k payload", ErrCorrupt, len(buf))
+	}
+	k := int(binary.LittleEndian.Uint32(buf[4:]))
+	if got := int(binary.LittleEndian.Uint32(buf[0:])); got != n {
+		return nil, fmt.Errorf("%w: payload for %d elements, dst %d", ErrCorrupt, got, n)
+	}
+	if len(buf) != 8+8*k {
+		return nil, fmt.Errorf("%w: %d bytes for %d kept elements", ErrCorrupt, len(buf), k)
+	}
+	ents := buf[8:]
+	prev := -1
+	for e := 0; e < len(ents); e += 8 {
+		idx := int(binary.LittleEndian.Uint32(ents[e:]))
+		if idx <= prev || idx >= n {
+			return nil, fmt.Errorf("%w: index %d after %d of %d", ErrCorrupt, idx, prev, n)
+		}
+		prev = idx
+	}
+	return ents, nil
+}
+
 // Decode implements Codec: dst is zeroed and the transmitted values are
 // scattered back.
 func (t TopK) Decode(dst []float32, buf []byte) error {
-	if len(buf) < 8 {
-		if len(buf) == 0 && len(dst) == 0 {
-			return nil
-		}
-		return fmt.Errorf("%w: %d-byte top-k payload", ErrCorrupt, len(buf))
-	}
-	n := int(binary.LittleEndian.Uint32(buf[0:]))
-	k := int(binary.LittleEndian.Uint32(buf[4:]))
-	if n != len(dst) {
-		return fmt.Errorf("%w: payload for %d elements, dst %d", ErrCorrupt, n, len(dst))
-	}
-	if len(buf) != 8+8*k {
-		return fmt.Errorf("%w: %d bytes for %d kept elements", ErrCorrupt, len(buf), k)
+	ents, err := t.entries(len(dst), buf)
+	if err != nil {
+		return err
 	}
 	for i := range dst {
 		dst[i] = 0
 	}
-	for e := 0; e < k; e++ {
-		idx := int(binary.LittleEndian.Uint32(buf[8+8*e:]))
-		if idx < 0 || idx >= len(dst) {
-			return fmt.Errorf("%w: index %d of %d", ErrCorrupt, idx, len(dst))
+	for e := 0; e < len(ents); e += 8 {
+		dst[binary.LittleEndian.Uint32(ents[e:])] = math.Float32frombits(binary.LittleEndian.Uint32(ents[e+4:]))
+	}
+	return nil
+}
+
+// DecodeAdd implements Codec: the two-step form itself, a stretch of dst at
+// a time through a stack scratch. The +0 every dropped element decodes to is
+// added too (it turns a -0 in dst into +0), and the add is tensor.AddSlice
+// because a sum of two NaNs keeps whichever operand that loop has first.
+func (t TopK) DecodeAdd(dst []float32, buf []byte) error {
+	ents, err := t.entries(len(dst), buf)
+	if err != nil {
+		return err
+	}
+	var tmp [256]float32
+	for lo := 0; lo < len(dst); lo += len(tmp) {
+		blk := tmp[:min(len(tmp), len(dst)-lo)]
+		clear(blk)
+		for len(ents) > 0 {
+			idx := int(binary.LittleEndian.Uint32(ents)) - lo
+			if idx >= len(blk) {
+				break
+			}
+			blk[idx] = math.Float32frombits(binary.LittleEndian.Uint32(ents[4:]))
+			ents = ents[8:]
 		}
-		dst[idx] = math.Float32frombits(binary.LittleEndian.Uint32(buf[12+8*e:]))
+		tensor.AddSlice(dst[lo:lo+len(blk)], blk)
 	}
 	return nil
 }

@@ -34,6 +34,7 @@ import (
 	"aiacc/internal/gradsync"
 	"aiacc/internal/packing"
 	"aiacc/internal/stream"
+	"aiacc/internal/wire"
 	"aiacc/mpi"
 	"aiacc/tensor"
 	"aiacc/trace"
@@ -420,7 +421,9 @@ func (e *Engine) coordinator() gradsync.Coordinator {
 // PushGradient hands a locally computed gradient to the engine. The tensor's
 // storage is shared with the engine until WaitIteration returns: the engine
 // reduces into it in place, so afterwards it holds the globally aggregated
-// (and averaged) gradient. Safe for concurrent use.
+// (and averaged) gradient. After an iteration that failed, the tensor's
+// contents are unspecified: a reduction may have stopped part-way through it.
+// Safe for concurrent use.
 func (e *Engine) PushGradient(name string, grad *tensor.Tensor) error {
 	if !e.started {
 		return ErrNotStarted
@@ -684,11 +687,11 @@ func (e *Engine) dispatch(u packing.Unit) error {
 	return nil
 }
 
-// reduceUnit gathers, all-reduces, averages and scatters one unit on the
-// given stream. comm is the communicator the ring frames travel through —
-// the plain one in unscheduled mode, a tagging plexComm under the priority
-// scheduler — and yield, when non-nil, is the segment-boundary preemption
-// gate.
+// reduceUnit all-reduces and averages one unit on the given stream, through
+// a gathered copy when the unit spans several gradients. comm is the
+// communicator the ring frames travel through — the plain one in unscheduled
+// mode, a tagging plexComm under the priority scheduler — and yield, when
+// non-nil, is the segment-boundary preemption gate.
 func (e *Engine) reduceUnit(streamID int, u packing.Unit, comm collective.Comm, yield func()) error {
 	if e.cfg.Trace != nil {
 		span := e.cfg.Trace.Begin(fmt.Sprintf("all-reduce unit %d", u.Seq), "comm", streamID)
@@ -697,11 +700,25 @@ func (e *Engine) reduceUnit(streamID int, u packing.Unit, comm collective.Comm, 
 	}
 	busyStart := clockStart()
 	defer e.observeStreamBusy(streamID, busyStart)
-	bp := getUnitBuf(u.Elems)
-	defer unitBufPool.Put(bp)
-	buf := *bp
-	if err := packing.Gather(u, e.gradData, buf); err != nil {
-		return err
+	// A unit that is one fragment is reduced where it lies, in the pushed
+	// tensor; only a unit merging several gradients needs a contiguous copy.
+	var buf []float32
+	inPlace := len(u.Fragments) == 1
+	if inPlace {
+		data, err := e.gradData(u.Fragments[0].GradID)
+		if err != nil {
+			return err
+		}
+		if buf, err = u.Fragments[0].Span(data); err != nil {
+			return err
+		}
+	} else {
+		bp := getUnitBuf(u.Elems)
+		defer unitBufPool.Put(bp)
+		buf = *bp
+		if err := packing.Gather(u, e.gradData, buf); err != nil {
+			return err
+		}
 	}
 	var rerr error
 	switch {
@@ -720,13 +737,12 @@ func (e *Engine) reduceUnit(streamID int, u packing.Unit, comm collective.Comm, 
 		return fmt.Errorf("unit %d all-reduce: %w", u.Seq, rerr)
 	}
 	if e.cfg.Average && e.comm.Size() > 1 {
-		inv := float32(1) / float32(e.comm.Size())
-		for i := range buf {
-			buf[i] *= inv
-		}
+		wire.ScaleFloat32s(buf, float32(1)/float32(e.comm.Size()))
 	}
-	if err := packing.Scatter(u, e.gradData, buf); err != nil {
-		return err
+	if !inPlace {
+		if err := packing.Scatter(u, e.gradData, buf); err != nil {
+			return err
+		}
 	}
 	e.completeFragments(u)
 	return nil

@@ -251,8 +251,8 @@ func runSegVariant(elems int, segBytes int64, trials int) (time.Duration, error)
 	for trial := 0; trial < trials; trial++ {
 		for r := range datas {
 			for i := range datas[r] {
-				// Normal half-precision range keeps the codec on its SWAR
-				// fast path; OpMax keeps the values there across trials.
+				// Normal half-precision range keeps the codec on its fast
+				// path; OpMax keeps the values there across trials.
 				datas[r][i] = 0.001 + float32(i%1000)*0.001
 			}
 		}

@@ -50,6 +50,16 @@ type Fragment struct {
 	Elems int
 }
 
+// Span returns the fragment's range of data, its gradient's flat storage,
+// with capacity clipped to the range.
+func (f Fragment) Span(data []float32) ([]float32, error) {
+	if f.Offset < 0 || f.Offset+f.Elems > len(data) {
+		return nil, fmt.Errorf("%w: gradient %d span [%d,%d) of %d",
+			ErrFragmentRange, f.GradID, f.Offset, f.Offset+f.Elems, len(data))
+	}
+	return data[f.Offset : f.Offset+f.Elems : f.Offset+f.Elems], nil
+}
+
 // Unit is one all-reduce unit: an ordered pack of fragments reduced together
 // in a single collective operation.
 type Unit struct {
@@ -190,11 +200,11 @@ func Gather(u Unit, lookup func(id int) ([]float32, error), buf []float32) error
 		if err != nil {
 			return fmt.Errorf("gather gradient %d: %w", f.GradID, err)
 		}
-		if f.Offset < 0 || f.Offset+f.Elems > len(src) {
-			return fmt.Errorf("%w: gradient %d span [%d,%d) of %d",
-				ErrFragmentRange, f.GradID, f.Offset, f.Offset+f.Elems, len(src))
+		span, err := f.Span(src)
+		if err != nil {
+			return err
 		}
-		tensor.CopyParallel(buf[pos:pos+f.Elems], src[f.Offset:f.Offset+f.Elems])
+		tensor.CopyParallel(buf[pos:pos+f.Elems], span)
 		pos += f.Elems
 	}
 	return nil
@@ -212,11 +222,11 @@ func Scatter(u Unit, lookup func(id int) ([]float32, error), buf []float32) erro
 		if err != nil {
 			return fmt.Errorf("scatter gradient %d: %w", f.GradID, err)
 		}
-		if f.Offset < 0 || f.Offset+f.Elems > len(dst) {
-			return fmt.Errorf("%w: gradient %d span [%d,%d) of %d",
-				ErrFragmentRange, f.GradID, f.Offset, f.Offset+f.Elems, len(dst))
+		span, err := f.Span(dst)
+		if err != nil {
+			return err
 		}
-		tensor.CopyParallel(dst[f.Offset:f.Offset+f.Elems], buf[pos:pos+f.Elems])
+		tensor.CopyParallel(span, buf[pos:pos+f.Elems])
 		pos += f.Elems
 	}
 	return nil

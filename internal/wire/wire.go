@@ -1,19 +1,23 @@
-// Package wire provides bulk conversions between host-order numeric slices
-// and the little-endian byte layout used on the wire by every codec and
+// Package wire holds the bulk kernels between host-order numeric slices and
+// the little-endian byte layout used on the wire by every codec and
 // collective in this repository.
 //
-// Two implementations exist behind the same API:
+// Plain layout conversions (PutFloat32s, Float32s, PutUint64s, Uint64s) have
+// two implementations behind the same API:
 //
 //   - wire_unsafe.go: on little-endian architectures the typed slice is
 //     reinterpreted as bytes (always viewing the *typed* slice as bytes, never
 //     bytes as a typed slice, so no alignment requirements arise) and the
-//     conversion collapses to a single memmove. This is the kernel the hot
-//     path runs on amd64/arm64.
+//     conversion collapses to a single memmove.
 //   - wire_portable.go: a per-element encoding/binary loop, used on
 //     big-endian targets or when building with the `purego` tag.
 //
-// Both are exercised by the same test suite; the portable path is the
-// reference semantics.
+// The arithmetic kernels of the gradient path (EncodeHalf, DecodeHalf,
+// DecodeHalfAdd, AddFloat32s, ScaleFloat32s — kernels.go) likewise pair one
+// portable Go loop with one AVX/F16C assembly loop chosen by CPU capability.
+//
+// Both sides of each pair are exercised by the same test suite; the portable
+// path is the reference semantics.
 package wire
 
 // Grow extends b by n bytes and returns the extended slice, reallocating only

@@ -5,8 +5,6 @@ package wire
 import (
 	"encoding/binary"
 	"math"
-
-	"aiacc/tensor"
 )
 
 // Portable reference implementation: per-element encoding/binary conversion.
@@ -43,11 +41,4 @@ func Uint64s(dst []uint64, src []byte) {
 	for i := range dst {
 		dst[i] = binary.LittleEndian.Uint64(src[8*i:])
 	}
-}
-
-// EncodeHalf serializes src as little-endian binary16 into dst, which must
-// have capacity for 2*len(src) bytes; it returns the byte count. The
-// portable build delegates to the tensor package's bulk kernel.
-func EncodeHalf(dst []byte, src []float32) int {
-	return tensor.EncodeHalf(dst, src)
 }

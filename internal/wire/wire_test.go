@@ -83,7 +83,7 @@ func TestUnalignedByteOffsets(t *testing.T) {
 	}
 }
 
-// EncodeHalf (SWAR on little-endian builds) must be bit-identical to the
+// EncodeHalf (F16C on a capable amd64) must be bit-identical to the
 // scalar reference for every value class: all exactly-representable halves,
 // values that exercise both rounding directions and ties, specials, and a
 // dense sweep of raw bit patterns.

@@ -2,13 +2,7 @@
 
 package wire
 
-import (
-	"encoding/binary"
-	"math"
-	"unsafe"
-
-	"aiacc/tensor"
-)
+import "unsafe"
 
 // The architectures selected above are little-endian, so the in-memory
 // representation of []float32 / []uint16 / []uint64 already matches the wire
@@ -50,75 +44,4 @@ func Uint64s(dst []uint64, src []byte) {
 		return
 	}
 	copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 8*len(dst)), src[:8*len(dst)])
-}
-
-const (
-	halfMinNormal  = 0x38800000                 // fp32 bits of 2^-14, the smallest normal half
-	halfNormalSpan = 0x47800000 - halfMinNormal // width of the normal half range [2^-14, 2^16)
-)
-
-// EncodeHalf serializes src as little-endian binary16 into dst, which must
-// have capacity for 2*len(src) bytes; it returns the byte count. Results are
-// bit-identical to tensor.EncodeHalf (round-to-nearest-even, flush below the
-// subnormal range).
-//
-// Two fp32 lanes are processed per iteration with lane-parallel (SWAR)
-// integer arithmetic on one 64-bit load of the source bytes — this is why the
-// function lives in the unsafe little-endian build: the byte view makes the
-// pair load free and lane order match the wire. Per lane, with the exponent
-// rebias folded into one constant: adding -0x38000000+0xfff plus the kept
-// LSB, then shifting off 13 mantissa bits, rounds to nearest even exactly
-// (the add carries into the result iff round > half, or round == half with
-// the kept LSB odd). The low lane's add always carries into bit 32 for
-// in-range values (lane ≥ 0x38800000), so the high-lane constant is
-// pre-decremented to absorb it. The sign is folded into free lane bit 28,
-// which lands on half bit 15 after the shift. Pairs with any lane outside
-// the normal half range are rare for gradient data and take the scalar path.
-func EncodeHalf(dst []byte, src []float32) int {
-	if len(src) == 0 {
-		return 0
-	}
-	total := 2 * len(src)
-	d := dst[:total:total]
-	s := unsafe.Slice((*byte)(unsafe.Pointer(&src[0])), 4*len(src))
-	// Quad loop: two SWAR pairs per iteration, one range check and one
-	// 8-byte store for all four lanes.
-	for len(s) >= 16 {
-		w0 := binary.LittleEndian.Uint64(s)
-		w1 := binary.LittleEndian.Uint64(s[8:])
-		a0 := uint32(w0) & 0x7fffffff
-		a1 := uint32(w0>>32) & 0x7fffffff
-		a2 := uint32(w1) & 0x7fffffff
-		a3 := uint32(w1>>32) & 0x7fffffff
-		if a0-halfMinNormal < halfNormalSpan && a1-halfMinNormal < halfNormalSpan &&
-			a2-halfMinNormal < halfNormalSpan && a3-halfMinNormal < halfNormalSpan {
-			binary.LittleEndian.PutUint64(d,
-				uint64(packHalfPair(w0))|uint64(packHalfPair(w1))<<32)
-		} else {
-			binary.LittleEndian.PutUint16(d, tensor.Float32ToHalf(math.Float32frombits(uint32(w0))))
-			binary.LittleEndian.PutUint16(d[2:], tensor.Float32ToHalf(math.Float32frombits(uint32(w0>>32))))
-			binary.LittleEndian.PutUint16(d[4:], tensor.Float32ToHalf(math.Float32frombits(uint32(w1))))
-			binary.LittleEndian.PutUint16(d[6:], tensor.Float32ToHalf(math.Float32frombits(uint32(w1>>32))))
-		}
-		s = s[16:]
-		d = d[8:]
-	}
-	for len(s) >= 4 {
-		h := tensor.Float32ToHalf(math.Float32frombits(binary.LittleEndian.Uint32(s)))
-		binary.LittleEndian.PutUint16(d, h)
-		s = s[4:]
-		d = d[2:]
-	}
-	return total
-}
-
-// packHalfPair converts two fp32 lanes packed in w, both known to be in the
-// normal half range, into two packed binary16 lanes (see EncodeHalf for the
-// lane arithmetic).
-func packHalfPair(w uint64) uint32 {
-	wabs := w & 0x7fffffff7fffffff
-	y := wabs + 0xc8000ffec8000fff         // per-lane rebias + 0xfff (low-lane carry pre-absorbed)
-	y += (wabs >> 13) & 0x0000000100000001 // nearest-even tie: the kept LSB of each lane
-	y |= (w >> 3) & 0x1000000010000000     // sign bit 31/63 -> lane bit 28
-	return uint32(y>>13)&0xffff | uint32(y>>29)&0xffff0000
 }

@@ -12,9 +12,11 @@ import (
 // The conversion is implemented from scratch because the reproduction is
 // stdlib-only.
 
-// Float32ToHalf converts an fp32 value to its binary16 bit pattern with
-// round-to-nearest-even, saturating overflow to ±Inf and flushing values
-// below the subnormal range to signed zero.
+// Float32ToHalf converts an fp32 value to its binary16 bit pattern with IEEE
+// round-to-nearest-even over the whole range — normal and subnormal halves
+// alike, which is what the F16C conversion instruction computes — saturating
+// overflow to ±Inf, rounding magnitudes of at most 2^-25 to signed zero and
+// mapping every NaN to the quiet NaN 0x7e00 with the input's sign.
 func Float32ToHalf(f float32) uint16 {
 	bits := math.Float32bits(f)
 	sign := uint16(bits>>16) & 0x8000
@@ -37,12 +39,18 @@ func Float32ToHalf(f float32) uint16 {
 			h++
 		}
 		return sign | uint16(h)
-	case exp >= -24: // subnormal half
+	case exp >= -25: // subnormal half, or the round-up to the smallest one
+		// The value is mant24 * 2^(exp-23) and a half subnormal counts units
+		// of 2^-24, so the result is mant24 >> (-exp-1), rounded to nearest
+		// even on the bits shifted out. At exp == -25 the quotient is 0 and
+		// only the rounding decides: exactly 2^-25 ties to zero, anything
+		// above rounds up to 0x0001. A carry out of 0x03ff lands on 0x0400,
+		// the smallest normal, as it should.
 		mant |= 0x800000 // restore the implicit bit
 		shift := uint32(-exp - 1)
-		h := mant >> (shift + 10)
-		round := mant & ((1 << (shift + 10)) - 1)
-		half := uint32(1) << (shift + 9)
+		h := mant >> shift
+		round := mant & (1<<shift - 1)
+		half := uint32(1) << (shift - 1)
 		if round > half || (round == half && h&1 == 1) {
 			h++
 		}

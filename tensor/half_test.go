@@ -66,6 +66,76 @@ func TestHalfSubnormals(t *testing.T) {
 	if got := HalfToFloat32(0x03ff); got != want {
 		t.Errorf("decode 0x03ff = %v, want %v", got, want)
 	}
+	// Hand-written cases in units of 2^-24, the subnormal step: ties go to
+	// the even neighbour, anything past a tie rounds away from it.
+	ulp := func(units float64) float32 { return float32(math.Ldexp(units, -24)) }
+	next := func(f float32) float32 { return math.Float32frombits(math.Float32bits(f) + 1) }
+	prev := func(f float32) float32 { return math.Float32frombits(math.Float32bits(f) - 1) }
+	cases := []struct {
+		in   float32
+		want uint16
+	}{
+		{ulp(0.5), 0x0000},       // exactly 2^-25: tie, to zero
+		{next(ulp(0.5)), 0x0001}, // just above it
+		{prev(ulp(0.5)), 0x0000}, // just below it
+		{math.Float32frombits(0x33009cbc), 0x0001},
+		{prev(ulp(1)), 0x0001},
+		{ulp(1.5), 0x0002}, // tie between 1 and 2: even is 2
+		{prev(ulp(1.5)), 0x0001},
+		{ulp(2.5), 0x0002}, // tie between 2 and 3: even is 2
+		{next(ulp(2.5)), 0x0003},
+		{ulp(512), 0x0200}, // 2^-15
+		{ulp(256), 0x0100}, // 2^-16
+		{ulp(16), 0x0010},  // 2^-20
+		{ulp(1022.5), 0x03fe},
+		{ulp(1023.5), 0x0400}, // tie at the top carries into the smallest normal
+		{prev(ulp(1023.5)), 0x03ff},
+		{prev(ulp(1024)), 0x0400},
+		{ulp(0.25), 0x0000},
+	}
+	for _, c := range cases {
+		if got := Float32ToHalf(c.in); got != c.want {
+			t.Errorf("Float32ToHalf(%#08x) = %#04x, want %#04x", math.Float32bits(c.in), got, c.want)
+		}
+		if got := Float32ToHalf(-c.in); got != c.want|0x8000 {
+			t.Errorf("Float32ToHalf(-%#08x) = %#04x, want %#04x", math.Float32bits(c.in), got, c.want|0x8000)
+		}
+	}
+}
+
+// Every half that is not a NaN must survive decode-then-encode: 63 490
+// patterns, subnormals included.
+func TestHalfRoundTripAllNonNaN(t *testing.T) {
+	count := 0
+	for h := 0; h < 1<<16; h++ {
+		if h&0x7c00 == 0x7c00 && h&0x3ff != 0 {
+			continue
+		}
+		count++
+		if got := Float32ToHalf(HalfToFloat32(uint16(h))); got != uint16(h) {
+			t.Fatalf("Float32ToHalf(HalfToFloat32(%#04x)) = %#04x", h, got)
+		}
+	}
+	if count != 63490 {
+		t.Fatalf("swept %d patterns, want 63490", count)
+	}
+}
+
+// Across the subnormal half range and a binade either side, the encoder must
+// agree with round-half-even computed in float64, where value / 2^-24 is
+// exact.
+func TestHalfSubnormalOracle(t *testing.T) {
+	lo, hi := math.Float32bits(float32(math.Ldexp(1, -27))), math.Float32bits(float32(math.Ldexp(1, -14)))
+	for bits := lo; bits <= hi; bits += 101 {
+		f := math.Float32frombits(bits)
+		want := uint16(math.RoundToEven(math.Ldexp(float64(f), 24)))
+		if got := Float32ToHalf(f); got != want {
+			t.Fatalf("Float32ToHalf(%#08x) = %#04x, oracle %#04x", bits, got, want)
+		}
+		if got := Float32ToHalf(-f); got != want|0x8000 {
+			t.Fatalf("Float32ToHalf(-%#08x) = %#04x, oracle %#04x", bits, got, want|0x8000)
+		}
+	}
 }
 
 func TestHalfRoundToNearestEven(t *testing.T) {

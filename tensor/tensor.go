@@ -190,6 +190,13 @@ func (t *Tensor) HasNaN() (bool, int) {
 
 // AddSlice accumulates src into dst element-wise. Lengths must match; this is
 // the innermost loop of every reduce operation so it performs no other checks.
+//
+// It is the reference the fused decode-accumulate kernels are specified
+// against bit for bit, and with two NaN operands the sum keeps whichever one
+// the compiled ADD has first. Kept out of line so that there is one compiled
+// copy and therefore one answer.
+//
+//go:noinline
 func AddSlice(dst, src []float32) {
 	if len(src) == 0 {
 		return

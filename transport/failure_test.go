@@ -296,3 +296,17 @@ func TestHeartbeatKeepsIdleMeshAlive(t *testing.T) {
 		bufpool.Put(data)
 	})
 }
+
+// The two-tier error lift runs on every intra-host Send and Recv, so with no
+// error to lift it must allocate nothing (its errors.As target escapes).
+func TestMapIntraErrNilAllocatesNothing(t *testing.T) {
+	e := &twoTierEndpoint{net: &twoTier{perHost: 2}}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := e.mapIntraErr(nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("mapIntraErr(nil) allocates %v times per call, want 0", allocs)
+	}
+}

@@ -136,8 +136,13 @@ func (e *twoTierEndpoint) Recv(from, stream int) ([]byte, error) {
 // attribute failures globally. Abort origins are exempt — they are already
 // global by the Aborter contract and pass through verbatim.
 func (e *twoTierEndpoint) mapIntraErr(err error) error {
+	if err == nil {
+		// Before pf is declared: errors.As makes it escape, and a heap
+		// allocation per successful Send/Recv is garbage on the hot path.
+		return nil
+	}
 	var pf *PeerFailedError
-	if err == nil || !errors.As(err, &pf) || errors.Is(pf.Cause, ErrAborted) {
+	if !errors.As(err, &pf) || errors.Is(pf.Cause, ErrAborted) {
 		return err
 	}
 	global := e.host*e.net.perHost + pf.Rank
