@@ -42,9 +42,10 @@ race: purego
 # hang-freedom, pool-balance and goroutine-balance enforced per seed.
 # Reproduce one failure with: go test -race -run 'TestChaosSoakMem/seed=K' ./collective/
 # The engine package contributes the priority-scheduler kill scenario (a rank
-# dies mid-preemption; survivors classify the error and leak nothing).
+# dies mid-preemption; survivors classify the error and leak nothing) and the
+# liveness run of the preemptive depths under delay-only chaos.
 chaos:
-	$(GO) test -race -count=1 -short -run 'TestChaosSoak|TestAbort' ./collective/ ./transport/chaos/ ./engine/
+	$(GO) test -race -count=1 -short -run 'TestChaosSoak|TestAbort|TestPrioritySchedLiveness' ./collective/ ./transport/chaos/ ./engine/
 
 bench-smoke:
 	$(GO) test -run XXX -bench 'Live|Codec|TCP|Shm|Transport|WireKernels' -benchtime 1x . ./internal/wire/

@@ -525,8 +525,9 @@ func (it *iteration) minActiveClass() int {
 
 // admit reports whether the queue head may start now: a stream slot is
 // free, or — preemptive mode — the unit is strictly more urgent than every
-// in-flight one, granting it the preemptor slot (the live scheduler's
-// second runner; the shared-NIC model approximates the parked transfer).
+// in-flight one, granting it the preemptor slot (the live dispatcher pushes
+// such a unit onto its stream's stack of started units and parks the one
+// beneath; the shared-NIC model approximates the parked transfer).
 func (it *iteration) admit(u simUnit) bool {
 	capNow := it.w.streamCap(it.w.s.Now(), it.bwdEnd)
 	if it.activeStreams < capNow {

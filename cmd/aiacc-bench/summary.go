@@ -52,16 +52,11 @@ func metricsSummary(before, after metrics.Snapshot) string {
 			100*hits/(hits+misses), hits, hits+misses, oversize)
 	}
 	// Priority scheduler: how often urgent units preempted in-flight ones,
-	// how many wire segments resumed without re-encoding, and how long units
-	// waited behind the head of line.
+	// and how many wire segments resumed without re-encoding.
 	preempts := d.total("aiacc_engine_sched_preemptions_total")
 	resumed := d.total("aiacc_engine_sched_resumed_segments_total")
 	if preempts+resumed > 0 {
-		fmt.Fprintf(w, "scheduler\t%.0f preemptions, %.0f resumed segments", preempts, resumed)
-		if h := d.histogram("aiacc_engine_sched_hol_wait_ns"); h.Count > 0 {
-			fmt.Fprintf(w, ", mean HOL wait %.2fms", h.Mean()/1e6)
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "scheduler\t%.0f preemptions, %.0f resumed segments\n", preempts, resumed)
 	}
 	// Ring pipeline overlap: how the segmented all-reduce's critical path
 	// split between waiting on the wire and codec/reduce compute.

@@ -12,9 +12,10 @@
 //     or the Horovod-style master baseline),
 //  3. packs the globally agreed gradients into all-reduce units of the tuned
 //     granularity (splitting large tensors, merging small ones),
-//  4. dispatches each unit to the multi-stream pool, where concurrent
-//     workers run ring (or hierarchical) all-reduce over independent
-//     communication streams, optionally fp16-compressed,
+//  4. dispatches each unit to its stream's dispatcher (sched.go), which
+//     runs ring (or hierarchical) all-reduce over independent communication
+//     streams concurrently, optionally fp16-compressed, and within a stream
+//     always runs the most urgent unit first,
 //  5. unpacks reduced units back into the gradient tensors, averages them,
 //     and fires the per-gradient completion callback for the optimizer.
 //
@@ -33,7 +34,6 @@ import (
 	"aiacc/compress"
 	"aiacc/internal/gradsync"
 	"aiacc/internal/packing"
-	"aiacc/internal/stream"
 	"aiacc/internal/wire"
 	"aiacc/mpi"
 	"aiacc/tensor"
@@ -129,17 +129,18 @@ type Config struct {
 	// MinSyncBytes is the bucket size that triggers a synchronization
 	// round; 0 means GranularityBytes.
 	MinSyncBytes int64
-	// PriorityDepth is the priority-scheduler class count (DESIGN.md §10).
-	// 0 disables the scheduler: units dispatch round-robin in Seq order, the
-	// original behavior. ≥1 enables per-stream priority queues ordered by the
-	// registered gradient priorities (RegisterWithPriority; reverse-
-	// topological for a model registered in layer order), quantized into this
-	// many urgency classes; ≥2 additionally lets a more urgent unit preempt a
-	// less urgent in-flight unit at the next wire-segment boundary. Scheduling
-	// never changes unit composition, only dispatch timing, so fp32 results
-	// are bit-identical across PriorityDepth settings. A sixth auto-tuner
-	// dimension. Ring only: the hierarchical algorithm ignores it (the
-	// two-level schedule multiplexes sub-communicators on its own).
+	// PriorityDepth is the dispatcher's priority class count (DESIGN.md
+	// §10). The registered gradient priorities (RegisterWithPriority; reverse-
+	// topological for a model registered in layer order) are quantized into
+	// this many urgency classes, capped at the number of distinct priorities.
+	// 0 and 1 mean the same: one class, where each stream runs its units one
+	// at a time in Seq order (Algorithm 1's multi-stream pool). With ≥2
+	// classes a more urgent unit preempts a less urgent in-flight unit of its
+	// stream at the next wire-segment boundary. Scheduling never changes unit
+	// composition, only dispatch timing, so fp32 results are bit-identical
+	// across PriorityDepth settings. A sixth auto-tuner dimension. Ring only:
+	// Hierarchical always runs one class (the two-level schedule multiplexes
+	// sub-communicators on its own).
 	PriorityDepth int
 	// Algorithm selects ring or hierarchical all-reduce.
 	Algorithm Algorithm
@@ -154,8 +155,9 @@ type Config struct {
 	Average bool
 	// DetectNaN scans every pushed gradient for non-finite values.
 	DetectNaN bool
-	// OnGradient, if set, is invoked (from a pool worker) each time a
-	// gradient has been fully reduced and scattered back.
+	// OnGradient, if set, is invoked (from the goroutine running the unit
+	// that completed it) each time a gradient has been fully reduced and
+	// scattered back.
 	OnGradient func(name string)
 	// Trace, if set, records the engine timeline (pushes, sync rounds,
 	// per-stream all-reduce spans) for chrome://tracing export.
@@ -232,7 +234,6 @@ type Engine struct {
 	registry *gradsync.Registry
 	grads    []gradsync.Gradient // by id, after Start
 
-	pool    *stream.Pool
 	packer  *packing.Packer
 	session *gradsync.Session
 	local   *gradsync.SyncVector
@@ -250,11 +251,11 @@ type Engine struct {
 
 	met *engineMetrics
 
-	// Priority-scheduler state (PriorityDepth > 0; sched.go, plex.go).
-	sched       []*streamSched // per data stream; nil when the scheduler is off
-	plex        *plexTable
-	classes     int // effective urgency class count
-	maxPriority int // highest registered gradient priority
+	// Dispatcher state (sched.go, plex.go).
+	sched       []*streamSched // per data stream
+	plex        *plexTable     // nil with one class: units never interleave
+	classes     int            // effective urgency class count
+	maxPriority int            // highest registered gradient priority
 	schedMu     sync.Mutex
 	schedCond   *sync.Cond
 	schedOut    int   // dispatched units not yet retired
@@ -287,8 +288,8 @@ func NewEngine(comm *mpi.Comm, cfg Config) (*Engine, error) {
 	if cfg.Algorithm == Hierarchical {
 		// The frame-tagging multiplexer wraps the flat communicator; the
 		// two-level schedule runs over sub-communicators it cannot wrap.
-		// Priority-ordered packing still applies — only queueing/preemption
-		// degrades to the round-robin dispatcher.
+		// Priority-ordered packing still applies — only the dispatcher runs
+		// one class.
 		cfg.PriorityDepth = 0
 	}
 	return &Engine{
@@ -336,7 +337,7 @@ func (e *Engine) RegisterWithPriority(name string, elems, priority int) error {
 }
 
 // Start finalizes registration, allocates the synchronization vector and
-// stream pool, and launches the engine loop.
+// the stream dispatchers, and launches the engine loop.
 func (e *Engine) Start() error {
 	if e.started {
 		return ErrStarted
@@ -349,14 +350,8 @@ func (e *Engine) Start() error {
 		return fmt.Errorf("%w: no gradients registered", ErrBadConfig)
 	}
 	e.grads = grads
-	pool, err := stream.NewPool(e.cfg.Streams)
-	if err != nil {
-		return err
-	}
-	e.pool = pool
 	packer, err := packing.NewPacker(e.cfg.GranularityBytes)
 	if err != nil {
-		_ = pool.Close()
 		return err
 	}
 	e.packer = packer
@@ -366,35 +361,20 @@ func (e *Engine) Start() error {
 	e.data = make(map[int][]float32, len(grads))
 	e.remaining = make(map[int]int, len(grads))
 	e.met = newEngineMetrics(e.comm.Rank(), e.cfg.Streams)
-	if e.cfg.PriorityDepth > 0 {
-		for _, g := range grads {
-			if g.Priority > e.maxPriority {
-				e.maxPriority = g.Priority
-			}
-		}
-		// More classes than distinct priority levels cannot discriminate.
-		e.classes = e.cfg.PriorityDepth
-		if e.classes > e.maxPriority+1 {
-			e.classes = e.maxPriority + 1
-		}
-		e.schedCond = sync.NewCond(&e.schedMu)
-		e.sched = make([]*streamSched, e.cfg.Streams)
-		for s := range e.sched {
-			e.sched[s] = newStreamSched(e.classes)
-		}
-		e.plex = newPlexTable(e.comm, e.cfg.Streams)
-		e.met.initSched(e.comm.Rank(), e.classes)
-		// Wake a tail wait blocked across Close, and open the yield gates so
-		// parked units run into the dying transport instead of sleeping.
-		go func() {
-			<-e.stop
-			e.schedMu.Lock()
-			e.schedStop = true
-			e.schedMu.Unlock()
-			e.schedCond.Broadcast()
-			e.schedOpen()
-		}()
+	for _, g := range grads {
+		e.maxPriority = max(e.maxPriority, g.Priority)
 	}
+	// More classes than distinct priority levels cannot discriminate.
+	e.classes = max(1, min(e.cfg.PriorityDepth, e.maxPriority+1))
+	e.schedCond = sync.NewCond(&e.schedMu)
+	e.sched = make([]*streamSched, e.cfg.Streams)
+	for s := range e.sched {
+		e.sched[s] = newStreamSched(e.classes)
+	}
+	if e.classes > 1 {
+		e.plex = newPlexTable(e.comm, e.cfg.Streams)
+	}
+	e.met.initSched(e.comm.Rank(), e.classes)
 	e.publishConfig()
 	e.started = true
 	go e.loop()
@@ -497,19 +477,15 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// Close shuts the engine down: the loop stops, the stream pool drains and
-// every blocked caller is released with ErrClosed. Close is idempotent.
+// Close shuts the engine down: the loop stops, every gate opens, units in
+// flight retire (failing fast once the transport is gone) and every blocked
+// caller is released with ErrClosed. Close is idempotent.
 func (e *Engine) Close() error {
-	if !e.started {
-		e.stopOnce.Do(func() { close(e.stop) })
-		return nil
-	}
 	e.stopOnce.Do(func() { close(e.stop) })
-	<-e.loopDone
-	if e.sched != nil {
+	if e.started {
 		e.schedClose()
 	}
-	return e.pool.Close()
+	return nil
 }
 
 // loop runs iterations until stopped or failed.
@@ -540,7 +516,7 @@ func (e *Engine) resetIteration() {
 }
 
 // runIteration drives one training step's communication: consume pushes,
-// run agreement rounds, pack and dispatch units, wait for the pool.
+// run agreement rounds, pack and dispatch units, wait for them to retire.
 func (e *Engine) runIteration() error {
 	var (
 		pushedCount   int
@@ -617,20 +593,13 @@ func (e *Engine) runIteration() error {
 		}
 		e.mu.Unlock()
 		for _, u := range units {
-			if err := e.dispatch(u); err != nil {
-				return err
-			}
+			e.dispatch(u)
 		}
 	}
-	// The final pool drain is the communication the iteration could not hide
+	// The final drain is the communication the iteration could not hide
 	// behind incoming pushes: the paper's non-overlapped tail.
 	tailStart := clockStart()
-	var err error
-	if e.sched != nil {
-		err = e.schedWait()
-	} else {
-		err = e.pool.Wait()
-	}
+	err := e.schedWait()
 	if !iterStart.IsZero() {
 		now := time.Now()
 		iter := now.Sub(iterStart)
@@ -659,39 +628,11 @@ func getUnitBuf(n int) *[]float32 {
 	return bp
 }
 
-// dispatch hands one unit to the dispatcher. In unscheduled mode that is the
-// stream pool: round-robin submission order is identical on every rank
-// (units are generated in the same order), so unit k lands on stream k mod
-// Streams everywhere — the implicit agreement that lets ring messages match.
-// In scheduled mode (PriorityDepth > 0) the unit goes to its stream's
-// priority queue instead; the stream assignment stays Seq mod Streams, and
-// frame tagging (plex.go) makes the within-stream timing a local decision.
-func (e *Engine) dispatch(u packing.Unit) error {
-	if e.sched != nil {
-		e.dispatchSched(u)
-	} else {
-		err := e.pool.Submit(func(streamID int) error {
-			return e.reduceUnit(streamID, u, e.comm, nil)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	e.mu.Lock()
-	e.stats.Units++
-	e.stats.BytesReduced += u.Bytes()
-	e.mu.Unlock()
-	e.met.units.Inc()
-	e.met.bytes.Add(u.Bytes())
-	e.met.wireBytes.Add(u.WireBytes(e.cfg.Codec))
-	return nil
-}
-
 // reduceUnit all-reduces and averages one unit on the given stream, through
 // a gathered copy when the unit spans several gradients. comm is the
-// communicator the ring frames travel through — the plain one in unscheduled
-// mode, a tagging plexComm under the priority scheduler — and yield, when
-// non-nil, is the segment-boundary preemption gate.
+// communicator the ring frames travel through — the plain one with one
+// class, a tagging plexComm with several — and yield, when non-nil, is the
+// segment-boundary preemption gate.
 func (e *Engine) reduceUnit(streamID int, u packing.Unit, comm collective.Comm, yield func()) error {
 	if e.cfg.Trace != nil {
 		span := e.cfg.Trace.Begin(fmt.Sprintf("all-reduce unit %d", u.Seq), "comm", streamID)
@@ -726,12 +667,9 @@ func (e *Engine) reduceUnit(streamID int, u packing.Unit, comm collective.Comm, 
 		rerr = collective.HierarchicalAllReduceCodec(
 			e.comm, streamID, e.cfg.GPUsPerNode, buf, tensor.OpSum, e.cfg.Codec,
 			collective.WithSegmentBytes(e.cfg.SegmentBytes))
-	case yield != nil:
-		rerr = collective.RingAllReduceCodec(comm, streamID, buf, tensor.OpSum, e.cfg.Codec,
-			collective.WithSegmentBytes(e.cfg.SegmentBytes), collective.WithYield(yield))
 	default:
 		rerr = collective.RingAllReduceCodec(comm, streamID, buf, tensor.OpSum, e.cfg.Codec,
-			collective.WithSegmentBytes(e.cfg.SegmentBytes))
+			collective.WithSegmentBytes(e.cfg.SegmentBytes), collective.WithYield(yield))
 	}
 	if rerr != nil {
 		return fmt.Errorf("unit %d all-reduce: %w", u.Seq, rerr)

@@ -14,7 +14,7 @@ import (
 // per-stream utilization (multi-stream efficiency, §V-B).
 type engineMetrics struct {
 	iterNs     *metrics.Histogram  // full iteration wall time
-	tailNs     *metrics.Histogram  // non-overlapped tail: the final pool drain
+	tailNs     *metrics.Histogram  // non-overlapped tail: the final dispatcher drain
 	overlap    *metrics.FloatGauge // 1 - tail/iteration, last iteration
 	syncNs     *metrics.Histogram  // one agreement round, engine side
 	freshCount *metrics.Histogram  // gradients agreed fresh per round
@@ -28,15 +28,12 @@ type engineMetrics struct {
 	bytes      *metrics.Counter
 	wireBytes  *metrics.Counter // codec-encoded unit bytes (what the wire carries)
 
-	// Priority-scheduler observability (populated only when PriorityDepth > 0;
-	// see initSched). Queue gauges are per priority class; the histogram
-	// records how long a more urgent unit waited behind strictly less urgent
-	// in-flight transfers before its runner started (head-of-line blocking).
+	// Dispatcher observability (see initSched). Queue gauges are per priority
+	// class.
 	classDepth  []*metrics.Gauge
 	classBytes  []*metrics.Gauge
 	preemptions *metrics.Counter
 	resumedSegs *metrics.Counter
-	holWaitNs   *metrics.Histogram
 }
 
 // initSched creates the per-class scheduler metrics once the effective class
@@ -56,18 +53,12 @@ func (m *engineMetrics) initSched(rank, classes int) {
 		"In-flight units parked at a segment boundary for a more urgent unit.", rankL)
 	m.resumedSegs = metrics.NewCounter("aiacc_engine_sched_resumed_segments_total",
 		"Wire segments completed by previously preempted units (no re-encode, no re-send).", rankL)
-	m.holWaitNs = metrics.NewHistogram("aiacc_engine_sched_hol_wait_ns",
-		"Head-of-line blocking: queue wait of units enqueued behind strictly less urgent in-flight transfers.",
-		metrics.LatencyNs, rankL)
 }
 
-// observeQueue updates one priority class's queue gauges; a no-op before
-// initSched (unscheduled mode never calls it).
+// observeQueue updates one priority class's queue gauges.
 func (m *engineMetrics) observeQueue(class, depth int, bytes int64) {
-	if class < len(m.classDepth) {
-		m.classDepth[class].Set(int64(depth))
-		m.classBytes[class].Set(bytes)
-	}
+	m.classDepth[class].Set(int64(depth))
+	m.classBytes[class].Set(bytes)
 }
 
 func newEngineMetrics(rank, streams int) *engineMetrics {
@@ -76,7 +67,7 @@ func newEngineMetrics(rank, streams int) *engineMetrics {
 		iterNs: metrics.NewHistogram("aiacc_engine_iteration_ns",
 			"Engine iteration wall time.", metrics.LatencyNs, rankL),
 		tailNs: metrics.NewHistogram("aiacc_engine_tail_wait_ns",
-			"Non-overlapped communication tail per iteration (final stream-pool drain).",
+			"Non-overlapped communication tail per iteration (final drain of the stream dispatchers).",
 			metrics.LatencyNs, rankL),
 		overlap: metrics.NewFloatGauge("aiacc_engine_overlap_ratio",
 			"Fraction of the last iteration overlapped with compute: 1 - tail/iteration.", rankL),
@@ -117,7 +108,7 @@ func (e *Engine) publishConfig() {
 		Set(e.cfg.GranularityBytes)
 	metrics.NewGauge("aiacc_engine_segment_bytes", "Configured ring wire-pipelining segment size (0 = collective default).", rankL).
 		Set(e.cfg.SegmentBytes)
-	metrics.NewGauge("aiacc_engine_priority_depth", "Configured priority-scheduler class count (0 = scheduler off).", rankL).
+	metrics.NewGauge("aiacc_engine_priority_depth", "Configured priority class count (0 and 1 both mean one class).", rankL).
 		Set(int64(e.cfg.PriorityDepth))
 }
 

@@ -2,9 +2,9 @@
 //
 // The transports guarantee FIFO frame order per (peer, stream) lane, and the
 // collectives rely on it: a ring step's receiver attributes the next frame on
-// the lane to the next expected segment. That breaks the moment two
-// all-reduce units interleave on one stream — which is exactly what
-// segment-boundary preemption does. The plexTable restores per-operation FIFO
+// the lane to the next expected segment. That breaks the moment N all-reduce
+// units interleave on one stream — which is exactly what segment-boundary
+// preemption does. The plexTable restores per-operation FIFO
 // by tagging every data frame with its unit's sequence number (4 bytes
 // appended to the wire payload) and demultiplexing received frames by tag on
 // the receive side. Tagging is a purely rank-local affair: every rank runs
@@ -15,24 +15,40 @@
 // Demultiplexing uses a single-puller protocol per lane: whichever operation
 // is blocked on Recv first pulls from the real endpoint, keeps frames
 // matching its own tag, and parks mismatched frames on the lane's per-tag
-// queues for the operation they belong to (bounded by the sender's pipe
-// depth, since a preempted sender has at most sendpool.PipeDepth frames in
-// flight). A pull error is sticky: it is published to every present and
-// future waiter on the lane, so the abort flood and transport teardown
-// propagate to both interleaved operations.
+// queues for the operation they belong to. A ring rank sends at most
+// plexAhead frames of one operation beyond those it has received, so around
+// a ring of n ranks at most plexAhead·n frames of one operation can wait for
+// it on its upstream lane, whether it is parked or not yet started; a tag
+// queue growing past that is a protocol failure charged to the sending peer.
+// A pull error is sticky: it is published to every present and future waiter
+// on the lane, so the abort flood and transport teardown propagate to all N
+// interleaved operations.
 package engine
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
 	"aiacc/internal/bufpool"
 	"aiacc/mpi"
+	"aiacc/transport"
 )
 
 // plexTagBytes is the wire overhead per tagged frame.
 const plexTagBytes = 4
+
+// plexAhead bounds how many frames of one ring operation a rank sends beyond
+// those it has received: one segment of lookahead within a ring step, plus
+// one where the chunk it sends splits into one segment more than the chunk
+// it receives. (Each step sends the chunk received on the step before, so
+// those surpluses telescope to at most one over the whole operation.)
+const plexAhead = 2
+
+// errPlexOverflow is the cause of the peer failure reported when a peer's
+// frames for one operation exceed the ring protocol's bound.
+var errPlexOverflow = errors.New("engine: plex tag queue overflow")
 
 // plexLane demultiplexes one (from, stream) receive lane by unit tag.
 type plexLane struct {
@@ -47,11 +63,13 @@ type plexLane struct {
 type plexTable struct {
 	c     *mpi.Comm
 	size  int
+	limit int        // parked frames allowed per tag
 	lanes []plexLane // indexed stream*size + from
 }
 
 func newPlexTable(c *mpi.Comm, dataStreams int) *plexTable {
-	t := &plexTable{c: c, size: c.Size(), lanes: make([]plexLane, dataStreams*c.Size())}
+	t := &plexTable{c: c, size: c.Size(), limit: plexAhead * c.Size(),
+		lanes: make([]plexLane, dataStreams*c.Size())}
 	for i := range t.lanes {
 		l := &t.lanes[i]
 		l.cond = sync.NewCond(&l.mu)
@@ -140,9 +158,24 @@ func (t *plexTable) recv(from, stream int, tag uint32) ([]byte, error) {
 			l.mu.Unlock()
 			return body, nil
 		}
-		l.q[ptag] = append(l.q[ptag], body)
+		if len(l.q[ptag]) == t.limit {
+			bufpool.Put(body)
+			l.err = t.overflow(from, ptag)
+		} else {
+			l.q[ptag] = append(l.q[ptag], body)
+		}
 		l.cond.Broadcast()
 	}
+}
+
+// overflow is the sticky lane error for a tag queue that is already full.
+func (t *plexTable) overflow(from int, tag uint32) error {
+	rank, err := t.c.GlobalRank(from)
+	if err != nil {
+		rank = from
+	}
+	return &transport.PeerFailedError{Rank: rank,
+		Cause: fmt.Errorf("%w: tag %d holds %d frames", errPlexOverflow, tag, t.limit)}
 }
 
 // drain recycles every frame still parked on the per-tag queues — the
@@ -170,8 +203,8 @@ type plexComm struct {
 	tag uint32
 }
 
-func (p plexComm) Rank() int                    { return p.t.c.Rank() }
-func (p plexComm) Size() int                    { return p.t.c.Size() }
+func (p plexComm) Rank() int                     { return p.t.c.Rank() }
+func (p plexComm) Size() int                     { return p.t.c.Size() }
 func (p plexComm) GlobalRank(r int) (int, error) { return p.t.c.GlobalRank(r) }
 func (p plexComm) Abort(to, stream, origin int) error {
 	return p.t.c.Abort(to, stream, origin)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -41,8 +42,9 @@ func skewedProfile() []priorityParam {
 	}
 }
 
-// runPriorityEngines runs fn on one engine per rank, all registered with the
-// given prioritized profile, and tears everything down.
+// runPriorityEngines runs fn on one engine per rank over an in-process
+// network, all registered with the given prioritized profile, and tears
+// everything down.
 func runPriorityEngines(t *testing.T, size int, cfg Config, params []priorityParam,
 	opts []transport.MemOption, fn func(e *Engine) error) {
 	t.Helper()
@@ -51,7 +53,15 @@ func runPriorityEngines(t *testing.T, size int, cfg Config, params []priorityPar
 		t.Fatalf("NewMem: %v", err)
 	}
 	defer func() { _ = net.Close() }()
+	runEnginesOn(t, net, cfg, params, fn)
+}
 
+// runEnginesOn is runPriorityEngines over a given network, which the caller
+// closes.
+func runEnginesOn(t *testing.T, net transport.Network, cfg Config, params []priorityParam,
+	fn func(e *Engine) error) {
+	t.Helper()
+	size := net.Size()
 	engines := make([]*Engine, size)
 	for r := 0; r < size; r++ {
 		ep, err := net.Endpoint(r)
@@ -146,11 +156,11 @@ func runPriorityRounds(t *testing.T, cfg Config, params []priorityParam, iters i
 	return out
 }
 
-// TestPrioritySchedBitIdentity is the acceptance property: for fp32, the
-// scheduled modes produce bit-identical reduced gradients to the unscheduled
-// engine. Packing is canonical (priority, id) in every mode, so PriorityDepth
-// changes only dispatch timing — never unit composition, never summation
-// order within a unit.
+// TestPrioritySchedBitIdentity is the acceptance property: for fp32, every
+// PriorityDepth produces bit-identical reduced gradients to the one-class
+// dispatcher (depth 0). Packing is canonical (priority, id) in every mode,
+// so PriorityDepth changes only dispatch timing — never unit composition,
+// never summation order within a unit.
 func TestPrioritySchedBitIdentity(t *testing.T) {
 	params := skewedProfile()
 	base := DefaultConfig()
@@ -257,10 +267,10 @@ func TestPrioritySchedPreemption(t *testing.T) {
 // nor pooled buffers: parked frames on lane queues must return to the pool.
 func TestChaosSoakPriorityKill(t *testing.T) {
 	// Warm the sendpool so its persistent senders land in the leakcheck
-	// baseline: with preemption on, this test runs more concurrent pipelines
-	// (2 runners × 2 streams × 3 ranks) than the fixed slack covers, and
-	// pooled-idle senders after teardown are by design, not a leak.
-	warmPipes := make([]*sendpool.Pipe, 16)
+	// baseline: with preemption on, this test runs up to classes × streams ×
+	// ranks (4 × 2 × 3) concurrent pipelines, more than the fixed slack
+	// covers, and pooled-idle senders after teardown are by design, not a leak.
+	warmPipes := make([]*sendpool.Pipe, 24)
 	warmAsyncs := make([]*sendpool.Async, 8)
 	for i := range warmPipes {
 		warmPipes[i] = sendpool.AcquirePipe()
@@ -375,5 +385,132 @@ func TestChaosSoakPriorityKill(t *testing.T) {
 	}
 	if err := base.Buffers(10 * time.Second); err != nil {
 		t.Error(err)
+	}
+}
+
+// livenessProfile has eight forward layers, so depth 8 gets eight classes,
+// with sizes that give most units several segments per ring chunk.
+func livenessProfile() []priorityParam {
+	return []priorityParam{
+		{"embed.weight", 24 << 10, 0},
+		{"l1.weight", 4 << 10, 1},
+		{"l2.weight", 8 << 10, 2},
+		{"l3.weight", 1 << 10, 3},
+		{"l4.weight", 12 << 10, 4},
+		{"l5.weight", 512, 5},
+		{"l6.weight", 6 << 10, 6},
+		{"head.weight", 2 << 10, 7},
+	}
+}
+
+// delayPlan is a seeded delay-only chaos plan: about half of the directed
+// rank pairs get per-send latency with jitter on every stream.
+func delayPlan(seed int64, size int) *chaos.Plan {
+	rng := rand.New(rand.NewSource(seed))
+	p := chaos.NewPlan(seed)
+	for from := 0; from < size; from++ {
+		for to := 0; to < size; to++ {
+			if from != to && rng.Intn(2) == 0 {
+				p.Delay(from, to, -1, time.Duration(rng.Intn(100))*time.Microsecond,
+					time.Duration(1+rng.Intn(200))*time.Microsecond)
+			}
+		}
+	}
+	return p
+}
+
+// runLiveness runs two iterations of the liveness profile on 4 ranks under
+// the seed's delay plan. Every rank pushes in its own seeded order with
+// seeded pauses, so each agreement round — and with it each unit's dispatch
+// time — differs per rank. Values are multiples of 1/8, whose sums and means
+// are exact in any order, so every schedule must reproduce the same bits. It
+// returns each rank's reduced values keyed "rank/iter/name".
+func runLiveness(t *testing.T, cfg Config, seed int64) map[string][]float32 {
+	t.Helper()
+	const size, iters = 4, 2
+	params := livenessProfile()
+	inner, err := transport.NewMem(size, cfg.RequiredStreams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := chaos.Wrap(inner, delayPlan(seed, size))
+	defer func() { _ = net.Close() }()
+
+	var mu sync.Mutex
+	out := make(map[string][]float32)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		runEnginesOn(t, net, cfg, params, func(e *Engine) error {
+			rng := rand.New(rand.NewSource(seed*31 + int64(e.Rank())))
+			for iter := 0; iter < iters; iter++ {
+				grads := make([]*tensor.Tensor, len(params))
+				for p, prm := range params {
+					g := tensor.New(prm.elems)
+					for i := 0; i < prm.elems; i++ {
+						g.Set(i, float32((e.Rank()*7+i*3+iter*5+p)%64-32)/8)
+					}
+					grads[p] = g
+				}
+				for _, p := range rng.Perm(len(params)) {
+					if err := e.PushGradient(params[p].name, grads[p]); err != nil {
+						return err
+					}
+					time.Sleep(time.Duration(rng.Intn(400)) * time.Microsecond)
+				}
+				if err := e.WaitIteration(); err != nil {
+					return err
+				}
+				mu.Lock()
+				for p, g := range grads {
+					out[fmt.Sprintf("%d/%d/%s", e.Rank(), iter, params[p].name)] = append([]float32(nil), g.Data()...)
+				}
+				mu.Unlock()
+			}
+			return nil
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		buf := make([]byte, 1<<20)
+		n := runtime.Stack(buf, true)
+		t.Fatalf("seed %d, depth %d, streams %d: hung\n%s", seed, cfg.PriorityDepth, cfg.Streams, buf[:n])
+	}
+	return out
+}
+
+// TestPrioritySchedLiveness runs the preemptive depths on the 4-rank paced
+// shape under delay-only chaos: every run must finish, and its fp32 results
+// must be bit-identical to the one-class dispatcher's under the same seed.
+func TestPrioritySchedLiveness(t *testing.T) {
+	base := DefaultConfig()
+	base.GranularityBytes = 32 << 10
+	base.SegmentBytes = 4 << 10
+	base.MinSyncBytes = 1
+	for _, streams := range []int{1, 2} {
+		for seed := int64(1); seed <= 3; seed++ {
+			ref := base
+			ref.Streams = streams
+			want := runLiveness(t, ref, seed)
+			for _, depth := range []int{2, 3, 4, 8} {
+				cfg := ref
+				cfg.PriorityDepth = depth
+				got := runLiveness(t, cfg, seed)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d, depth %d, streams %d: %d reduced tensors, want %d",
+						seed, depth, streams, len(got), len(want))
+				}
+				for key, w := range want {
+					g := got[key]
+					for i := range w {
+						if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
+							t.Fatalf("seed %d, depth %d, streams %d: %s[%d] = %v, want %v",
+								seed, depth, streams, key, i, g[i], w[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }
