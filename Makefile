@@ -32,9 +32,10 @@ purego:
 
 # ./transport/... is recursive: it covers the shared-memory rings
 # (transport/shmnet), the two-tier composition and the cross-transport
-# conformance suite alongside the mem and TCP transports.
+# conformance suite alongside the mem and TCP transports. ./train/... covers
+# the live tuner, which drives several engines' lifecycles back to back.
 race: purego
-	$(GO) test -race ./collective/... ./transport/... ./engine/... ./mpi/... ./metrics/... ./internal/sendpool/... ./internal/gradsync/... ./internal/packing/... ./internal/wire/... ./baseline/... ./fault/... .
+	$(GO) test -race ./collective/... ./transport/... ./engine/... ./mpi/... ./metrics/... ./internal/sendpool/... ./internal/gradsync/... ./internal/packing/... ./internal/wire/... ./baseline/... ./fault/... ./train/... .
 
 # Seeded chaos soak (DESIGN.md §8): the pipelined ring all-reduce under ~20
 # randomized fault scenarios (crashes, partitions, drops, truncation, delay)

@@ -2,8 +2,10 @@ package autotune
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aiacc/model"
@@ -27,79 +29,199 @@ func syntheticCost(space Space, opt Params) Evaluator {
 	}
 }
 
+// Dimension indices of the table, for Neighbor.
+const (
+	dimAlgo = iota
+	dimStreams
+	dimGranularity
+	dimSegment
+	dimNodeGroup
+	dimDepth
+)
+
 func TestSpaceBasics(t *testing.T) {
 	s := DefaultSpace()
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Size() != 7*8*2*5*4*4 {
-		t.Errorf("Size = %d, want 8960", s.Size())
+	// 7 streams x 8 granularities x 5 segments, times ring at depths
+	// {1, 4, 8} plus the tree at node groups {2, 4, 8}: the product's 8960
+	// points hold only 1680 distinct engine configurations.
+	if s.Size() != 7*8*5*(3+3) {
+		t.Errorf("Size = %d, want 1680", s.Size())
 	}
-	// At/Index round-trip over the full space.
-	for i := 0; i < s.Size(); i++ {
-		p := s.At(i)
-		if got := s.Index(p); got != i {
-			t.Fatalf("Index(At(%d)) = %d", i, got)
+	// Points are distinct and each is its own canonical form.
+	points := s.Points()
+	for i, p := range points {
+		if got := slices.Index(points, p); got != i {
+			t.Fatalf("point %d = %v repeats point %d", i, p, got)
+		}
+		if canonical(p) != p {
+			t.Fatalf("point %v is not canonical", p)
 		}
 	}
-	// Wrap-around and negative indices.
-	if s.At(s.Size()) != s.At(0) || s.At(-1) != s.At(s.Size()-1) {
-		t.Error("At must wrap modulo Size")
+	// Equivalent spellings of a point share its canonical form.
+	ring := Params{Streams: 2, GranularityBytes: 1 << 20, Algorithm: AlgoRing, SegmentBytes: 64 << 10, GPUsPerNode: 1, PriorityDepth: 1}
+	if !slices.Contains(points, ring) {
+		t.Errorf("%v missing", ring)
 	}
-	if s.Index(Params{Streams: 3, GranularityBytes: 1, Algorithm: "x"}) != -1 {
-		t.Error("Index of foreign point must be -1")
+	for _, alias := range []Params{
+		{Streams: 2, GranularityBytes: 1 << 20, Algorithm: AlgoRing, SegmentBytes: 64 << 10, GPUsPerNode: 4, PriorityDepth: 0},
+		{Streams: 2, GranularityBytes: 1 << 20, Algorithm: AlgoTree, SegmentBytes: 64 << 10, GPUsPerNode: 1, PriorityDepth: 8},
+	} {
+		if canonical(alias) != ring {
+			t.Errorf("canonical(%v) = %v, want %v", alias, canonical(alias), ring)
+		}
 	}
 	if err := (Space{}).Validate(); !errors.Is(err, ErrBadSpace) {
 		t.Errorf("empty space error = %v", err)
+	}
+	bad := DefaultSpace()
+	bad.Algorithms = []string{AlgoRing, "x"}
+	if err := bad.Validate(); !errors.Is(err, ErrBadSpace) || bad.Points() != nil {
+		t.Errorf("unknown algorithm: error = %v, %d points", err, len(bad.Points()))
+	}
+	// Node groups a world cannot form leave the space.
+	if got := s.ForWorld(4).NodeGroups; !slices.Equal(got, []int{1, 2, 4}) {
+		t.Errorf("ForWorld(4) node groups = %v", got)
+	}
+	if got := s.ForWorld(4).Size(); got != 7*8*5*(3+2) {
+		t.Errorf("ForWorld(4) size = %d, want 1400", got)
 	}
 }
 
 func TestSpaceNeighbor(t *testing.T) {
 	s := DefaultSpace()
-	p := Params{Streams: 8, GranularityBytes: 8 << 20, Algorithm: AlgoRing, SegmentBytes: 256 << 10}
-	up := s.Neighbor(p, 0, 1)
+	p := Params{Streams: 8, GranularityBytes: 8 << 20, Algorithm: AlgoRing, SegmentBytes: 256 << 10, GPUsPerNode: 1, PriorityDepth: 1}
+	up := s.Neighbor(p, dimStreams, 1)
 	if up.Streams != 12 {
 		t.Errorf("streams neighbor = %d, want 12", up.Streams)
 	}
-	down := s.Neighbor(p, 1, -1)
+	down := s.Neighbor(p, dimGranularity, -1)
 	if down.GranularityBytes != 4<<20 {
 		t.Errorf("granularity neighbor = %d", down.GranularityBytes)
 	}
-	flip := s.Neighbor(p, 2, 1)
-	if flip.Algorithm != AlgoTree {
-		t.Errorf("algorithm neighbor = %s", flip.Algorithm)
-	}
-	seg := s.Neighbor(p, 3, 1)
+	seg := s.Neighbor(p, dimSegment, 1)
 	if seg.SegmentBytes != 1<<20 {
 		t.Errorf("segment neighbor = %d", seg.SegmentBytes)
 	}
-	// Clamping at the boundary.
-	edge := Params{Streams: 24, GranularityBytes: 64 << 20, Algorithm: AlgoTree, SegmentBytes: 4 << 20}
-	if got := s.Neighbor(edge, 0, 1); got.Streams != 24 {
-		t.Error("neighbor must clamp at the top")
+	// Moving a ring point to the tree also picks the nearest node group,
+	// and the tree's one class.
+	flip := s.Neighbor(p, dimAlgo, 1)
+	if flip.Algorithm != AlgoTree || flip.GPUsPerNode != 2 || flip.PriorityDepth != 1 {
+		t.Errorf("algorithm neighbor = %v", flip)
 	}
-	if got := s.Neighbor(edge, 3, 1); got.SegmentBytes != 4<<20 {
+	if got := s.Neighbor(p, dimNodeGroup, 1); got != flip {
+		t.Errorf("node-group neighbor of a ring point = %v, want %v", got, flip)
+	}
+	// A tree point asked for more classes becomes the ring.
+	deep := s.Neighbor(flip, dimDepth, 1)
+	if deep.Algorithm != AlgoRing || deep.PriorityDepth != 4 || deep.Streams != 8 {
+		t.Errorf("depth neighbor of a tree point = %v", deep)
+	}
+	for d := range dims {
+		for _, dir := range []int{-1, 1} {
+			if q := s.Neighbor(p, d, dir); !slices.Contains(s.Points(), q) {
+				t.Errorf("Neighbor(%v, %d, %d) = %v not in space", p, d, dir, q)
+			}
+		}
+	}
+	// Clamping at the boundary.
+	edge := Params{Streams: 24, GranularityBytes: 64 << 20, Algorithm: AlgoTree, SegmentBytes: 4 << 20, GPUsPerNode: 8, PriorityDepth: 1}
+	if got := s.Neighbor(edge, dimStreams, 1); got != edge {
+		t.Errorf("neighbor must clamp at the top: %v", got)
+	}
+	if got := s.Neighbor(edge, dimSegment, 1); got.SegmentBytes != 4<<20 {
 		t.Error("segment neighbor must clamp at the top")
+	}
+}
+
+func TestSpaceAround(t *testing.T) {
+	s := DefaultSpace()
+	p := Params{Streams: 8, GranularityBytes: 512 << 10, Algorithm: AlgoTree, SegmentBytes: 4 << 20, GPUsPerNode: 4, PriorityDepth: 1}
+	sub := s.Around(p)
+	want := Space{
+		Streams:       []int{4, 8, 12},
+		Granularities: []int64{512 << 10, 1 << 20},
+		Algorithms:    []string{AlgoRing, AlgoTree},
+		Segments:      []int64{1 << 20, 4 << 20},
+		NodeGroups:    []int{2, 4, 8},
+		Depths:        []int{1, 4},
+	}
+	if fmt.Sprint(sub) != fmt.Sprint(want) {
+		t.Errorf("Around(%v) = %+v, want %+v", p, sub, want)
+	}
+	if !slices.Contains(sub.Points(), p) {
+		t.Error("Around must contain its centre")
+	}
+	if fmt.Sprint(s) != fmt.Sprint(DefaultSpace()) {
+		t.Error("Around modified the space it narrowed")
 	}
 }
 
 func TestNormalizeRange(t *testing.T) {
 	s := DefaultSpace()
-	for i := 0; i < s.Size(); i++ {
-		v := s.Normalize(s.At(i))
-		for d := 0; d < 6; d++ {
-			if v[d] < 0 || v[d] > 1 {
-				t.Fatalf("Normalize(%v)[%d] = %v out of [0,1]", s.At(i), d, v[d])
+	for _, p := range s.Points() {
+		for d, x := range s.Normalize(p) {
+			if x < 0 || x > 1 {
+				t.Fatalf("Normalize(%v)[%d] = %v out of [0,1]", p, d, x)
 			}
 		}
 	}
 	lo := s.Normalize(Params{Streams: 1, GranularityBytes: 512 << 10, Algorithm: AlgoRing, SegmentBytes: 64 << 10, GPUsPerNode: 1, PriorityDepth: 0})
 	hi := s.Normalize(Params{Streams: 24, GranularityBytes: 64 << 20, Algorithm: AlgoTree, SegmentBytes: 4 << 20, GPUsPerNode: 8, PriorityDepth: 8})
-	if lo != [6]float64{0, 0, 0, 0, 0, 0} {
+	if !slices.Equal(lo, []float64{0, 0, 0, 0, 0, 0}) {
 		t.Errorf("low corner = %v", lo)
 	}
-	if hi != [6]float64{1, 1, 1, 1, 1, 1} {
+	if !slices.Equal(hi, []float64{1, 1, 1, 1, 1, 1}) {
 		t.Errorf("high corner = %v", hi)
+	}
+}
+
+// A seeded PBT run must explore every dimension of the table: each replaced
+// member is a one-step perturbation of a surviving member, and over the run
+// every dimension is the one that moved at least once.
+func TestPBTPerturbsEveryDimension(t *testing.T) {
+	space := DefaultSpace()
+	eval := syntheticCost(space, Params{Streams: 4, GranularityBytes: 4 << 20, Algorithm: AlgoTree, SegmentBytes: 128 << 10, GPUsPerNode: 4})
+	p := NewPBT(space, 4, rand.New(rand.NewSource(5)))
+	moved := make([]bool, len(space.Normalize(Params{})))
+	for gen := 0; gen < 100; gen++ {
+		before := append([]Params(nil), p.population...)
+		for range before {
+			prop := p.Propose(1)
+			p.Observe(prop, eval(prop.Params, 1))
+		}
+		for i, q := range p.population {
+			if q == before[i] {
+				continue
+			}
+			// Credit the dimensions q differs in from its closest source, a
+			// surviving member.
+			var diff []int
+			for j, src := range before {
+				if p.population[j] != src {
+					continue
+				}
+				var d []int
+				for k, x := range space.Normalize(q) {
+					if x != space.Normalize(src)[k] {
+						d = append(d, k)
+					}
+				}
+				if diff == nil || len(d) < len(diff) {
+					diff = d
+				}
+			}
+			for _, k := range diff {
+				moved[k] = true
+			}
+		}
+	}
+	for d, ok := range moved {
+		if !ok {
+			t.Errorf("PBT never perturbed dimension %d", d)
+		}
 	}
 }
 
@@ -122,17 +244,16 @@ func TestSearchersConverge(t *testing.T) {
 				t.Errorf("Name = %q, want %q", s.Name(), name)
 			}
 			bestCost := math.Inf(1)
-			// The topology and priority-depth dimensions grew the space 16x:
-			// the lexicographic grid sweep needs enough budget to reach the
-			// optimum's region, and hyperband's random sampling
-			// proportionally more draws; the model-guided searchers converge
-			// on the standard budget.
+			// The lexicographic grid sweep needs enough budget to reach the
+			// optimum's region (point 426 of 1680), and hyperband's random
+			// sampling proportionally many draws; the model-guided searchers
+			// converge on the standard budget.
 			budget := 120
 			switch name {
 			case "grid":
-				budget = 2560
+				budget = 480
 			case "hyperband":
-				budget = 1440
+				budget = 270
 			}
 			spent := 0
 			for spent < budget {

@@ -3,6 +3,7 @@ package autotune
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Bayes is Bayesian optimization [26] over the normalized parameter space: a
@@ -10,10 +11,12 @@ import (
 // costs, maximizing expected improvement (EI) over the discrete candidates.
 // Implemented from scratch on a dense Cholesky factorization.
 type Bayes struct {
-	space Space
-	rng   *rand.Rand
+	space  Space
+	points []Params
+	coords [][]float64 // Normalize of each point
+	rng    *rand.Rand
 
-	xs [][6]float64
+	xs [][]float64
 	ys []float64
 
 	lengthScale float64
@@ -25,13 +28,18 @@ var _ Searcher = (*Bayes)(nil)
 
 // NewBayes returns a Bayesian-optimization searcher.
 func NewBayes(space Space, rng *rand.Rand) *Bayes {
-	return &Bayes{
+	b := &Bayes{
 		space:       space,
+		points:      space.Points(),
 		rng:         rng,
 		lengthScale: 0.3,
 		noise:       1e-4,
 		seedPoints:  3,
 	}
+	for _, p := range b.points {
+		b.coords = append(b.coords, space.Normalize(p))
+	}
+	return b
 }
 
 // Name implements Searcher.
@@ -41,28 +49,18 @@ func (b *Bayes) Name() string { return "bayes" }
 func (b *Bayes) Propose(int) Proposal {
 	if len(b.xs) < b.seedPoints {
 		// Bootstrap with quasi-uniform coverage.
-		idx := b.rng.Intn(b.space.Size())
-		return Proposal{Params: b.space.At(idx), Iters: 1}
+		return Proposal{Params: b.points[b.rng.Intn(len(b.points))], Iters: 1}
 	}
-	best := b.space.At(0)
-	bestEI := math.Inf(-1)
 	mu, sigma, ok := b.fit()
 	if !ok {
-		return Proposal{Params: b.space.At(b.rng.Intn(b.space.Size())), Iters: 1}
+		return Proposal{Params: b.points[b.rng.Intn(len(b.points))], Iters: 1}
 	}
-	yBest := math.Inf(1)
-	for _, y := range b.ys {
-		if y < yBest {
-			yBest = y
-		}
-	}
-	for i := 0; i < b.space.Size(); i++ {
-		p := b.space.At(i)
-		m, s := mu(b.space.Normalize(p)), sigma(b.space.Normalize(p))
-		ei := expectedImprovement(yBest, m, s)
-		if ei > bestEI {
+	yBest := slices.Min(b.ys)
+	best, bestEI := b.points[0], math.Inf(-1)
+	for i, x := range b.coords {
+		if ei := expectedImprovement(yBest, mu(x), sigma(x)); ei > bestEI {
 			bestEI = ei
-			best = p
+			best = b.points[i]
 		}
 	}
 	return Proposal{Params: best, Iters: 1}
@@ -75,7 +73,7 @@ func (b *Bayes) Observe(prop Proposal, cost float64) {
 }
 
 // rbf is the squared-exponential kernel.
-func (b *Bayes) rbf(x, y [6]float64) float64 {
+func (b *Bayes) rbf(x, y []float64) float64 {
 	var d2 float64
 	for i := range x {
 		d := x[i] - y[i]
@@ -86,7 +84,7 @@ func (b *Bayes) rbf(x, y [6]float64) float64 {
 
 // fit returns posterior mean and stddev functions for the current
 // observations, or ok=false if the kernel matrix is not positive definite.
-func (b *Bayes) fit() (mu func([6]float64) float64, sigma func([6]float64) float64, ok bool) {
+func (b *Bayes) fit() (mu func([]float64) float64, sigma func([]float64) float64, ok bool) {
 	n := len(b.xs)
 	// Standardize targets.
 	mean := 0.0
@@ -121,14 +119,14 @@ func (b *Bayes) fit() (mu func([6]float64) float64, sigma func([6]float64) float
 	}
 	alpha := cholSolve(chol, yn)
 
-	mu = func(x [6]float64) float64 {
+	mu = func(x []float64) float64 {
 		var s float64
 		for i := 0; i < n; i++ {
 			s += b.rbf(x, b.xs[i]) * alpha[i]
 		}
 		return s*sd + mean
 	}
-	sigma = func(x [6]float64) float64 {
+	sigma = func(x []float64) float64 {
 		kx := make([]float64, n)
 		for i := 0; i < n; i++ {
 			kx[i] = b.rbf(x, b.xs[i])

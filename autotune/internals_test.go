@@ -3,6 +3,7 @@ package autotune
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -164,7 +165,7 @@ func TestPBTEvolve(t *testing.T) {
 	// After one generation the population contains perturbed copies of the
 	// winners; every member must remain a valid space point.
 	for i, member := range p.population {
-		if space.Index(member) < 0 {
+		if !slices.Contains(p.points, member) {
 			t.Errorf("member %d = %v not in space", i, member)
 		}
 	}

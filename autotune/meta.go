@@ -11,23 +11,14 @@ import (
 
 // Tuner metrics (DESIGN.md §7): arm pulls and training iterations spent per
 // searcher show how the §VI meta solver allocates its budget, new-best counts
-// are its reward signal, and the best-config gauges expose where the search
-// currently stands — the live counterpart of the TrialRecord trace.
+// are its reward signal, and the best-config gauges (one per dimension, in
+// the dimension table) expose where the search currently stands — the live
+// counterpart of the TrialRecord trace.
 var (
 	mNewBest = metrics.NewCounter("aiacc_autotune_new_best_total",
 		"Evaluations that set a new global best cost.")
 	mBestCost = metrics.NewFloatGauge("aiacc_autotune_best_cost_seconds",
 		"Best observed seconds per iteration.")
-	mBestStreams = metrics.NewGauge("aiacc_autotune_best_streams",
-		"Streams setting of the current best configuration.")
-	mBestGranularity = metrics.NewGauge("aiacc_autotune_best_granularity_bytes",
-		"Granularity of the current best configuration.")
-	mBestSegment = metrics.NewGauge("aiacc_autotune_best_segment_bytes",
-		"Ring wire-pipelining segment size of the current best configuration.")
-	mBestNodeGroup = metrics.NewGauge("aiacc_autotune_best_gpus_per_node",
-		"Hierarchy node-group size of the current best configuration (1 = flat).")
-	mBestPriorityDepth = metrics.NewGauge("aiacc_autotune_best_priority_depth",
-		"Priority-scheduler class count of the current best configuration (0 = off).")
 )
 
 // armMetrics resolves the per-searcher instruments; names repeat across Meta
@@ -204,11 +195,11 @@ func (m *Meta) Tune(eval Evaluator, budget int) (Params, error) {
 			m.started = true
 			mNewBest.Inc()
 			mBestCost.Set(cost)
-			mBestStreams.Set(int64(prop.Params.Streams))
-			mBestGranularity.Set(prop.Params.GranularityBytes)
-			mBestSegment.Set(prop.Params.SegmentBytes)
-			mBestNodeGroup.Set(int64(prop.Params.GPUsPerNode))
-			mBestPriorityDepth.Set(int64(prop.Params.PriorityDepth))
+			for _, d := range dims {
+				if d.report != nil {
+					d.report(prop.Params)
+				}
+			}
 		}
 		m.searchers[t].Observe(prop, cost)
 		m.window = append(m.window, windowEntry{searcher: t, newBest: newBest})

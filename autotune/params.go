@@ -1,8 +1,8 @@
 // Package autotune finds the gradient-communication hyper-parameters of
-// AIACC-Training at runtime (§VI): the number of concurrent communication
-// streams, the all-reduce unit granularity, the all-reduce algorithm, the
-// ring wire-pipelining segment size and the hierarchy topology (GPUs per
-// node group).
+// AIACC-Training at runtime (§VI): the all-reduce algorithm, the number of
+// concurrent communication streams, the all-reduce unit granularity, the
+// ring wire-pipelining segment size, the hierarchy topology (GPUs per node
+// group) and the priority-scheduler depth.
 //
 // The search problem is formulated as a multi-armed bandit over an ensemble
 // of search techniques — grid search, population based training, Bayesian
@@ -20,6 +20,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
+
+	"aiacc/metrics"
 )
 
 // ErrBadSpace indicates an empty or inconsistent search space.
@@ -44,22 +48,26 @@ type Params struct {
 	SegmentBytes int64
 	// GPUsPerNode is the hierarchy topology for AlgoTree: ranks per node
 	// group of the two-level schedule. 1 means flat (every rank its own
-	// node — the tree degenerates to the ring); ignored by AlgoRing.
+	// node), which is the ring; ring points of a Space carry 1.
 	GPUsPerNode int
 	// PriorityDepth is the priority-scheduler class count (engine.Config.
-	// PriorityDepth): 0 disables scheduling, 1 fixes dispatch order, ≥2
-	// additionally preempts in-flight units at segment boundaries. Ring
-	// only; ignored by AlgoTree.
+	// PriorityDepth): 0 and 1 both mean one class, ≥2 additionally preempts
+	// in-flight units at segment boundaries. Ring only: the tree runs one
+	// class, so tree points of a Space carry 1.
 	PriorityDepth int
 }
 
 // String implements fmt.Stringer.
 func (p Params) String() string {
-	return fmt.Sprintf("{streams=%d granularity=%dKiB algo=%s segment=%dKiB perNode=%d prio=%d}",
-		p.Streams, p.GranularityBytes>>10, p.Algorithm, p.SegmentBytes>>10, p.GPUsPerNode, p.PriorityDepth)
+	fields := make([]string, len(dims))
+	for i, d := range dims {
+		fields[i] = d.name + "=" + d.show(p)
+	}
+	return "{" + strings.Join(fields, " ") + "}"
 }
 
-// Space is the discrete search space.
+// Space is the discrete search space: the candidate values of each
+// dimension. It enumerates only distinct configurations (Points).
 type Space struct {
 	// Streams lists candidate stream counts, ascending.
 	Streams []int
@@ -71,19 +79,18 @@ type Space struct {
 	// ascending.
 	Segments []int64
 	// NodeGroups lists candidate GPUsPerNode values for the hierarchical
-	// algorithm, ascending. Values that do not divide the world size are
-	// sanitized by the evaluator, not the space.
+	// algorithm, ascending. A deployment drops the groups it cannot form
+	// (ForWorld, ForSimulator) before it searches.
 	NodeGroups []int
-	// Depths lists candidate PriorityDepth values, ascending (0 = scheduler
-	// off). Only meaningful for AlgoRing; the engine ignores the setting
-	// under the hierarchical algorithm.
+	// Depths lists candidate PriorityDepth values, ascending. Only the ring
+	// schedules by priority.
 	Depths []int
 }
 
 // DefaultSpace returns the space AIACC-Training searches in production:
-// 2-24 streams (§VIII-D), 512 KiB - 64 MiB units, ring and tree all-reduce,
+// ring and tree all-reduce, 1-24 streams (§VIII-D), 512 KiB - 64 MiB units,
 // 64 KiB - 4 MiB wire segments, node groups of 1 (flat) to 8, and priority
-// scheduler depths of 0 (off) to 8 classes.
+// scheduler depths of 1 (one class) to 8 classes.
 func DefaultSpace() Space {
 	return Space{
 		Streams:       []int{1, 2, 4, 8, 12, 16, 24},
@@ -91,163 +98,201 @@ func DefaultSpace() Space {
 		Algorithms:    []string{AlgoRing, AlgoTree},
 		Segments:      []int64{64 << 10, 128 << 10, 256 << 10, 1 << 20, 4 << 20},
 		NodeGroups:    []int{1, 2, 4, 8},
-		Depths:        []int{0, 1, 4, 8},
+		Depths:        []int{1, 4, 8},
 	}
 }
 
-// Validate checks the space is non-empty in every dimension.
+// dimension is one axis of the tuning space: where a Space declares its
+// values, which Params field takes them, how the field prints, and the gauge
+// that reports it for the best configuration. Every per-dimension operation
+// is a loop over dims.
+type dimension struct {
+	name   string
+	size   func(Space) int
+	index  func(Space, Params) int // position of p's value; -1 if not declared
+	set    func(*Params, Space, int)
+	keep   func(s *Space, lo, hi int) // restrict the declared values to [lo, hi]
+	show   func(Params) string
+	report func(Params) // nil when no gauge reports the dimension
+}
+
+// dims is the dimension table, in enumeration order (first outermost).
+var dims = []dimension{
+	axis("algo", func(s *Space) *[]string { return &s.Algorithms }, func(p *Params) *string { return &p.Algorithm }),
+	count("streams", "", metrics.NewGauge("aiacc_autotune_best_streams",
+		"Streams setting of the current best configuration."),
+		func(s *Space) *[]int { return &s.Streams }, func(p *Params) *int { return &p.Streams }),
+	count("granularity", "KiB", metrics.NewGauge("aiacc_autotune_best_granularity_bytes",
+		"Granularity of the current best configuration."),
+		func(s *Space) *[]int64 { return &s.Granularities }, func(p *Params) *int64 { return &p.GranularityBytes }),
+	count("segment", "KiB", metrics.NewGauge("aiacc_autotune_best_segment_bytes",
+		"Ring wire-pipelining segment size of the current best configuration."),
+		func(s *Space) *[]int64 { return &s.Segments }, func(p *Params) *int64 { return &p.SegmentBytes }),
+	count("perNode", "", metrics.NewGauge("aiacc_autotune_best_gpus_per_node",
+		"Hierarchy node-group size of the current best configuration (1 = flat)."),
+		func(s *Space) *[]int { return &s.NodeGroups }, func(p *Params) *int { return &p.GPUsPerNode }),
+	count("prio", "", metrics.NewGauge("aiacc_autotune_best_priority_depth",
+		"Priority-scheduler class count of the current best configuration (1 = one class)."),
+		func(s *Space) *[]int { return &s.Depths }, func(p *Params) *int { return &p.PriorityDepth }),
+}
+
+// axis describes the dimension whose values Space keeps in list and Params
+// in field.
+func axis[T int | int64 | string](name string, list func(*Space) *[]T, field func(*Params) *T) dimension {
+	return dimension{
+		name:  name,
+		size:  func(s Space) int { return len(*list(&s)) },
+		index: func(s Space, p Params) int { return slices.Index(*list(&s), *field(&p)) },
+		set:   func(p *Params, s Space, i int) { *field(p) = (*list(&s))[i] },
+		keep:  func(s *Space, lo, hi int) { l := list(s); *l = slices.Clone((*l)[lo : hi+1]) },
+		show:  func(p Params) string { return fmt.Sprint(*field(&p)) },
+	}
+}
+
+// count is an integer axis reported by gauge; unit "KiB" prints a byte
+// count in KiB.
+func count[T int | int64](name, unit string, gauge *metrics.Gauge, list func(*Space) *[]T, field func(*Params) *T) dimension {
+	d := axis(name, list, field)
+	if unit == "KiB" {
+		d.show = func(p Params) string { return fmt.Sprintf("%dKiB", int64(*field(&p))>>10) }
+	}
+	d.report = func(p Params) { gauge.Set(int64(*field(&p))) }
+	return d
+}
+
+// canonical maps p to the one point that stands for every configuration the
+// engine runs identically: the tree runs one class; a tree of node groups of
+// 1 is the flat ring; the ring ignores the node group, so ring points carry
+// 1 (flat); PriorityDepth 0 and 1 are the same one class, whose point is 1.
+func canonical(p Params) Params {
+	if p.Algorithm == AlgoTree {
+		p.PriorityDepth = 1
+		if p.GPUsPerNode == 1 {
+			p.Algorithm = AlgoRing
+		}
+	}
+	if p.Algorithm != AlgoTree {
+		p.GPUsPerNode = 1
+	}
+	p.PriorityDepth = max(p.PriorityDepth, 1)
+	return p
+}
+
+// Validate checks that every dimension declares at least one value and that
+// every algorithm is known.
 func (s Space) Validate() error {
-	if len(s.Streams) == 0 || len(s.Granularities) == 0 || len(s.Algorithms) == 0 ||
-		len(s.Segments) == 0 || len(s.NodeGroups) == 0 || len(s.Depths) == 0 {
-		return fmt.Errorf("%w: %d streams x %d granularities x %d algorithms x %d segments x %d node groups x %d depths",
-			ErrBadSpace, len(s.Streams), len(s.Granularities), len(s.Algorithms), len(s.Segments), len(s.NodeGroups), len(s.Depths))
+	sizes := make([]string, len(dims))
+	empty := false
+	for i, d := range dims {
+		sizes[i] = fmt.Sprintf("%d %s", d.size(s), d.name)
+		empty = empty || d.size(s) == 0
+	}
+	if empty {
+		return fmt.Errorf("%w: %s", ErrBadSpace, strings.Join(sizes, " x "))
+	}
+	for _, a := range s.Algorithms {
+		if a != AlgoRing && a != AlgoTree {
+			return fmt.Errorf("%w: algorithm %q", ErrBadSpace, a)
+		}
 	}
 	return nil
 }
 
-// Size returns the number of points.
-func (s Space) Size() int {
-	return len(s.Streams) * len(s.Granularities) * len(s.Algorithms) * len(s.Segments) *
-		len(s.NodeGroups) * len(s.Depths)
-}
-
-// At returns point i in lexicographic (algorithm, streams, granularity,
-// segment, node group, depth) order; i is taken modulo Size.
-func (s Space) At(i int) Params {
-	n := s.Size()
-	i = ((i % n) + n) % n
-	d := i % len(s.Depths)
-	i /= len(s.Depths)
-	ng := i % len(s.NodeGroups)
-	i /= len(s.NodeGroups)
-	sg := i % len(s.Segments)
-	i /= len(s.Segments)
-	g := i % len(s.Granularities)
-	i /= len(s.Granularities)
-	st := i % len(s.Streams)
-	i /= len(s.Streams)
-	a := i % len(s.Algorithms)
-	return Params{
-		Streams:          s.Streams[st],
-		GranularityBytes: s.Granularities[g],
-		Algorithm:        s.Algorithms[a],
-		SegmentBytes:     s.Segments[sg],
-		GPUsPerNode:      s.NodeGroups[ng],
-		PriorityDepth:    s.Depths[d],
+// Points returns the distinct configurations of s: the Cartesian product of
+// the declared values in the dimension table's lexicographic order, each
+// mapped to its canonical point, first occurrence kept; nil for an invalid
+// space. Searchers capture it once.
+func (s Space) Points() []Params {
+	if s.Validate() != nil {
+		return nil
 	}
-}
-
-// Index returns the lexicographic index of p, or -1 if p is not in the
-// space.
-func (s Space) Index(p Params) int {
-	st := indexOfInt(s.Streams, p.Streams)
-	g := indexOfInt64(s.Granularities, p.GranularityBytes)
-	a := indexOfString(s.Algorithms, p.Algorithm)
-	sg := indexOfInt64(s.Segments, p.SegmentBytes)
-	ng := indexOfInt(s.NodeGroups, p.GPUsPerNode)
-	d := indexOfInt(s.Depths, p.PriorityDepth)
-	if st < 0 || g < 0 || a < 0 || sg < 0 || ng < 0 || d < 0 {
-		return -1
+	var out []Params
+	seen := make(map[Params]bool)
+	var walk func(p Params, k int)
+	walk = func(p Params, k int) {
+		if k == len(dims) {
+			if p = canonical(p); !seen[p] {
+				seen[p] = true
+				out = append(out, p)
+			}
+			return
+		}
+		for i := range dims[k].size(s) {
+			dims[k].set(&p, s, i)
+			walk(p, k+1)
+		}
 	}
-	return ((((a*len(s.Streams)+st)*len(s.Granularities)+g)*len(s.Segments)+sg)*len(s.NodeGroups)+ng)*len(s.Depths) + d
+	walk(Params{}, 0)
+	return out
 }
 
-// Neighbor returns p with one dimension moved by one step (dim in 0..5,
-// dir ±1), clamped to the space — the PBT explore move.
+// Size returns the number of distinct configurations.
+func (s Space) Size() int { return len(s.Points()) }
+
+// Neighbor moves dimension dim of p one declared value in direction dir
+// (±1) and returns the nearest point of s with the new value — the PBT
+// explore move. Other dimensions move only as the space requires (a ring
+// point moved to the tree takes the nearest node group). p comes back
+// unchanged when its value is not declared or the step is clamped away.
 func (s Space) Neighbor(p Params, dim, dir int) Params {
-	switch dim {
-	case 0:
-		i := clamp(indexOfInt(s.Streams, p.Streams)+dir, 0, len(s.Streams)-1)
-		p.Streams = s.Streams[i]
-	case 1:
-		i := clamp(indexOfInt64(s.Granularities, p.GranularityBytes)+dir, 0, len(s.Granularities)-1)
-		p.GranularityBytes = s.Granularities[i]
-	case 2:
-		i := clamp(indexOfString(s.Algorithms, p.Algorithm)+dir, 0, len(s.Algorithms)-1)
-		p.Algorithm = s.Algorithms[i]
-	case 3:
-		i := clamp(indexOfInt64(s.Segments, p.SegmentBytes)+dir, 0, len(s.Segments)-1)
-		p.SegmentBytes = s.Segments[i]
-	case 4:
-		i := clamp(indexOfInt(s.NodeGroups, p.GPUsPerNode)+dir, 0, len(s.NodeGroups)-1)
-		p.GPUsPerNode = s.NodeGroups[i]
-	default:
-		i := clamp(indexOfInt(s.Depths, p.PriorityDepth)+dir, 0, len(s.Depths)-1)
-		p.PriorityDepth = s.Depths[i]
-	}
-	return p
+	return s.neighbor(s.Points(), p, dim, dir)
 }
 
-// Normalize maps p to [0,1]^6 for the Bayesian optimizer's kernel: log-scale
-// positions within each dimension (linear for PriorityDepth, whose candidate
-// values include 0).
-func (s Space) Normalize(p Params) [6]float64 {
-	var v [6]float64
-	if len(s.Streams) > 1 {
-		v[0] = logPos(float64(p.Streams), float64(s.Streams[0]), float64(s.Streams[len(s.Streams)-1]))
+func (s Space) neighbor(points []Params, p Params, dim, dir int) Params {
+	d := dims[dim]
+	i := d.index(s, p)
+	j := min(max(i+dir, 0), d.size(s)-1)
+	if i < 0 || j == i {
+		return p
 	}
-	if len(s.Granularities) > 1 {
-		v[1] = logPos(float64(p.GranularityBytes), float64(s.Granularities[0]), float64(s.Granularities[len(s.Granularities)-1]))
+	want := p
+	d.set(&want, s, j)
+	best, bestDist := p, math.MaxInt
+	for _, q := range points {
+		dist := 0 // steps between q and want, summed over dimensions
+		for _, e := range dims {
+			dist += max(e.index(s, q)-e.index(s, want), e.index(s, want)-e.index(s, q))
+		}
+		if d.index(s, q) == j && dist < bestDist {
+			best, bestDist = q, dist
+		}
 	}
-	if i := indexOfString(s.Algorithms, p.Algorithm); i > 0 && len(s.Algorithms) > 1 {
-		v[2] = float64(i) / float64(len(s.Algorithms)-1)
+	return best
+}
+
+// Around returns the sub-space of s within one declared value of p in every
+// dimension where p's value is declared: the warm-start neighbourhood of a
+// cached optimum.
+func (s Space) Around(p Params) Space {
+	sub := s
+	for _, d := range dims {
+		if i := d.index(s, p); i >= 0 {
+			d.keep(&sub, max(i-1, 0), min(i+1, d.size(s)-1))
+		}
 	}
-	if len(s.Segments) > 1 {
-		v[3] = logPos(float64(p.SegmentBytes), float64(s.Segments[0]), float64(s.Segments[len(s.Segments)-1]))
-	}
-	if len(s.NodeGroups) > 1 {
-		v[4] = logPos(float64(p.GPUsPerNode), float64(s.NodeGroups[0]), float64(s.NodeGroups[len(s.NodeGroups)-1]))
-	}
-	if n := len(s.Depths); n > 1 {
-		if i := indexOfInt(s.Depths, p.PriorityDepth); i > 0 {
-			v[5] = float64(i) / float64(n-1)
+	return sub
+}
+
+// ForWorld returns s without the node groups a world of size ranks cannot
+// form: the two-level schedule needs equally sized nodes, so the space never
+// proposes them.
+func (s Space) ForWorld(size int) Space {
+	s.NodeGroups = slices.DeleteFunc(slices.Clone(s.NodeGroups), func(g int) bool { return g <= 0 || size%g != 0 })
+	return s
+}
+
+// Normalize maps p to [0,1]^len(dims) for the Bayesian optimizer's kernel:
+// each value's position among its dimension's declared values, first 0 and
+// last 1 (0 where p's value is not declared; the declared values of the
+// numeric dimensions grow geometrically, so this is a log scale).
+func (s Space) Normalize(p Params) []float64 {
+	v := make([]float64, len(dims))
+	for k, d := range dims {
+		if i, n := d.index(s, p), d.size(s); i > 0 && n > 1 {
+			v[k] = float64(i) / float64(n-1)
 		}
 	}
 	return v
-}
-
-func logPos(x, lo, hi float64) float64 {
-	if hi <= lo || x <= 0 {
-		return 0
-	}
-	return (math.Log(x) - math.Log(lo)) / (math.Log(hi) - math.Log(lo))
-}
-
-func clamp(i, lo, hi int) int {
-	if i < lo {
-		return lo
-	}
-	if i > hi {
-		return hi
-	}
-	return i
-}
-
-func indexOfInt(xs []int, x int) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
-}
-
-func indexOfInt64(xs []int64, x int64) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
-}
-
-func indexOfString(xs []string, x string) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
 }
 
 // Proposal is one candidate evaluation request: run Iters training

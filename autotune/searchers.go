@@ -5,19 +5,19 @@ import (
 	"sort"
 )
 
-// Grid enumerates the space in lexicographic order, one training iteration
-// per point, wrapping around when exhausted. Simple, exhaustive, and a
-// strong baseline on small spaces.
+// Grid enumerates the space's points in order, one training iteration per
+// point, wrapping around when exhausted. Simple, exhaustive, and a strong
+// baseline on small spaces.
 type Grid struct {
-	space Space
-	next  int
+	points []Params
+	next   int
 }
 
 var _ Searcher = (*Grid)(nil)
 
 // NewGrid returns a grid searcher over the space.
 func NewGrid(space Space) *Grid {
-	return &Grid{space: space}
+	return &Grid{points: space.Points()}
 }
 
 // Name implements Searcher.
@@ -25,7 +25,7 @@ func (g *Grid) Name() string { return "grid" }
 
 // Propose implements Searcher.
 func (g *Grid) Propose(int) Proposal {
-	p := Proposal{Params: g.space.At(g.next), Iters: 1}
+	p := Proposal{Params: g.points[g.next%len(g.points)], Iters: 1}
 	g.next++
 	return p
 }
@@ -37,8 +37,9 @@ func (g *Grid) Observe(Proposal, float64) {}
 // evaluated round-robin; after each generation the bottom half copies
 // (exploits) the top half and perturbs one dimension (explores).
 type PBT struct {
-	space Space
-	rng   *rand.Rand
+	space  Space
+	points []Params
+	rng    *rand.Rand
 
 	population []Params
 	costs      []float64
@@ -54,10 +55,9 @@ func NewPBT(space Space, k int, rng *rand.Rand) *PBT {
 	if k < 2 {
 		k = 2
 	}
-	p := &PBT{space: space, rng: rng}
-	n := space.Size()
-	for i := 0; i < k; i++ {
-		p.population = append(p.population, space.At(i*n/k))
+	p := &PBT{space: space, points: space.Points(), rng: rng}
+	for i := range k {
+		p.population = append(p.population, p.points[i*len(p.points)/k])
 	}
 	p.costs = make([]float64, k)
 	p.evaluated = make([]bool, k)
@@ -96,8 +96,7 @@ func (p *PBT) evolve() {
 	for i := k / 2; i < k; i++ {
 		src := order[i-k/2]
 		dst := order[i]
-		perturbed := p.space.Neighbor(p.population[src], p.rng.Intn(5), 1-2*p.rng.Intn(2))
-		p.population[dst] = perturbed
+		p.population[dst] = p.space.neighbor(p.points, p.population[src], p.rng.Intn(len(dims)), 1-2*p.rng.Intn(2))
 	}
 }
 
@@ -105,10 +104,10 @@ func (p *PBT) evolve() {
 // iteration budget, the survivors re-evaluated with geometrically larger
 // budgets.
 type Hyperband struct {
-	space Space
-	rng   *rand.Rand
-	eta   int
-	rMax  int
+	points []Params
+	rng    *rand.Rand
+	eta    int
+	rMax   int
 
 	rung    []hbCandidate // current rung, ordered
 	rungIdx int           // next candidate to evaluate
@@ -132,7 +131,7 @@ func NewHyperband(space Space, eta, rMax int, rng *rand.Rand) *Hyperband {
 	if rMax < 1 {
 		rMax = 9
 	}
-	h := &Hyperband{space: space, rng: rng, eta: eta, rMax: rMax}
+	h := &Hyperband{points: space.Points(), rng: rng, eta: eta, rMax: rMax}
 	h.newBracket()
 	return h
 }
@@ -141,17 +140,10 @@ func NewHyperband(space Space, eta, rMax int, rng *rand.Rand) *Hyperband {
 func (h *Hyperband) Name() string { return "hyperband" }
 
 func (h *Hyperband) newBracket() {
-	// Start a bracket with eta² random candidates at budget 1.
-	n := h.eta * h.eta
-	h.rung = make([]hbCandidate, 0, n)
-	seen := map[int]bool{}
-	for len(h.rung) < n {
-		idx := h.rng.Intn(h.space.Size())
-		if seen[idx] && len(seen) < h.space.Size() {
-			continue
-		}
-		seen[idx] = true
-		h.rung = append(h.rung, hbCandidate{params: h.space.At(idx)})
+	// Start a bracket with eta² distinct random candidates at budget 1.
+	h.rung = h.rung[:0]
+	for _, i := range h.rng.Perm(len(h.points))[:min(h.eta*h.eta, len(h.points))] {
+		h.rung = append(h.rung, hbCandidate{params: h.points[i]})
 	}
 	h.rungIdx = 0
 	h.budget = 1

@@ -224,21 +224,11 @@ func BenchmarkDAWNBench(b *testing.B) {
 
 // BenchmarkAutoTune measures the §VI meta-solver over the simulator.
 func BenchmarkAutoTune(b *testing.B) {
-	eval := func(p autotune.Params, iters int) float64 {
-		cfg := simConfig(model.ResNet50(), 64, cluster.AIACC)
-		cfg.Engine.Streams = p.Streams
-		cfg.Engine.GranularityBytes = p.GranularityBytes
-		if p.Algorithm == autotune.AlgoTree {
-			cfg.Engine.Algorithm = cluster.Hierarchical
-		}
-		res, err := cluster.Simulate(cfg)
-		if err != nil {
-			return 1e9
-		}
-		return res.IterTime.Seconds()
-	}
+	base := simConfig(model.ResNet50(), 64, cluster.AIACC)
+	space := autotune.DefaultSpace().ForSimulator(base.Topology)
+	eval := autotune.SimEvaluator(base)
 	for i := 0; i < b.N; i++ {
-		meta, err := autotune.NewMeta(autotune.DefaultEnsemble(autotune.DefaultSpace(), int64(i)))
+		meta, err := autotune.NewMeta(autotune.DefaultEnsemble(space, int64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,35 +45,19 @@ func run() error {
 	}
 	fmt.Printf("tuning %s on %d GPUs (budget %d iterations)\n", m.Name, *gpus, *budget)
 
-	mk := func(p autotune.Params) cluster.Config {
-		cfg := cluster.Config{
-			Topology:      netmodel.V100Cluster(*gpus),
-			GPU:           cluster.V100(),
-			Model:         m,
-			Engine:        cluster.EngineDefaults(cluster.AIACC),
-			Decentralized: true,
-		}
-		cfg.Engine.Streams = p.Streams
-		cfg.Engine.GranularityBytes = p.GranularityBytes
-		cfg.Engine.SegmentBytes = p.SegmentBytes
-		if p.Algorithm == autotune.AlgoTree && p.GPUsPerNode != 1 {
-			cfg.Engine.Algorithm = cluster.Hierarchical
-		}
-		return cfg
+	base := cluster.Config{
+		Topology:      netmodel.V100Cluster(*gpus),
+		GPU:           cluster.V100(),
+		Model:         m,
+		Engine:        cluster.EngineDefaults(cluster.AIACC),
+		Decentralized: true,
 	}
-	eval := func(p autotune.Params, iters int) float64 {
-		res, err := cluster.Simulate(mk(p))
-		if err != nil {
-			return 1e9
-		}
-		return res.IterTime.Seconds()
-	}
-
-	meta, err := autotune.NewMeta(autotune.DefaultEnsemble(autotune.DefaultSpace(), *seed))
+	space := autotune.DefaultSpace().ForSimulator(base.Topology)
+	meta, err := autotune.NewMeta(autotune.DefaultEnsemble(space, *seed))
 	if err != nil {
 		return err
 	}
-	best, err := meta.Tune(eval, *budget)
+	best, err := meta.Tune(autotune.SimEvaluator(base), *budget)
 	if err != nil {
 		return err
 	}
@@ -90,16 +74,16 @@ func run() error {
 		}
 	}
 
-	// Report the chosen setting against the untuned default.
-	defRes, err := cluster.Simulate(mk(autotune.Params{
-		Streams:          cluster.EngineDefaults(cluster.AIACC).Streams,
-		GranularityBytes: cluster.EngineDefaults(cluster.AIACC).GranularityBytes,
-		Algorithm:        autotune.AlgoRing,
-	}))
+	// Report the chosen setting against the untuned engine defaults.
+	defRes, err := cluster.Simulate(base)
 	if err != nil {
 		return err
 	}
-	bestRes, err := cluster.Simulate(mk(best))
+	tuned, err := autotune.SimConfig(base, best)
+	if err != nil {
+		return err
+	}
+	bestRes, err := cluster.Simulate(tuned)
 	if err != nil {
 		return err
 	}

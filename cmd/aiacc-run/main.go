@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"aiacc/autotune"
 	"aiacc/baseline"
 	"aiacc/compress"
 	"aiacc/engine"
@@ -38,19 +37,6 @@ import (
 	"aiacc/transport"
 	"aiacc/transport/shmnet"
 )
-
-// liveSpace is the parameter space searched by -autotune: kept small so the
-// warm-up stays short on laptop-sized runs.
-func liveSpace() autotune.Space {
-	return autotune.Space{
-		Streams:       []int{1, 2, 4, 8},
-		Granularities: []int64{256 << 10, 1 << 20, 4 << 20},
-		Algorithms:    []string{autotune.AlgoRing, autotune.AlgoTree},
-		Segments:      []int64{64 << 10, 128 << 10, 512 << 10},
-		NodeGroups:    []int{1, 2, 4},
-		Depths:        []int{0, 2, 4},
-	}
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -68,7 +54,7 @@ func run() error {
 		streams     = flag.Int("streams", 4, "concurrent communication streams")
 		granularity = flag.Int64("granularity", 1<<20, "all-reduce unit size in bytes")
 		segBytes    = flag.Int64("segment-bytes", 0, "ring wire-pipelining segment size in bytes (0 = collective default)")
-		prioDepth   = flag.Int("priority-depth", 0, "priority class count; 0 and 1 both mean one class (FIFO per stream), >=2 enables preemption")
+		prioDepth   = flag.Int("priority-depth", 0, "priority class count, ring only; 0 and 1 both mean one class (FIFO per stream), >=2 enables preemption")
 		trans       = flag.String("transport", "mem", "transport: mem | tcp | shm (shared-memory rings; with -multiproc, true cross-process shared memory)")
 		opTimeout   = flag.Duration("op-timeout", 0, "bound every blocking transport send/recv; a stuck operation fails with a timeout instead of hanging (0 = unbounded)")
 		heartbeat   = flag.Duration("heartbeat", 0, "TCP liveness probe interval; a peer silent for 4 intervals is declared failed (0 = off)")
@@ -185,7 +171,7 @@ func run() error {
 
 	transportStreams := cfg.RequiredStreams()
 	if *autotune0 {
-		sp := liveSpace()
+		sp := train.LiveSpace()
 		if max := sp.Streams[len(sp.Streams)-1] + 1; max > transportStreams {
 			transportStreams = max
 		}
@@ -298,7 +284,7 @@ func worker(rank int, ep transport.Endpoint, cfg engine.Config, engineKind strin
 	}
 	comm := mpi.NewWorld(ep)
 	if tune {
-		res, err := train.TuneLive(comm, cfg, liveSpace(), tuneBudget, producer,
+		res, err := train.TuneLive(comm, cfg, train.LiveSpace(), tuneBudget, producer,
 			func() optimizer.Optimizer { return opt }, 42)
 		if err != nil {
 			return fmt.Errorf("warm-up tuning: %w", err)

@@ -139,8 +139,10 @@ type Config struct {
 	// stream at the next wire-segment boundary. Scheduling never changes unit
 	// composition, only dispatch timing, so fp32 results are bit-identical
 	// across PriorityDepth settings. A sixth auto-tuner dimension. Ring only:
-	// Hierarchical always runs one class (the two-level schedule multiplexes
-	// sub-communicators on its own).
+	// the frame-tagging multiplexer wraps the flat communicator, and the
+	// two-level schedule runs over sub-communicators it cannot wrap, so
+	// Hierarchical runs one class and rejects PriorityDepth ≥ 2 as
+	// ErrBadConfig. Priority-ordered packing applies either way.
 	PriorityDepth int
 	// Algorithm selects ring or hierarchical all-reduce.
 	Algorithm Algorithm
@@ -198,6 +200,9 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: segmentBytes %d", ErrBadConfig, c.SegmentBytes)
 	case c.PriorityDepth < 0:
 		return fmt.Errorf("%w: priorityDepth %d", ErrBadConfig, c.PriorityDepth)
+	case c.Algorithm == Hierarchical && c.PriorityDepth >= 2:
+		return fmt.Errorf("%w: priorityDepth %d under the hierarchical algorithm, which runs one class",
+			ErrBadConfig, c.PriorityDepth)
 	}
 	return nil
 }
@@ -284,13 +289,6 @@ func NewEngine(comm *mpi.Comm, cfg Config) (*Engine, error) {
 	}
 	if cfg.MinSyncBytes == 0 {
 		cfg.MinSyncBytes = cfg.GranularityBytes
-	}
-	if cfg.Algorithm == Hierarchical {
-		// The frame-tagging multiplexer wraps the flat communicator; the
-		// two-level schedule runs over sub-communicators it cannot wrap.
-		// Priority-ordered packing still applies — only the dispatcher runs
-		// one class.
-		cfg.PriorityDepth = 0
 	}
 	return &Engine{
 		comm:     comm,

@@ -325,6 +325,9 @@ func TestEngineValidation(t *testing.T) {
 		{Streams: 2, GranularityBytes: 1024, Algorithm: Hierarchical, GPUsPerNode: 0, Coordinator: Decentralized, Codec: compress.FP32{}},
 		{Streams: 2, GranularityBytes: 1024, Algorithm: Ring, Coordinator: 0, Codec: compress.FP32{}},
 		{Streams: 2, GranularityBytes: 1024, Algorithm: Ring, Coordinator: Decentralized},
+		// The two-level schedule runs one class: no silent rewrite of a
+		// preemptive depth.
+		{Streams: 2, GranularityBytes: 1024, Algorithm: Hierarchical, GPUsPerNode: 1, PriorityDepth: 2, Coordinator: Decentralized, Codec: compress.FP32{}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewEngine(comm, cfg); !errors.Is(err, ErrBadConfig) {

@@ -31,28 +31,24 @@ func run() error {
 		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "gpus\taiacc img/s\thorovod\tpytorch-ddp\tbyteps\taiacc eff\taiacc params")
 
-		single, err := simulate(m, 1, cluster.AIACC, autotune.Params{})
+		single, err := cluster.Simulate(deployment(m, 1, cluster.AIACC))
 		if err != nil {
 			return err
 		}
 		for _, gpus := range []int{1, 8, 16, 32, 64, 128, 256} {
-			tuned, err := tune(m, gpus)
+			tuned, ai, err := tune(deployment(m, gpus, cluster.AIACC))
 			if err != nil {
 				return err
 			}
-			ai, err := simulate(m, gpus, cluster.AIACC, tuned)
+			hv, err := cluster.Simulate(deployment(m, gpus, cluster.Horovod))
 			if err != nil {
 				return err
 			}
-			hv, err := simulate(m, gpus, cluster.Horovod, autotune.Params{})
+			dd, err := cluster.Simulate(deployment(m, gpus, cluster.PyTorchDDP))
 			if err != nil {
 				return err
 			}
-			dd, err := simulate(m, gpus, cluster.PyTorchDDP, autotune.Params{})
-			if err != nil {
-				return err
-			}
-			bp, err := simulate(m, gpus, cluster.BytePS, autotune.Params{})
+			bp, err := cluster.Simulate(deployment(m, gpus, cluster.BytePS))
 			if err != nil {
 				return err
 			}
@@ -70,41 +66,32 @@ func run() error {
 	return nil
 }
 
-// tune runs a short §VI parameter search for the deployment.
-func tune(m model.Model, gpus int) (autotune.Params, error) {
-	if gpus == 1 {
-		return autotune.Params{Streams: 1, GranularityBytes: 8 << 20, Algorithm: autotune.AlgoRing}, nil
-	}
-	eval := func(p autotune.Params, iters int) float64 {
-		res, err := simulate(m, gpus, cluster.AIACC, p)
-		if err != nil {
-			return 1e9
-		}
-		return res.IterTime.Seconds()
-	}
-	meta, err := autotune.NewMeta(autotune.DefaultEnsemble(autotune.DefaultSpace(), 42))
+// tune runs a short §VI parameter search for the deployment and simulates
+// the setting it picks.
+func tune(base cluster.Config) (autotune.Params, cluster.Result, error) {
+	meta, err := autotune.NewMeta(autotune.DefaultEnsemble(autotune.DefaultSpace().ForSimulator(base.Topology), 42))
 	if err != nil {
-		return autotune.Params{}, err
+		return autotune.Params{}, cluster.Result{}, err
 	}
-	return meta.Tune(eval, 40)
+	p, err := meta.Tune(autotune.SimEvaluator(base), 40)
+	if err != nil {
+		return p, cluster.Result{}, err
+	}
+	cfg, err := autotune.SimConfig(base, p)
+	if err != nil {
+		return p, cluster.Result{}, err
+	}
+	res, err := cluster.Simulate(cfg)
+	return p, res, err
 }
 
-func simulate(m model.Model, gpus int, kind cluster.EngineKind, p autotune.Params) (cluster.Result, error) {
-	cfg := cluster.Config{
-		Topology: netmodel.V100Cluster(gpus),
-		GPU:      cluster.V100(),
-		Model:    m,
-		Engine:   cluster.EngineDefaults(kind),
+// deployment is the engine's default configuration on gpus V100s.
+func deployment(m model.Model, gpus int, kind cluster.EngineKind) cluster.Config {
+	return cluster.Config{
+		Topology:      netmodel.V100Cluster(gpus),
+		GPU:           cluster.V100(),
+		Model:         m,
+		Engine:        cluster.EngineDefaults(kind),
+		Decentralized: kind == cluster.AIACC,
 	}
-	if kind == cluster.AIACC {
-		cfg.Decentralized = true
-		if p.Streams > 0 {
-			cfg.Engine.Streams = p.Streams
-			cfg.Engine.GranularityBytes = p.GranularityBytes
-			if p.Algorithm == autotune.AlgoTree {
-				cfg.Engine.Algorithm = cluster.Hierarchical
-			}
-		}
-	}
-	return cluster.Simulate(cfg)
 }

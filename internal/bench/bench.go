@@ -119,22 +119,6 @@ func simulate(cfg cluster.Config) (cluster.Result, error) {
 	return cluster.Simulate(cfg)
 }
 
-// applyParams maps tuner parameters onto a cluster engine config.
-func applyParams(cfg *cluster.Config, p autotune.Params) {
-	cfg.Engine.Streams = p.Streams
-	cfg.Engine.GranularityBytes = p.GranularityBytes
-	cfg.Engine.SegmentBytes = p.SegmentBytes
-	// The simulator models hierarchy at the physical node boundary; a tuned
-	// GPUsPerNode of 1 means flat, any larger grouping maps to the node
-	// hierarchy (the live engine clamps likewise when the grouping does not
-	// divide the world).
-	if p.Algorithm == autotune.AlgoTree && p.GPUsPerNode != 1 {
-		cfg.Engine.Algorithm = cluster.Hierarchical
-	} else {
-		cfg.Engine.Algorithm = cluster.Ring
-	}
-}
-
 // Tuned returns auto-tuned AIACC parameters for the deployment, using the
 // MAB meta-solver over the simulator and the GED warm-start cache.
 func (s *Suite) Tuned(m model.Model, gpus int) (autotune.Params, error) {
@@ -142,76 +126,33 @@ func (s *Suite) Tuned(m model.Model, gpus int) (autotune.Params, error) {
 	if p, ok := s.tuned[key]; ok {
 		return p, nil
 	}
-	topo := netmodel.V100Cluster(gpus)
-	space := autotune.DefaultSpace()
-	if p, _, ok := s.cache.Lookup(m, topo); ok {
+	base := baseConfig(m, gpus, cluster.AIACC)
+	space := autotune.DefaultSpace().ForSimulator(base.Topology)
+	if p, _, ok := s.cache.Lookup(m, base.Topology); ok {
 		// Warm start: narrow the search around the cached optimum.
-		space = neighborhood(space, p)
-	}
-	eval := func(p autotune.Params, iters int) float64 {
-		cfg := baseConfig(m, gpus, cluster.AIACC)
-		applyParams(&cfg, p)
-		res, err := cluster.Simulate(cfg)
-		if err != nil {
-			return 1e9 // invalid points are maximally bad
-		}
-		return res.IterTime.Seconds()
+		space = space.Around(p)
 	}
 	meta, err := autotune.NewMeta(autotune.DefaultEnsemble(space, 42))
 	if err != nil {
 		return autotune.Params{}, err
 	}
-	best, err := meta.Tune(eval, s.TuneBudget)
+	best, err := meta.Tune(autotune.SimEvaluator(base), s.TuneBudget)
 	if err != nil {
 		return autotune.Params{}, err
 	}
 	s.tuned[key] = best
-	s.cache.Store(m, topo, best)
+	s.cache.Store(m, base.Topology, best)
 	return best, nil
 }
 
-// neighborhood restricts the space to ±1 steps around p in each dimension.
-func neighborhood(s autotune.Space, p autotune.Params) autotune.Space {
-	pick := func(n int) autotune.Space { return s } // fallback if p not in space
-	if s.Index(p) < 0 {
-		return pick(0)
-	}
-	sub := autotune.Space{Algorithms: s.Algorithms}
-	for _, dir := range []int{-1, 0, 1} {
-		q := s.Neighbor(p, 0, dir)
-		if len(sub.Streams) == 0 || sub.Streams[len(sub.Streams)-1] != q.Streams {
-			sub.Streams = append(sub.Streams, q.Streams)
-		}
-		q = s.Neighbor(p, 1, dir)
-		if len(sub.Granularities) == 0 || sub.Granularities[len(sub.Granularities)-1] != q.GranularityBytes {
-			sub.Granularities = append(sub.Granularities, q.GranularityBytes)
-		}
-		q = s.Neighbor(p, 3, dir)
-		if len(sub.Segments) == 0 || sub.Segments[len(sub.Segments)-1] != q.SegmentBytes {
-			sub.Segments = append(sub.Segments, q.SegmentBytes)
-		}
-		q = s.Neighbor(p, 4, dir)
-		if len(sub.NodeGroups) == 0 || sub.NodeGroups[len(sub.NodeGroups)-1] != q.GPUsPerNode {
-			sub.NodeGroups = append(sub.NodeGroups, q.GPUsPerNode)
-		}
-		q = s.Neighbor(p, 5, dir)
-		if len(sub.Depths) == 0 || sub.Depths[len(sub.Depths)-1] != q.PriorityDepth {
-			sub.Depths = append(sub.Depths, q.PriorityDepth)
-		}
-	}
-	return sub
-}
-
-// aiaccTuned simulates an auto-tuned AIACC deployment.
-func (s *Suite) aiaccTuned(m model.Model, gpus int) (cluster.Result, autotune.Params, error) {
+// tunedConfig returns the deployment with its auto-tuned AIACC parameters.
+func (s *Suite) tunedConfig(m model.Model, gpus int) (cluster.Config, autotune.Params, error) {
 	p, err := s.Tuned(m, gpus)
 	if err != nil {
-		return cluster.Result{}, p, err
+		return cluster.Config{}, p, err
 	}
-	cfg := baseConfig(m, gpus, cluster.AIACC)
-	applyParams(&cfg, p)
-	res, err := simulate(cfg)
-	return res, p, err
+	cfg, err := autotune.SimConfig(baseConfig(m, gpus, cluster.AIACC), p)
+	return cfg, p, err
 }
 
 func fmtTput(v float64) string { return fmt.Sprintf("%.0f", v) }

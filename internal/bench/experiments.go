@@ -97,20 +97,22 @@ func (s *Suite) scalingFigure(id, title string, models []model.Model, engines []
 			var aiaccTput, horovodTput float64
 			var tunedStr string
 			for _, e := range engines {
-				var res cluster.Result
-				var err error
+				cfg := baseConfig(m, g, e)
 				if e == cluster.AIACC {
-					var p any
-					res, p, err = s.aiaccTunedAny(m, g)
-					tunedStr = fmt.Sprint(p)
-					aiaccTput = res.Throughput
-				} else {
-					res, err = simulate(baseConfig(m, g, e))
+					tuned, p, err := s.tunedConfig(m, g)
+					if err != nil {
+						return t, err
+					}
+					cfg, tunedStr = tuned, fmt.Sprint(p)
 				}
+				res, err := simulate(cfg)
 				if err != nil {
 					return t, err
 				}
-				if e == cluster.Horovod {
+				switch e {
+				case cluster.AIACC:
+					aiaccTput = res.Throughput
+				case cluster.Horovod:
 					horovodTput = res.Throughput
 				}
 				row = append(row, fmtTput(res.Throughput))
@@ -122,12 +124,6 @@ func (s *Suite) scalingFigure(id, title string, models []model.Model, engines []
 		}
 	}
 	return t, nil
-}
-
-// aiaccTunedAny adapts aiaccTuned for mixed-type rows.
-func (s *Suite) aiaccTunedAny(m model.Model, gpus int) (cluster.Result, any, error) {
-	res, p, err := s.aiaccTuned(m, gpus)
-	return res, p, err
 }
 
 // Fig9 reproduces Fig. 9: PyTorch CV model throughput across engines.
@@ -164,12 +160,10 @@ func (s *Suite) frameworkFigure(id, framework string, overhead float64, native c
 	cal.FrameworkOverhead = overhead
 	for _, m := range []model.Model{model.VGG16(), model.ResNet50(), model.BERTLarge()} {
 		for _, g := range []int{8, 32, 64, 128, 256} {
-			p, err := s.Tuned(m, g)
+			ai, _, err := s.tunedConfig(m, g)
 			if err != nil {
 				return t, err
 			}
-			ai := baseConfig(m, g, cluster.AIACC)
-			applyParams(&ai, p)
 			ai.Calibration = &cal
 			aiRes, err := simulate(ai)
 			if err != nil {
@@ -396,12 +390,10 @@ func (s *Suite) DAWNBench() (Table, error) {
 		imagenet        = 1_281_167
 		effectiveEpochs = 12.0
 	)
-	p, err := s.Tuned(model.ResNet50(), 128)
+	cfg, _, err := s.tunedConfig(model.ResNet50(), 128)
 	if err != nil {
 		return t, err
 	}
-	cfg := baseConfig(model.ResNet50(), 128, cluster.AIACC)
-	applyParams(&cfg, p)
 	cfg.Engine.WireBytesPerElem = 2
 	// The DAWNBench run used mixed precision, roughly doubling compute
 	// throughput on V100 tensor cores.
@@ -425,7 +417,7 @@ func (s *Suite) AutoTuneStudy() (Table, error) {
 	t := Table{
 		ID:     "autotune",
 		Title:  "Auto-tuned communication parameters across deployments (§VIII-D)",
-		Header: []string{"model", "gpus", "streams", "granularity", "algorithm", "iter time"},
+		Header: []string{"model", "gpus", "streams", "granularity", "algorithm", "segment", "priority depth", "iter time"},
 		Notes: []string{
 			"paper: ring preferred over tree; streams vary 2-24, higher with more GPUs; larger granularity for Transformer-family models",
 		},
@@ -442,13 +434,18 @@ func (s *Suite) AutoTuneStudy() (Table, error) {
 		{m: model.BERTLarge(), gpus: 64},
 	}
 	for _, c := range cases {
-		res, p, err := s.aiaccTuned(c.m, c.gpus)
+		cfg, p, err := s.tunedConfig(c.m, c.gpus)
+		if err != nil {
+			return t, err
+		}
+		res, err := simulate(cfg)
 		if err != nil {
 			return t, err
 		}
 		t.Rows = append(t.Rows, []string{
 			c.m.Name, fmt.Sprintf("%d", c.gpus),
 			fmt.Sprintf("%d", p.Streams), stats.FormatBytes(p.GranularityBytes), p.Algorithm,
+			stats.FormatBytes(p.SegmentBytes), fmt.Sprintf("%d", p.PriorityDepth),
 			fmtDur(res.IterTime),
 		})
 	}

@@ -40,16 +40,18 @@ type TuneResult struct {
 // budget contributes to convergence.
 //
 // All workers must call TuneLive collectively with the same base config,
-// space, budget and seed. The communicator must provide enough transport
-// streams for the largest stream count in the space (plus the sync stream).
-// Returns the chosen parameters; the caller then builds its production
-// Trainer with them (see ApplyParams).
+// space, budget and seed. The search covers the space's node groups that
+// divide the world size (autotune.Space.ForWorld). The communicator must
+// provide enough transport streams for the largest stream count in the
+// space (plus the sync stream). Returns the chosen parameters; the caller
+// then builds its production Trainer with them (see ApplyParams).
 func TuneLive(comm *mpi.Comm, base engine.Config, space autotune.Space, budget int,
 	producer Producer, opt OptimizerFactory, seed int64) (TuneResult, error) {
 	var out TuneResult
 	if comm == nil || producer == nil || opt == nil {
 		return out, fmt.Errorf("%w: nil argument", ErrBadTune)
 	}
+	space = space.ForWorld(comm.Size())
 	if err := space.Validate(); err != nil {
 		return out, err
 	}
@@ -99,15 +101,7 @@ type OptimizerFactory func() optimizer.Optimizer
 // the globally averaged seconds per iteration.
 func evalCandidate(comm *mpi.Comm, base engine.Config, p autotune.Params, iters int,
 	producer Producer, opt OptimizerFactory) (float64, error) {
-	cfg := ApplyParams(base, p)
-	// The search space is topology-agnostic: a node grouping that does not
-	// divide this deployment's world size cannot run (the two-level schedule
-	// needs equally sized nodes), so the candidate degenerates to the flat
-	// ring rather than erroring the whole tuning session.
-	if cfg.Algorithm == engine.Hierarchical && comm.Size()%cfg.GPUsPerNode != 0 {
-		cfg.Algorithm = engine.Ring
-	}
-	tr, err := NewTrainer(comm, cfg, producer, opt())
+	tr, err := NewTrainer(comm, ApplyParams(base, p), producer, opt())
 	if err != nil {
 		return 0, fmt.Errorf("candidate %v: %w", p, err)
 	}
@@ -132,15 +126,27 @@ func evalCandidate(comm *mpi.Comm, base engine.Config, p autotune.Params, iters 
 	return float64(buf[0]) / float64(comm.Size()), nil
 }
 
-// ApplyParams maps tuned parameters onto an engine configuration.
+// LiveSpace is the space aiacc-run -autotune searches: small enough that a
+// warm-up of a dozen iterations covers a useful share of it.
+func LiveSpace() autotune.Space {
+	return autotune.Space{
+		Streams:       []int{1, 2, 4, 8},
+		Granularities: []int64{256 << 10, 1 << 20, 4 << 20},
+		Algorithms:    []string{autotune.AlgoRing, autotune.AlgoTree},
+		Segments:      []int64{64 << 10, 128 << 10, 512 << 10},
+		NodeGroups:    []int{1, 2, 4},
+		Depths:        []int{1, 2, 4},
+	}
+}
+
+// ApplyParams maps tuned parameters onto an engine configuration. A tree
+// point with a preemptive PriorityDepth fails NewEngine; Space never has one.
 func ApplyParams(base engine.Config, p autotune.Params) engine.Config {
 	cfg := base
 	cfg.Streams = p.Streams
 	cfg.GranularityBytes = p.GranularityBytes
 	cfg.SegmentBytes = p.SegmentBytes
 	cfg.MinSyncBytes = 0 // re-derive from the new granularity
-	// Ring only: NewEngine clamps the depth to 0 under the hierarchical
-	// algorithm, so a tree candidate simply runs unscheduled.
 	cfg.PriorityDepth = p.PriorityDepth
 	if p.Algorithm == autotune.AlgoTree {
 		cfg.Algorithm = engine.Hierarchical

@@ -120,6 +120,109 @@ func TestTuneLiveValidation(t *testing.T) {
 	}
 }
 
+// tunedKey is the part of an engine configuration the tuner sets.
+type tunedKey struct {
+	algorithm     engine.Algorithm
+	streams       int
+	granularity   int64
+	segment       int64
+	gpusPerNode   int
+	priorityDepth int
+}
+
+// effectiveKey is the configuration cfg actually runs, by the equivalences
+// of NewEngine and the collectives, stated here independently of the
+// tuner's canonical form: a tree of one-rank nodes is the flat ring, the
+// ring has no node groups, PriorityDepth 0 and 1 are one class, and the
+// two-level schedule runs one class.
+func effectiveKey(cfg engine.Config) tunedKey {
+	k := tunedKey{cfg.Algorithm, cfg.Streams, cfg.GranularityBytes, cfg.SegmentBytes, cfg.GPUsPerNode, max(cfg.PriorityDepth, 1)}
+	if k.algorithm == engine.Hierarchical && k.gpusPerNode == 1 {
+		k.algorithm = engine.Ring
+		k.priorityDepth = 1
+	}
+	if k.algorithm == engine.Ring {
+		k.gpusPerNode = 0
+	} else {
+		k.priorityDepth = 1
+	}
+	return k
+}
+
+// The tuner's spaces enumerate each runnable engine configuration exactly
+// once, and lose none that the plain Cartesian product of their declared
+// values reached.
+func TestSpaceDistinct(t *testing.T) {
+	if got := autotune.DefaultSpace().Size(); got != 1680 {
+		t.Errorf("DefaultSpace().Size() = %d, want 1680", got)
+	}
+	if got := LiveSpace().Size(); got != 180 {
+		t.Errorf("LiveSpace().Size() = %d, want 180", got)
+	}
+	base := engine.DefaultConfig()
+	for _, tc := range []struct {
+		name  string
+		space autotune.Space
+		// depths as the product was declared before 0 and 1 were merged
+		oldDepths []int
+	}{
+		{"default", autotune.DefaultSpace(), []int{0, 1, 4, 8}},
+		{"live", LiveSpace(), []int{0, 2, 4}},
+	} {
+		for _, world := range []int{4, 8} {
+			space := tc.space.ForWorld(world)
+			net, err := transport.NewMem(world, space.Streams[len(space.Streams)-1]+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep, _ := net.Endpoint(0)
+			comm := mpi.NewWorld(ep)
+			got := make(map[tunedKey]autotune.Params)
+			for _, p := range space.Points() {
+				cfg := ApplyParams(base, p)
+				if _, err := engine.NewEngine(comm, cfg); err != nil {
+					t.Errorf("%s@%d: point %v does not run: %v", tc.name, world, p, err)
+				}
+				k := effectiveKey(cfg)
+				if q, dup := got[k]; dup {
+					t.Errorf("%s@%d: %v and %v run the same configuration %+v", tc.name, world, q, p, k)
+				}
+				got[k] = p
+			}
+			_ = net.Close()
+
+			want := make(map[tunedKey]bool)
+			s := tc.space
+			for _, alg := range s.Algorithms {
+				for _, st := range s.Streams {
+					for _, g := range s.Granularities {
+						for _, seg := range s.Segments {
+							for _, ng := range s.NodeGroups {
+								for _, d := range tc.oldDepths {
+									cfg := ApplyParams(base, autotune.Params{Streams: st, GranularityBytes: g,
+										Algorithm: alg, SegmentBytes: seg, GPUsPerNode: ng, PriorityDepth: d})
+									if cfg.Algorithm == engine.Hierarchical && world%cfg.GPUsPerNode != 0 {
+										continue // cannot form the nodes
+									}
+									want[effectiveKey(cfg)] = true
+								}
+							}
+						}
+					}
+				}
+			}
+			if len(got) != len(want) {
+				t.Errorf("%s@%d: %d distinct configurations, the product reaches %d", tc.name, world, len(got), len(want))
+			}
+			for k := range want {
+				if _, ok := got[k]; !ok {
+					t.Errorf("%s@%d: configuration %+v lost", tc.name, world, k)
+				}
+			}
+		}
+	}
+}
+
 func TestApplyParams(t *testing.T) {
 	base := engine.DefaultConfig()
 	base.MinSyncBytes = 123
