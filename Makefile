@@ -3,15 +3,15 @@
 # `make ci` is the check gate for changes touching the hot path: it runs the
 # tier-1 verify (build + full test suite), vet, the race detector over the
 # packages that exercise the transport ownership contract, a smoke run of
-# the live/codec/TCP/shm microbenchmarks (1 iteration — catches benchmark bit-rot,
-# not performance), and the metrics-overhead gate (alloc-free increments plus
+# the live-path profiling benchmarks and the wire kernels (1 iteration —
+# catches benchmark bit-rot, not performance), and the metrics-overhead gate (alloc-free increments plus
 # the <2% instrumentation bound on the live all-reduce). The byte-path packages
 # are tested a second time under -tags purego, the build in which the portable
 # kernel loops do all the work.
 
 GO ?= go
 
-.PHONY: ci build test vet purego race chaos bench-smoke metrics-overhead bench bench-tcp bench-seg bench-shm bench-priority
+.PHONY: ci build test vet purego race chaos bench-smoke metrics-overhead bench
 
 ci: vet build test purego race chaos bench-smoke metrics-overhead
 
@@ -49,7 +49,7 @@ chaos:
 	$(GO) test -race -count=1 -short -run 'TestChaosSoak|TestAbort|TestPrioritySchedLiveness' ./collective/ ./transport/chaos/ ./engine/
 
 bench-smoke:
-	$(GO) test -run XXX -bench 'Live|Codec|TCP|Shm|Transport|WireKernels' -benchtime 1x . ./internal/wire/
+	$(GO) test -run XXX -bench 'RingAllReduceShm|EngineIterationTCP|WireKernels' -benchtime 1x . ./internal/wire/
 
 # Observability cost gates (DESIGN.md §7, §8): the metric increment path must
 # be allocation-free, full-stack instrumentation must cost <2% on the live
@@ -59,31 +59,7 @@ metrics-overhead:
 	$(GO) test -run TestIncrementBenchmarksAllocFree -count=1 ./metrics/
 	AIACC_OVERHEAD_GATE=1 $(GO) test -run 'TestMetricsOverheadGate|TestHeartbeatOverheadGate' -count=1 .
 
-# Full live-path benchmark numbers (recorded in BENCH_pr1.json and, for the
-# TCP data plane, BENCH_pr2.json).
+# The live performance numbers of record: the repository benchmark's four
+# workloads (BENCHMARK.json, benchmark/README.md).
 bench:
-	$(GO) test -run XXX -bench 'Live|Codec|TCP' -benchtime 200x .
-
-# Just the real-socket data plane (the BENCH_pr2.json numbers).
-bench-tcp:
-	$(GO) test -run XXX -bench TCP -benchtime 200x .
-
-# Pipelined segmented ring same-binary A/B: serial reference vs pipelined
-# arms over real TCP with the fp16 codec (the BENCH_pr4.json numbers).
-bench-seg:
-	$(GO) test -run XXX -bench 'BenchmarkRingAllReduceTCP/4ranks/.*elems/fp16' -benchtime 30x -count 3 .
-
-# Shared-memory vs TCP-loopback same-binary A/B (the BENCH_pr6.json numbers):
-# raw one-way throughput and round-trip latency per transport, the 4-rank ring
-# all-reduce over both data planes, and the aiacc-bench table variants of the
-# same experiments (shm-loopback, hierarchy two-level vs flat ring).
-bench-shm:
-	$(GO) test -run XXX -bench 'BenchmarkTransportLoopback|BenchmarkTransportPingPong|BenchmarkRingAllReduceShm|BenchmarkRingAllReduceTCP/4ranks/[0-9]+elems$$' -benchtime 100x -count 3 .
-	$(GO) run ./cmd/aiacc-bench -experiment shm-loopback -metrics=false
-	$(GO) run ./cmd/aiacc-bench -experiment hierarchy -metrics=false
-
-# Priority-scheduler live A/B (the BENCH_pr7.json numbers): scheduler off vs
-# depth=4 over the skewed (CTR-like) and uniform (BERT-like) profiles on a
-# rate-modelled slow link, with the next-forward stall as the headline metric.
-bench-priority:
-	$(GO) run ./cmd/aiacc-bench -experiment priority
+	bash benchmark/run.sh --all

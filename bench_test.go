@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's evaluation artifacts, one testing.B
-// per table/figure, plus microbenchmarks of the live communication path.
-// Simulated experiments report a "samples/s" metric (the figure's y-axis);
-// shape assertions live in the package test suites; full tuned tables come
-// from `go run ./cmd/aiacc-bench`.
+// per table/figure, plus two profiling targets on the live communication
+// path. Simulated experiments report a "samples/s" metric (the figure's
+// y-axis); shape assertions live in the package test suites; full tuned
+// tables come from `go run ./cmd/aiacc-bench`.
 package aiacc_test
 
 import (
@@ -16,7 +16,6 @@ import (
 	"aiacc/compress"
 	"aiacc/engine"
 	"aiacc/internal/bench"
-	"aiacc/internal/bufpool"
 	"aiacc/model"
 	"aiacc/mpi"
 	"aiacc/netmodel"
@@ -238,129 +237,19 @@ func BenchmarkAutoTune(b *testing.B) {
 	}
 }
 
-// --- Live communication-path microbenchmarks ---
+// --- Live communication-path profiling targets ---
+//
+// The live numbers of record come from the repository benchmark
+// (`bash benchmark/run.sh`); these two loops exist to be profiled
+// (`-cpuprofile`) and to show allocs/op for the collective layer and for a
+// whole engine iteration.
 
-// BenchmarkRingAllReduceLive measures the real ring all-reduce over the
-// in-process transport. One persistent goroutine per rank loops b.N
+// BenchmarkRingAllReduceShm runs the 4-rank fp32 ring all-reduce over the
+// shared-memory transport. One persistent goroutine per rank loops b.N
 // iterations — the ring is self-synchronizing (every step's receive depends
 // on the peer's send, with FIFO matching per pair), so iteration i+1 cannot
 // overtake iteration i and the harness adds no per-iteration allocations,
 // making allocs/op reflect the collective layer's own steady state.
-func BenchmarkRingAllReduceLive(b *testing.B) {
-	for _, elems := range []int{1 << 10, 1 << 16, 1 << 20} {
-		b.Run(fmt.Sprintf("4ranks/%delems", elems), func(b *testing.B) {
-			net, err := transport.NewMem(4, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() { _ = net.Close() }()
-			benchRingAllReduce(b, net, elems)
-		})
-	}
-}
-
-// benchRingAllReduce runs the 4-rank ring all-reduce b.N times over an
-// established network, one persistent goroutine per rank (see
-// BenchmarkRingAllReduceLive for why the harness adds no per-iteration
-// allocations).
-func benchRingAllReduce(b *testing.B, net transport.Network, elems int) {
-	benchRingAllReduceCodec(b, net, elems, compress.FP32{}, tensor.OpSum)
-}
-
-// benchRingAllReduceCodec is benchRingAllReduce with an explicit wire codec,
-// reduce op and collective options (segment size for the pipelined ring).
-// The op matters for fp16: OpMax keeps the data fixed across iterations (max
-// is idempotent), so values stay finite and in the normal half range — the
-// steady state for real gradients — rather than overflowing to Inf, whose
-// opposite-signed sums are NaNs that send the kernels through their portable
-// detour.
-func benchRingAllReduceCodec(b *testing.B, net transport.Network, elems int, codec compress.Codec, op tensor.ReduceOp, opts ...collective.Option) {
-	b.Helper()
-	comms := make([]*mpi.Comm, 4)
-	datas := make([][]float32, 4)
-	for r := 0; r < 4; r++ {
-		ep, err := net.Endpoint(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		comms[r] = mpi.NewWorld(ep)
-		datas[r] = make([]float32, elems)
-		for i := range datas[r] {
-			datas[r][i] = 0.001 + float32(i%1000)*0.001
-		}
-	}
-	b.SetBytes(int64(elems) * 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < b.N; i++ {
-				if err := collective.RingAllReduceCodec(comms[r], 0, datas[r], op, codec, opts...); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-}
-
-// BenchmarkRingAllReduceTCP is BenchmarkRingAllReduceLive over real TCP
-// loopback sockets: the numbers include framing syscalls, socket buffer
-// copies and the transport receive path, so this is the benchmark that
-// measures the TCP data plane itself (vectored framing, pooled receive
-// buffers, inbox read-ahead).
-func BenchmarkRingAllReduceTCP(b *testing.B) {
-	for _, elems := range []int{1 << 14, 1 << 16, 1 << 18} {
-		b.Run(fmt.Sprintf("4ranks/%delems", elems), func(b *testing.B) {
-			net, err := transport.NewTCP(4, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() { _ = net.Close() }()
-			benchRingAllReduce(b, net, elems)
-		})
-	}
-	// The fp16 variants carry real codec work on the critical path, so they
-	// are the ones the segment pipeline targets. Three same-binary arms:
-	// "ref" is the serial pre-pipelining protocol (whole-chunk frames,
-	// all-gather decode→re-encode), "seg=off" runs the pipelined machinery
-	// with one segment per chunk (isolates the verbatim all-gather
-	// forwarding), "seg=128K" adds double-buffered wire segments.
-	for _, elems := range []int{1 << 18, 1 << 20} {
-		for _, arm := range []struct {
-			name  string
-			bytes int64 // 0 = serial reference implementation
-		}{
-			{"ref", 0},
-			{"seg=off", 1 << 30},
-			{"seg=128K", 128 << 10},
-		} {
-			b.Run(fmt.Sprintf("4ranks/%delems/fp16/%s", elems, arm.name), func(b *testing.B) {
-				net, err := transport.NewTCP(4, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer func() { _ = net.Close() }()
-				if arm.bytes == 0 {
-					benchRingAllReduceRef(b, net, elems)
-					return
-				}
-				benchRingAllReduceCodec(b, net, elems, compress.FP16{}, tensor.OpMax,
-					collective.WithSegmentBytes(arm.bytes))
-			})
-		}
-	}
-}
-
-// BenchmarkRingAllReduceShm is BenchmarkRingAllReduceTCP with the shared-
-// memory transport in place of loopback sockets: same 4-rank ring, same
-// element counts, so the two benchmarks form a same-binary A/B of the
-// intra-host data plane (mmap'd rings vs sockets) under the collective's
-// real traffic pattern.
 func BenchmarkRingAllReduceShm(b *testing.B) {
 	for _, elems := range []int{1 << 14, 1 << 16, 1 << 18} {
 		b.Run(fmt.Sprintf("4ranks/%delems", elems), func(b *testing.B) {
@@ -369,237 +258,43 @@ func BenchmarkRingAllReduceShm(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer func() { _ = net.Close() }()
-			benchRingAllReduce(b, net, elems)
+			comms := make([]*mpi.Comm, 4)
+			datas := make([][]float32, 4)
+			for r := 0; r < 4; r++ {
+				ep, err := net.Endpoint(r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				comms[r] = mpi.NewWorld(ep)
+				datas[r] = make([]float32, elems)
+				for i := range datas[r] {
+					datas[r][i] = 0.001 + float32(i%1000)*0.001
+				}
+			}
+			b.SetBytes(int64(elems) * 4)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := 0; i < b.N; i++ {
+						if err := collective.RingAllReduceCodec(comms[r], 0, datas[r], tensor.OpSum, compress.FP32{}); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(r)
+			}
+			wg.Wait()
 		})
 	}
 }
 
-// BenchmarkTransportLoopback streams frames one way between two ranks —
-// the raw point-to-point throughput of each intra-host transport. The shm
-// arm is one memcpy into an mmap'd ring per side; the tcp arm pays framing
-// syscalls and socket buffer copies on the same loopback path.
-func BenchmarkTransportLoopback(b *testing.B) {
-	for _, arm := range []struct {
-		name string
-		mk   func() (transport.Network, error)
-	}{
-		{"shm", func() (transport.Network, error) {
-			return shmnet.New(2, 1, shmnet.WithRingBytes(1<<20))
-		}},
-		{"tcp", func() (transport.Network, error) { return transport.NewTCP(2, 1) }},
-	} {
-		for _, size := range []int{4 << 10, 64 << 10, 1 << 20, 4 << 20} {
-			b.Run(fmt.Sprintf("%s/bytes=%d", arm.name, size), func(b *testing.B) {
-				net, err := arm.mk()
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer func() { _ = net.Close() }()
-				src, err := net.Endpoint(0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dst, err := net.Endpoint(1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					for i := 0; i < b.N; i++ {
-						got, err := dst.Recv(0, 0)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						bufpool.Put(got)
-					}
-				}()
-				b.SetBytes(int64(size))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := src.Send(1, 0, bufpool.Get(size)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				<-done
-			})
-		}
-	}
-}
-
-// BenchmarkTransportPingPong measures round-trip latency: rank 0 sends a
-// frame, rank 1 echoes it back. This is the number that gates collective
-// phase launches (every ring hop is a dependent send→recv), and where the
-// shared-memory transport's syscall-free path shows the largest gap.
-func BenchmarkTransportPingPong(b *testing.B) {
-	for _, arm := range []struct {
-		name string
-		mk   func() (transport.Network, error)
-	}{
-		{"shm", func() (transport.Network, error) { return shmnet.New(2, 1) }},
-		{"tcp", func() (transport.Network, error) { return transport.NewTCP(2, 1) }},
-	} {
-		for _, size := range []int{256, 4 << 10, 64 << 10} {
-			b.Run(fmt.Sprintf("%s/bytes=%d", arm.name, size), func(b *testing.B) {
-				net, err := arm.mk()
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer func() { _ = net.Close() }()
-				a, err := net.Endpoint(0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				z, err := net.Endpoint(1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					for i := 0; i < b.N; i++ {
-						got, err := z.Recv(0, 0)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						if err := z.Send(0, 0, got); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-				b.SetBytes(int64(size))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := a.Send(1, 0, bufpool.Get(size)); err != nil {
-						b.Fatal(err)
-					}
-					got, err := a.Recv(1, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					bufpool.Put(got)
-				}
-				<-done
-			})
-		}
-	}
-}
-
-// benchRingAllReduceRef is benchRingAllReduceCodec over the serial reference
-// implementation — the baseline arm of the pipelining A/B.
-func benchRingAllReduceRef(b *testing.B, net transport.Network, elems int) {
-	b.Helper()
-	comms := make([]*mpi.Comm, 4)
-	datas := make([][]float32, 4)
-	for r := 0; r < 4; r++ {
-		ep, err := net.Endpoint(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		comms[r] = mpi.NewWorld(ep)
-		datas[r] = make([]float32, elems)
-		for i := range datas[r] {
-			datas[r][i] = 0.001 + float32(i%1000)*0.001
-		}
-	}
-	b.SetBytes(int64(elems) * 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < b.N; i++ {
-				if err := collective.RingAllReduceCodecReference(comms[r], 0, datas[r], tensor.OpMax, compress.FP16{}); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-}
-
-// benchEngineIteration measures one full live engine iteration (sync + pack
-// + multi-stream all-reduce) across 4 workers of an established network.
-func benchEngineIteration(b *testing.B, net transport.Network, cfg engine.Config) {
-	b.Helper()
-	const workers = 4
-	engines := make([]*engine.Engine, workers)
-	grads := make([]*tensor.Tensor, workers)
-	for r := 0; r < workers; r++ {
-		ep, err := net.Endpoint(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e, err := engine.NewEngine(mpi.NewWorld(ep), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Register("w", 1<<18); err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Start(); err != nil {
-			b.Fatal(err)
-		}
-		defer func() { _ = e.Close() }()
-		engines[r] = e
-		grads[r] = tensor.Filled(1, 1<<18)
-	}
-	b.SetBytes(1 << 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	// One persistent goroutine per worker; iterations are separated by the
-	// engine's own collective agreement, so no outer barrier (or its
-	// allocations) is needed per iteration.
-	var wg sync.WaitGroup
-	for r := 0; r < workers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < b.N; i++ {
-				if err := engines[r].PushGradient("w", grads[r]); err != nil {
-					b.Error(err)
-					return
-				}
-				if err := engines[r].WaitIteration(); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-}
-
-// BenchmarkEngineIterationLive measures one full live engine iteration
-// (sync + pack + multi-stream all-reduce) across 4 workers.
-func BenchmarkEngineIterationLive(b *testing.B) {
-	for _, streams := range []int{1, 4} {
-		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
-			cfg := engine.DefaultConfig()
-			cfg.Streams = streams
-			cfg.GranularityBytes = 256 << 10
-			cfg.MinSyncBytes = 256 << 10
-			const workers = 4
-			net, err := transport.NewMem(workers, cfg.RequiredStreams())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() { _ = net.Close() }()
-			benchEngineIteration(b, net, cfg)
-		})
-	}
-}
-
-// BenchmarkEngineIterationTCP is BenchmarkEngineIterationLive over real TCP
-// loopback sockets — the end-to-end iteration cost a single-node multi-process
+// BenchmarkEngineIterationTCP measures one full live engine iteration (sync
+// + pack + multi-stream all-reduce) across 4 workers over real TCP loopback
+// sockets — the end-to-end iteration cost a single-node multi-process
 // deployment would pay.
 func BenchmarkEngineIterationTCP(b *testing.B) {
 	for _, streams := range []int{1, 4} {
@@ -608,60 +303,57 @@ func BenchmarkEngineIterationTCP(b *testing.B) {
 			cfg.Streams = streams
 			cfg.GranularityBytes = 256 << 10
 			cfg.MinSyncBytes = 256 << 10
-			net, err := transport.NewTCP(4, cfg.RequiredStreams())
+			const workers = 4
+			net, err := transport.NewTCP(workers, cfg.RequiredStreams())
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer func() { _ = net.Close() }()
-			benchEngineIteration(b, net, cfg)
-		})
-	}
-}
-
-// BenchmarkFP16Codec measures the gradient compression codec round-trip the
-// way the collectives use it: encoding into a reused buffer.
-func BenchmarkFP16Codec(b *testing.B) {
-	src := make([]float32, 1<<16)
-	for i := range src {
-		src[i] = float32(i%1000) * 0.001
-	}
-	dst := make([]float32, len(src))
-	codec := compress.FP16{}
-	var buf []byte
-	b.SetBytes(int64(len(src)) * 4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = codec.EncodeTo(buf[:0], src)
-		if err := codec.Decode(dst, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCodecEncodeTo measures the append-style encode path alone for the
-// wire codecs, steady state (reused destination buffer).
-func BenchmarkCodecEncodeTo(b *testing.B) {
-	src := make([]float32, 1<<16)
-	for i := range src {
-		src[i] = float32(i%1000)*0.001 - 0.5
-	}
-	for _, tc := range []struct {
-		name  string
-		codec compress.Codec
-	}{
-		{"fp32", compress.FP32{}},
-		{"fp16", compress.FP16{}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var buf []byte
-			b.SetBytes(int64(len(src)) * 4)
+			engines := make([]*engine.Engine, workers)
+			grads := make([]*tensor.Tensor, workers)
+			for r := 0; r < workers; r++ {
+				ep, err := net.Endpoint(r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e, err := engine.NewEngine(mpi.NewWorld(ep), cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := e.Register("w", 1<<18); err != nil {
+					b.Fatal(err)
+				}
+				if err := e.Start(); err != nil {
+					b.Fatal(err)
+				}
+				defer func() { _ = e.Close() }()
+				engines[r] = e
+				grads[r] = tensor.Filled(1, 1<<18)
+			}
+			b.SetBytes(1 << 20)
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf = tc.codec.EncodeTo(buf[:0], src)
+			b.ResetTimer()
+			// One persistent goroutine per worker; iterations are separated by
+			// the engine's own collective agreement, so no outer barrier (or
+			// its allocations) is needed per iteration.
+			var wg sync.WaitGroup
+			for r := 0; r < workers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := 0; i < b.N; i++ {
+						if err := engines[r].PushGradient("w", grads[r]); err != nil {
+							b.Error(err)
+							return
+						}
+						if err := engines[r].WaitIteration(); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(r)
 			}
-			if len(buf) == 0 {
-				b.Fatal("empty encoding")
-			}
+			wg.Wait()
 		})
 	}
 }

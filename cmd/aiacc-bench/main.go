@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"aiacc/internal/bench"
-	"aiacc/metrics"
 )
 
 func main() {
@@ -31,7 +30,6 @@ func run() error {
 	experiment := flag.String("experiment", "all", "experiment id to run (see -list)")
 	budget := flag.Int("tune-budget", 60, "auto-tuning budget in simulated training iterations")
 	format := flag.String("format", "text", "output format: text | csv")
-	showMetrics := flag.Bool("metrics", true, "print a metrics-delta summary after experiments that move real bytes")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 	if *format != "text" && *format != "csv" {
@@ -65,12 +63,6 @@ func run() error {
 		{id: "ablation-algorithm", run: s.AblationAlgorithm},
 		{id: "ablation-congestion", run: s.AblationCongestion},
 		{id: "ablation-fp16", run: s.AblationCompression},
-		{id: "live", run: s.Live},
-		{id: "live-bandwidth", run: s.LiveBandwidth},
-		{id: "segsweep", run: s.SegSweep},
-		{id: "priority", run: s.PriorityAB},
-		{id: "shm-loopback", run: s.ShmLoopback},
-		{id: "hierarchy", run: s.Hierarchy},
 	}
 
 	if *list {
@@ -85,7 +77,6 @@ func run() error {
 		if *experiment != "all" && e.id != *experiment {
 			continue
 		}
-		before := metrics.SnapshotDefault()
 		t, err := e.run()
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", e.id, err)
@@ -100,11 +91,6 @@ func run() error {
 			fmt.Println()
 		} else {
 			fmt.Println(bench.Render(t))
-		}
-		if *showMetrics && *format == "text" {
-			if s := metricsSummary(before, metrics.SnapshotDefault()); s != "" {
-				fmt.Printf("-- measured by the metrics registry --\n%s\n", s)
-			}
 		}
 		ran = true
 	}

@@ -107,7 +107,7 @@ func TestAbortRingReference(t *testing.T) {
 	results := runChaosRanks(t, 4, 1, chaos.NewPlan(2).CrashRank(victim, 0),
 		func(c *mpi.Comm, rank int) error {
 			data := make([]float32, 1024)
-			return RingAllReduceCodecReference(c, 0, data, tensor.OpSum, compress.FP32{})
+			return ringAllReduceReference(c, 0, data, tensor.OpSum, compress.FP32{})
 		})
 	assertUnwound(t, results, victim)
 	checkLeaks(t, base)
@@ -167,6 +167,29 @@ func TestAbortBroadcast(t *testing.T) {
 	checkLeaks(t, base)
 }
 
+// Each phase of the pipelined ring, run on its own, unwinds like the
+// all-reduce.
+func TestAbortReduceScatterAllGather(t *testing.T) {
+	for i, phase := range []func(c *mpi.Comm, data []float32) error{
+		func(c *mpi.Comm, data []float32) error {
+			_, err := ReduceScatterCodec(c, 0, data, tensor.OpSum, compress.FP32{})
+			return err
+		},
+		func(c *mpi.Comm, data []float32) error {
+			return AllGatherCodec(c, 0, data, compress.FP32{})
+		},
+	} {
+		const victim = 1
+		base := leakcheck.Take()
+		results := runChaosRanks(t, 4, 1, chaos.NewPlan(7+int64(i)).CrashRank(victim, 0),
+			func(c *mpi.Comm, rank int) error {
+				return phase(c, make([]float32, 4096))
+			})
+		assertUnwound(t, results, victim)
+		checkLeaks(t, base)
+	}
+}
+
 // A truncated frame must decode-fail on the receiver, which then aborts the
 // whole ring rather than deadlocking ranks waiting on its forwarded segments.
 func TestAbortOnTruncatedFrame(t *testing.T) {
@@ -174,7 +197,7 @@ func TestAbortOnTruncatedFrame(t *testing.T) {
 	results := runChaosRanks(t, 3, 1, chaos.NewPlan(6).TruncateFrame(0, 1, 0, 1, 3),
 		func(c *mpi.Comm, rank int) error {
 			data := make([]float32, 999)
-			return RingAllReduceCodecReference(c, 0, data, tensor.OpSum, compress.FP32{})
+			return RingAllReduceCodec(c, 0, data, tensor.OpSum, compress.FP32{})
 		})
 	failures := 0
 	for _, err := range results {

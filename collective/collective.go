@@ -1,16 +1,24 @@
 // Package collective implements the collective communication primitives that
-// AIACC-Training builds gradient aggregation on: ring all-reduce
-// (reduce-scatter followed by all-gather, paper Fig. 1), a hierarchical
-// "tree" all-reduce (intra-node reduce, cross-node ring among node leaders,
-// intra-node broadcast), all-gather, broadcast, and the bit-wise AND
-// all-reduce used by the gradient synchronization vector.
+// AIACC-Training builds gradient aggregation on. The data collectives are four
+// entry points over one segment-pipelined ring (pipeline.go):
+//
+//   - ReduceScatterCodec, the ring's first phase (paper Fig. 1a): rank r ends
+//     holding the full reduction of its chunk, ChunkBounds(len, n, r);
+//   - AllGatherCodec, the ring's second phase (Fig. 1b): every rank's chunk
+//     reaches every rank;
+//   - RingAllReduceCodec, the two phases back to back on one pipeline;
+//   - HierarchicalAllReduceCodec, the paper's "tree" all-reduce, composed of
+//     the same phases over node and cross-node sub-communicators.
+//
+// Beside them sit the two control-plane collectives: BroadcastCodec (a
+// binomial tree, for parameter sync) and AndAllReduceBits (the bit-wise AND
+// all-reduce of the gradient synchronization vector).
 //
 // Every operation takes a stream id. Operations on distinct streams are fully
 // independent and may run concurrently from different goroutines — this is
-// the property the multi-streamed communication engine (package stream)
-// exploits. Concurrent operations on the *same* stream of the same
-// communicator are not allowed; the caller must serialize them, as the
-// dispatcher in package stream does.
+// the property the multi-streamed communication engine exploits. Concurrent
+// operations on the *same* stream of the same communicator are not allowed;
+// the caller must serialize them, as the engine's per-stream scheduler does.
 package collective
 
 import (
@@ -49,13 +57,21 @@ func min(a, b int) int {
 	return b
 }
 
-// ringOp bundles the per-operation resources of a chunked ring collective:
-// one pooled sender goroutine (overlapping each send with the blocking
-// receive — the standard deadlock-free formulation of a ring step) and one
-// pooled wire buffer. The wire buffer is used append-style: encode into it,
-// send it (ownership transfers to the receiver), then adopt the payload
-// received on the same step as the next step's wire buffer. In steady state
-// the ring circulates a fixed set of buffers and no step allocates.
+// ChunkBounds returns the [lo, hi) element range of rank's chunk when total
+// elements are split across size ranks: the chunk ReduceScatterCodec leaves
+// reduced on that rank and AllGatherCodec takes from it.
+func ChunkBounds(total, size, rank int) (int, int) {
+	return chunkBounds(total, size, rank)
+}
+
+// ringOp bundles the per-operation resources of a whole-buffer ring
+// collective (AndAllReduceBits): one pooled sender goroutine (overlapping
+// each send with the blocking receive — the standard deadlock-free
+// formulation of a ring step) and one pooled wire buffer. The wire buffer is
+// used append-style: encode into it, send it (ownership transfers to the
+// receiver), then adopt the payload received on the same step as the next
+// step's wire buffer. In steady state the ring circulates a fixed set of
+// buffers and no step allocates.
 type ringOp struct {
 	async    *sendpool.Async
 	inflight bool
@@ -101,11 +117,34 @@ func (r *ringOp) end() {
 	recycleWire(r.buf)
 }
 
-// RingAllReduce performs an in-place ring all-reduce of data across all
-// members of c on the given stream, with fp32 wire encoding. See
-// RingAllReduceCodec.
-func RingAllReduce(c Comm, stream int, data []float32, op tensor.ReduceOp, opts ...Option) error {
-	return RingAllReduceCodec(c, stream, data, op, compress.FP32{}, opts...)
+// phases selects which halves of the pipelined ring an operation runs.
+type phases uint8
+
+const (
+	phaseReduceScatter phases = 1 << iota
+	phaseAllGather
+	phaseAllReduce = phaseReduceScatter | phaseAllGather
+)
+
+// ring runs the selected phases of the segment-pipelined ring over data on
+// one pipeline. Rank r owns chunk r: the reduce-scatter leaves it fully
+// reduced there, and the all-gather starts from that postcondition.
+func ring(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, ph phases, o options) error {
+	if c.Size() == 1 || len(data) == 0 {
+		return nil
+	}
+	var p ringPipeline
+	p.init(c, stream, len(data), codec, o)
+	defer p.r.end()
+	if ph&phaseReduceScatter != 0 {
+		if err := p.reduceScatter(data, op); err != nil {
+			return err
+		}
+	}
+	if ph&phaseAllGather != 0 {
+		return p.allGather(data)
+	}
+	return nil
 }
 
 // RingAllReduceCodec performs an in-place ring all-reduce of data across all
@@ -116,10 +155,10 @@ func RingAllReduce(c Comm, stream int, data []float32, op tensor.ReduceOp, opts 
 // even under a lossy codec (the all-gather folds the codec's quantization
 // into the origin rank's local copy too).
 //
-// The algorithm is the bandwidth-optimal two-phase ring of Fig. 1: n-1
-// reduce-scatter steps in which each rank forwards and reduces one chunk,
-// followed by n-1 all-gather steps broadcasting the fully-reduced chunks.
-// Each rank sends 2(n-1)/n of the data in total.
+// The algorithm is the bandwidth-optimal two-phase ring of Fig. 1:
+// ReduceScatterCodec's n-1 steps, in which each rank forwards and reduces one
+// chunk, followed by AllGatherCodec's n-1 steps broadcasting the
+// fully-reduced chunks. Each rank sends 2(n-1)/n of the data in total.
 //
 // Each per-step chunk is cut into wire segments of WithSegmentBytes fp32
 // data bytes (DefaultSegmentBytes unless overridden) and double-buffered
@@ -128,143 +167,45 @@ func RingAllReduce(c Comm, stream int, data []float32, op tensor.ReduceOp, opts 
 // the all-gather phase, received payloads are forwarded verbatim — each
 // reduced chunk is encoded exactly once, by its origin rank.
 func RingAllReduceCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
-	return Unwind(c, stream, ringAllReduceCodec(c, stream, data, op, codec, opts...))
+	t0 := opStart()
+	err := ring(c, stream, data, op, codec, phaseAllReduce, buildOptions(opts))
+	obsOp(mRing, t0)
+	return Unwind(c, stream, err)
 }
 
-func ringAllReduceCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
-	n := c.Size()
-	if n == 1 || len(data) == 0 {
-		return nil
+// ReduceScatterCodec reduces data element-wise across all members of c and
+// leaves each rank holding the full reduction of its own chunk,
+// data[ChunkBounds(len(data), c.Size(), c.Rank())], which it returns as a
+// view into data. The other chunks of data are left partially reduced and
+// must not be used. It is the first phase of RingAllReduceCodec run on its
+// own, with the same segment pipelining and options.
+func ReduceScatterCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) ([]float32, error) {
+	t0 := opStart()
+	err := ring(c, stream, data, op, codec, phaseReduceScatter, buildOptions(opts))
+	obsOp(mReduceScatter, t0)
+	if err = Unwind(c, stream, err); err != nil {
+		return nil, err
 	}
-	o := buildOptions(opts)
-	defer obsOp(mRing, opStart())
-	var p ringPipeline
-	p.init(c, stream, len(data), codec, o)
-	defer p.r.end()
-	if err := p.reduceScatter(data, op); err != nil {
-		return err
-	}
-	return p.allGather(data, !codecLossless(codec))
+	lo, hi := chunkBounds(len(data), c.Size(), c.Rank())
+	return data[lo:hi], nil
 }
 
-// ringReduceScatter runs just the reduce-scatter phase of the pipelined
-// ring as a standalone collective: rank r ends holding the full reduction
-// of chunk (r+1) mod n, with the rest of data left in an intermediate
-// state. It is the intra-host first phase of the two-level hierarchical
-// all-reduce.
-func ringReduceScatter(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
-	if c.Size() == 1 || len(data) == 0 {
-		return nil
-	}
-	o := buildOptions(opts)
-	var p ringPipeline
-	p.init(c, stream, len(data), codec, o)
-	defer p.r.end()
-	return p.reduceScatter(data, op)
+// AllGatherCodec distributes every rank's chunk of data in place: rank r
+// contributes data[ChunkBounds(len(data), c.Size(), r)], and every rank ends
+// holding every chunk. It is the second phase of RingAllReduceCodec run on
+// its own: each chunk is encoded once, by its owner, and forwarded verbatim,
+// and under a lossy codec the owner's copy is re-quantized as well, so all
+// ranks finish bit-identical.
+func AllGatherCodec(c Comm, stream int, data []float32, codec compress.Codec, opts ...Option) error {
+	t0 := opStart()
+	err := ring(c, stream, data, tensor.OpSum, codec, phaseAllGather, buildOptions(opts))
+	obsOp(mAllGather, t0)
+	return Unwind(c, stream, err)
 }
 
-// ringChunkAllGather runs just the all-gather phase of the pipelined ring,
-// assuming the reduce-scatter postcondition (rank r owns a fully reduced
-// chunk (r+1) mod n). It is the intra-host last phase of the two-level
-// hierarchical all-reduce.
-func ringChunkAllGather(c Comm, stream int, data []float32, codec compress.Codec, opts ...Option) error {
-	if c.Size() == 1 || len(data) == 0 {
-		return nil
-	}
-	o := buildOptions(opts)
-	var p ringPipeline
-	p.init(c, stream, len(data), codec, o)
-	defer p.r.end()
-	return p.allGather(data, !codecLossless(codec))
-}
-
-// RingAllReduceCodecReference is the serial pre-pipelining ring all-reduce:
-// one wire frame per ring step, the whole chunk decoded before reduction,
-// and an all-gather that decodes and re-encodes every received chunk. It is
-// retained as a correctness oracle — the property tests pin the pipelined
-// ring to it bit-for-bit under lossless codecs — and as the same-binary
-// baseline arm of the ring benchmarks. Production callers want
-// RingAllReduceCodec.
-func RingAllReduceCodecReference(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec) error {
-	return Unwind(c, stream, ringAllReduceCodecReference(c, stream, data, op, codec))
-}
-
-func ringAllReduceCodecReference(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec) error {
-	n := c.Size()
-	if n == 1 || len(data) == 0 {
-		return nil
-	}
-	rank := c.Rank()
-	next := (rank + 1) % n
-	prev := (rank - 1 + n) % n
-
-	wireHint := int(codec.WireBytes(len(data)/n + 1))
-	r := beginRing(wireHint)
-	defer r.end()
-	// One decode scratch of max-chunk size serves every step.
-	fp := getF32(len(data)/n + 1)
-	defer putF32(fp)
-
-	for step := 0; step < n-1; step++ {
-		sendIdx := (rank - step + n) % n
-		recvIdx := (rank - step - 1 + 2*n) % n
-		sLo, sHi := chunkBounds(len(data), n, sendIdx)
-		rLo, rHi := chunkBounds(len(data), n, recvIdx)
-
-		r.buf = codec.EncodeTo(r.buf[:0], data[sLo:sHi])
-		r.send(c, next, stream)
-		payload, err := c.Recv(prev, stream)
-		if err != nil {
-			return fmt.Errorf("ring all-reduce recv step %d: %w", step, err)
-		}
-		tmp := (*fp)[:rHi-rLo]
-		if err := codec.Decode(tmp, payload); err != nil {
-			recycleWire(payload)
-			return fmt.Errorf("ring all-reduce step %d: %w", step, err)
-		}
-		if err := op.ApplyParallel(data[rLo:rHi], tmp); err != nil {
-			recycleWire(payload)
-			return fmt.Errorf("ring all-reduce reduce step %d: %w", step, err)
-		}
-		if err := r.wait(); err != nil {
-			recycleWire(payload)
-			return fmt.Errorf("ring all-reduce send step %d: %w", step, err)
-		}
-		r.adopt(payload)
-	}
-
-	for step := 0; step < n-1; step++ {
-		sendIdx := (rank - step + 1 + n) % n
-		recvIdx := (rank - step + 2*n) % n
-		sLo, sHi := chunkBounds(len(data), n, sendIdx)
-		rLo, rHi := chunkBounds(len(data), n, recvIdx)
-
-		r.buf = codec.EncodeTo(r.buf[:0], data[sLo:sHi])
-		r.send(c, next, stream)
-		payload, err := c.Recv(prev, stream)
-		if err != nil {
-			return fmt.Errorf("ring all-gather recv step %d: %w", step, err)
-		}
-		if err := codec.Decode(data[rLo:rHi], payload); err != nil {
-			recycleWire(payload)
-			return fmt.Errorf("ring all-gather step %d: %w", step, err)
-		}
-		if err := r.wait(); err != nil {
-			recycleWire(payload)
-			return fmt.Errorf("ring all-gather send step %d: %w", step, err)
-		}
-		r.adopt(payload)
-	}
-	return nil
-}
-
-// Broadcast distributes root's data to every member of c in place, using a
-// binomial tree rooted at the given rank: O(log n) rounds.
-func Broadcast(c *mpi.Comm, stream, root int, data []float32) error {
-	return BroadcastCodec(c, stream, root, data, compress.FP32{})
-}
-
-// BroadcastCodec is Broadcast with an explicit wire codec.
+// BroadcastCodec distributes root's data to every member of c in place,
+// using a binomial tree rooted at the given rank: O(log n) rounds, with the
+// payload serialized by codec.
 func BroadcastCodec(c *mpi.Comm, stream, root int, data []float32, codec compress.Codec) error {
 	return Unwind(c, stream, broadcastCodec(c, stream, root, data, codec))
 }
@@ -309,66 +250,6 @@ func broadcastCodec(c *mpi.Comm, stream, root int, data []float32, codec compres
 		}
 	}
 	return nil
-}
-
-// AllGather collects each rank's input and returns the concatenation ordered
-// by rank. Inputs may have different lengths. Implemented as a ring pass:
-// n-1 steps, each forwarding the previously received block. The returned
-// blocks are owned by the caller and alias nothing.
-func AllGather(c *mpi.Comm, stream int, mine []byte) ([][]byte, error) {
-	out, err := allGather(c, stream, mine)
-	return out, Unwind(c, stream, err)
-}
-
-func allGather(c *mpi.Comm, stream int, mine []byte) ([][]byte, error) {
-	n := c.Size()
-	out := make([][]byte, n)
-	myCopy := make([]byte, len(mine))
-	copy(myCopy, mine)
-	out[c.Rank()] = myCopy
-	if n == 1 {
-		return out, nil
-	}
-	next := (c.Rank() + 1) % n
-	prev := (c.Rank() - 1 + n) % n
-	defer obsOp(mAllGather, opStart())
-
-	async := sendpool.Acquire()
-	inflight := false
-	defer func() {
-		if inflight {
-			sendpool.Abandon(async)
-		} else {
-			sendpool.Release(async)
-		}
-	}()
-
-	// The first send must be a copy: `mine` stays owned by the caller while
-	// Send transfers payload ownership to the receiver.
-	sendBlock := append([]byte(nil), mine...)
-	for step := 0; step < n-1; step++ {
-		async.Send(c, next, stream, sendBlock)
-		inflight = true
-		payload, err := c.Recv(prev, stream)
-		if err != nil {
-			return nil, fmt.Errorf("all-gather recv step %d: %w", step, err)
-		}
-		if err := async.Wait(); err != nil {
-			recycleWire(payload)
-			return nil, fmt.Errorf("all-gather send step %d: %w", step, err)
-		}
-		inflight = false
-		origin := (c.Rank() - step - 1 + 2*n) % n
-		if step < n-2 {
-			// The payload travels on; the caller keeps a private copy.
-			out[origin] = append([]byte(nil), payload...)
-			sendBlock = payload
-		} else {
-			// Final block is not forwarded: keep it without copying.
-			out[origin] = payload
-		}
-	}
-	return out, nil
 }
 
 // AndAllReduceBits performs an in-place all-reduce with bit-wise AND over a
@@ -429,40 +310,37 @@ func andAllReduceBits(c *mpi.Comm, stream int, bits []uint64) error {
 	return nil
 }
 
-// HierarchicalAllReduce is the paper's "tree all-reduce" (§V-B), realized
-// as the Megatron-style two-level schedule: an intra-node reduce-scatter, a
-// concurrent per-shard ring all-reduce across nodes, and an intra-node
-// all-gather. It reduces cross-node traffic to 1/gpusPerNode of a flat ring
-// and is selected by the auto-tuner when inter-node links are congested.
-func HierarchicalAllReduce(c *mpi.Comm, stream, gpusPerNode int, data []float32, op tensor.ReduceOp, opts ...Option) error {
-	return HierarchicalAllReduceCodec(c, stream, gpusPerNode, data, op, compress.FP32{}, opts...)
-}
-
-// HierarchicalAllReduceCodec is HierarchicalAllReduce with an explicit wire
-// codec applied to every phase. Options (segment pipelining) apply to both
-// levels — in particular the cross-node shard rings, where overlapping
-// codec work with the slower inter-node wire pays off most.
+// HierarchicalAllReduceCodec is the paper's "tree all-reduce" (§V-B),
+// realized as the Megatron-style two-level schedule: an intra-node
+// reduce-scatter, a concurrent per-shard ring all-reduce across nodes, and an
+// intra-node all-gather — the pipelined ring's phases composed over node and
+// cross-node sub-communicators. It reduces cross-node traffic to
+// 1/gpusPerNode of a flat ring and is selected by the auto-tuner when
+// inter-node links are congested. The codec and options (segment
+// pipelining) apply to every phase — in particular the cross-node shard
+// rings, where overlapping codec work with the slower inter-node wire pays
+// off most.
 //
-// The schedule is two-level: each node reduce-scatters over its (fast,
-// intra-host) lanes, leaving member j of every node with one fully reduced
-// shard; the j-th shards then ring-all-reduce across nodes — every node
-// member drives its own cross-node ring concurrently, instead of funneling
-// gpusPerNode× the traffic through a single leader — and an intra-node
-// all-gather distributes the result. The data is further split into two
-// blocks pipelined against each other, so one block's (intra) reduce-scatter
-// or all-gather overlaps the other block's (inter) cross-node ring: the two
-// levels use disjoint peer sets, hence disjoint transport lanes, and on a
-// two-tier network (transport.NewTwoTier) physically independent fabrics.
+// Each node reduce-scatters over its (fast, intra-host) lanes, leaving member
+// j of every node with one fully reduced shard; the j-th shards then
+// ring-all-reduce across nodes — every node member drives its own cross-node
+// ring concurrently, instead of funneling gpusPerNode× the traffic through a
+// single leader — and an intra-node all-gather distributes the result. The
+// data is further split into two blocks pipelined against each other, so one
+// block's (intra) reduce-scatter or all-gather overlaps the other block's
+// (inter) cross-node ring: the two levels use disjoint peer sets, hence
+// disjoint transport lanes, and on a two-tier network (transport.NewTwoTier)
+// physically independent fabrics.
 //
 // Requires c's size to be an exact multiple of gpusPerNode (ranks laid out
 // node-major, as mpi.Comm's NodeGroup assumes). Results are bit-identical
-// across ranks, and — for exactly-representable sums — bit-identical to the
-// single-level reference.
+// across ranks, and — for exactly-representable sums — bit-identical to a
+// leader-funnel hierarchy (intra ring, leader ring, broadcast).
 func HierarchicalAllReduceCodec(c *mpi.Comm, stream, gpusPerNode int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
 	// The phases unwind within their sub-communicators; the outer unwind over
 	// the full communicator is what carries a failure across phase boundaries
 	// (e.g. to ranks already parked in the next phase).
-	return Unwind(c, stream, hierarchicalAllReduceCodec(c, stream, gpusPerNode, data, op, codec, opts...))
+	return Unwind(c, stream, hierarchicalAllReduce(c, stream, gpusPerNode, data, op, codec, buildOptions(opts)))
 }
 
 // twoLevelPipelineMin is the smallest element count worth splitting into two
@@ -470,7 +348,7 @@ func HierarchicalAllReduceCodec(c *mpi.Comm, stream, gpusPerNode int, data []flo
 // intra/inter overlap recovers.
 const twoLevelPipelineMin = 4096
 
-func hierarchicalAllReduceCodec(c *mpi.Comm, stream, gpusPerNode int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
+func hierarchicalAllReduce(c *mpi.Comm, stream, gpusPerNode int, data []float32, op tensor.ReduceOp, codec compress.Codec, o options) error {
 	if c.Size() == 1 || len(data) == 0 {
 		return nil
 	}
@@ -484,7 +362,7 @@ func hierarchicalAllReduceCodec(c *mpi.Comm, stream, gpusPerNode int, data []flo
 	defer obsOp(mHierarchical, opStart())
 	if gpusPerNode == 1 {
 		// Every rank is its own node: the cross-node level IS the flat ring.
-		return ringAllReduceCodec(c, stream, data, op, codec, opts...)
+		return ring(c, stream, data, op, codec, phaseAllReduce, o)
 	}
 	node, err := c.NodeGroup(gpusPerNode)
 	if err != nil {
@@ -492,13 +370,13 @@ func hierarchicalAllReduceCodec(c *mpi.Comm, stream, gpusPerNode int, data []flo
 	}
 	if node.Size() == c.Size() {
 		// Single node: the intra level is the whole reduction.
-		return ringAllReduceCodec(node, stream, data, op, codec, opts...)
+		return ring(node, stream, data, op, codec, phaseAllReduce, o)
 	}
 	cross, err := c.CrossNodeGroup(gpusPerNode)
 	if err != nil {
 		return fmt.Errorf("hierarchical all-reduce cross group: %w", err)
 	}
-	return twoLevelAllReduce(node, cross, stream, data, op, codec, opts)
+	return twoLevelAllReduce(node, cross, stream, data, op, codec, o)
 }
 
 // twoLevelAllReduce runs the pipelined two-level schedule over the node and
@@ -511,9 +389,7 @@ func hierarchicalAllReduceCodec(c *mpi.Comm, stream, gpusPerNode int, data []flo
 // Intra phases run on this goroutine, inter phases on one worker goroutine,
 // so each tier issues its lanes' frames in deterministic order (the FIFO
 // matching the transports require) while the two tiers overlap.
-func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts []Option) error {
-	g := node.Size()
-	own := (node.Rank() + 1) % g // reduce-scatter postcondition: chunk this rank holds
+func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, o options) error {
 	blocks := 2
 	if len(data) < twoLevelPipelineMin {
 		blocks = 1
@@ -526,7 +402,7 @@ func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data []float32, op ten
 	done := make(chan error, blocks)
 	go func() {
 		for shard := range reqs {
-			done <- RingAllReduceCodec(cross, stream, shard, op, codec, opts...)
+			done <- Unwind(cross, stream, ring(cross, stream, shard, op, codec, phaseAllReduce, o))
 		}
 	}()
 	issued := 0
@@ -534,11 +410,11 @@ func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data []float32, op ten
 	for b := 0; b < blocks; b++ {
 		lo, hi := chunkBounds(len(data), blocks, b)
 		blk := data[lo:hi]
-		if err := ringReduceScatter(node, stream, blk, op, codec, opts...); err != nil {
+		if err := ring(node, stream, blk, op, codec, phaseReduceScatter, o); err != nil {
 			firstErr = fmt.Errorf("hierarchical all-reduce intra reduce-scatter block %d: %w", b, err)
 			break
 		}
-		cLo, cHi := chunkBounds(len(blk), g, own)
+		cLo, cHi := chunkBounds(len(blk), node.Size(), node.Rank())
 		reqs <- blk[cLo:cHi]
 		issued++
 	}
@@ -547,8 +423,8 @@ func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data []float32, op ten
 	// while the worker reduces block b+1. On failure, every issued shard is
 	// still drained before returning: the worker goroutine must not outlive
 	// this call while holding slices of the caller's data. The drain cannot
-	// hang: RingAllReduceCodec already unwound the failing sub-communicator,
-	// and the outer Unwind of any failing rank poisons all its lanes, so
+	// hang: the shard ring already unwound the failing sub-communicator, and
+	// the outer Unwind of any failing rank poisons all its lanes, so
 	// in-flight shards resolve rather than block (op deadlines backstop).
 	for b := 0; b < issued; b++ {
 		if err := <-done; err != nil {
@@ -561,52 +437,9 @@ func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data []float32, op ten
 			continue
 		}
 		lo, hi := chunkBounds(len(data), blocks, b)
-		if err := ringChunkAllGather(node, stream, data[lo:hi], codec, opts...); err != nil {
+		if err := ring(node, stream, data[lo:hi], op, codec, phaseAllGather, o); err != nil {
 			firstErr = fmt.Errorf("hierarchical all-reduce intra all-gather block %d: %w", b, err)
 		}
 	}
 	return firstErr
-}
-
-// HierarchicalAllReduceCodecReference is the serial three-phase hierarchy —
-// intra-node ring all-reduce, leader-only ring across nodes, intra-node
-// broadcast — retained as a correctness oracle for the two-level schedule
-// and as the same-binary baseline arm of the hierarchy benchmarks (it is
-// the leader-funnel design the two-level schedule exists to beat).
-// Production callers want HierarchicalAllReduceCodec.
-func HierarchicalAllReduceCodecReference(c *mpi.Comm, stream, gpusPerNode int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
-	return Unwind(c, stream, hierarchicalAllReduceCodecReference(c, stream, gpusPerNode, data, op, codec, opts...))
-}
-
-func hierarchicalAllReduceCodecReference(c *mpi.Comm, stream, gpusPerNode int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
-	if c.Size() == 1 || len(data) == 0 {
-		return nil
-	}
-	if gpusPerNode <= 0 {
-		return fmt.Errorf("%w: gpusPerNode %d", mpi.ErrBadGroup, gpusPerNode)
-	}
-	defer obsOp(mHierarchical, opStart())
-	node, err := c.NodeGroup(gpusPerNode)
-	if err != nil {
-		return fmt.Errorf("hierarchical all-reduce node group: %w", err)
-	}
-	// Phase 1: intra-node reduction.
-	if err := RingAllReduceCodec(node, stream, data, op, codec, opts...); err != nil {
-		return fmt.Errorf("hierarchical all-reduce intra: %w", err)
-	}
-	// Phase 2: leaders reduce across nodes.
-	if node.Rank() == 0 {
-		leaders, err := c.LeaderGroup(gpusPerNode)
-		if err != nil {
-			return fmt.Errorf("hierarchical all-reduce leader group: %w", err)
-		}
-		if err := RingAllReduceCodec(leaders, stream, data, op, codec, opts...); err != nil {
-			return fmt.Errorf("hierarchical all-reduce inter: %w", err)
-		}
-	}
-	// Phase 3: broadcast the global result within each node.
-	if err := BroadcastCodec(node, stream, 0, data, codec); err != nil {
-		return fmt.Errorf("hierarchical all-reduce broadcast: %w", err)
-	}
-	return nil
 }

@@ -95,7 +95,7 @@ func TestRingAllReduceSum(t *testing.T) {
 				for i := range data {
 					data[i] = float32(c.Rank()*elems + i)
 				}
-				if err := RingAllReduce(c, 0, data, tensor.OpSum); err != nil {
+				if err := RingAllReduceCodec(c, 0, data, tensor.OpSum, compress.FP32{}); err != nil {
 					return err
 				}
 				for i := range data {
@@ -116,7 +116,7 @@ func TestRingAllReduceSum(t *testing.T) {
 func TestRingAllReduceMinMax(t *testing.T) {
 	runRanks(t, 4, 1, func(c *mpi.Comm) error {
 		data := []float32{float32(c.Rank()), float32(-c.Rank()), 5}
-		if err := RingAllReduce(c, 0, data, tensor.OpMin); err != nil {
+		if err := RingAllReduceCodec(c, 0, data, tensor.OpMin, compress.FP32{}); err != nil {
 			return err
 		}
 		if data[0] != 0 || data[1] != -3 || data[2] != 5 {
@@ -126,7 +126,7 @@ func TestRingAllReduceMinMax(t *testing.T) {
 	})
 	runRanks(t, 4, 1, func(c *mpi.Comm) error {
 		data := []float32{float32(c.Rank()), float32(-c.Rank())}
-		if err := RingAllReduce(c, 0, data, tensor.OpMax); err != nil {
+		if err := RingAllReduceCodec(c, 0, data, tensor.OpMax, compress.FP32{}); err != nil {
 			return err
 		}
 		if data[0] != 3 || data[1] != 0 {
@@ -140,7 +140,7 @@ func TestRingAllReduceShorterThanRanks(t *testing.T) {
 	// Fewer elements than ranks: some chunks are empty.
 	runRanks(t, 8, 1, func(c *mpi.Comm) error {
 		data := []float32{1, 2, 3}
-		if err := RingAllReduce(c, 0, data, tensor.OpSum); err != nil {
+		if err := RingAllReduceCodec(c, 0, data, tensor.OpSum, compress.FP32{}); err != nil {
 			return err
 		}
 		if data[0] != 8 || data[1] != 16 || data[2] != 24 {
@@ -152,11 +152,11 @@ func TestRingAllReduceShorterThanRanks(t *testing.T) {
 
 func TestRingAllReduceEmptyAndSingle(t *testing.T) {
 	runRanks(t, 4, 1, func(c *mpi.Comm) error {
-		return RingAllReduce(c, 0, nil, tensor.OpSum)
+		return RingAllReduceCodec(c, 0, nil, tensor.OpSum, compress.FP32{})
 	})
 	runRanks(t, 1, 1, func(c *mpi.Comm) error {
 		data := []float32{7}
-		if err := RingAllReduce(c, 0, data, tensor.OpSum); err != nil {
+		if err := RingAllReduceCodec(c, 0, data, tensor.OpSum, compress.FP32{}); err != nil {
 			return err
 		}
 		if data[0] != 7 {
@@ -176,7 +176,7 @@ func TestBroadcast(t *testing.T) {
 						data[i] = float32(100*root + i)
 					}
 				}
-				if err := Broadcast(c, 0, root, data); err != nil {
+				if err := BroadcastCodec(c, 0, root, data, compress.FP32{}); err != nil {
 					return err
 				}
 				for i := range data {
@@ -190,39 +190,6 @@ func TestBroadcast(t *testing.T) {
 				return nil
 			})
 		}
-	}
-}
-
-func TestAllGather(t *testing.T) {
-	for _, size := range []int{1, 2, 3, 5, 8} {
-		runRanks(t, size, 1, func(c *mpi.Comm) error {
-			// Variable-length contributions.
-			mine := make([]byte, c.Rank()+1)
-			for i := range mine {
-				mine[i] = byte(c.Rank())
-			}
-			got, err := AllGather(c, 0, mine)
-			if err != nil {
-				return err
-			}
-			if len(got) != size {
-				t.Errorf("AllGather returned %d blocks, want %d", len(got), size)
-				return nil
-			}
-			for r, block := range got {
-				if len(block) != r+1 {
-					t.Errorf("rank %d: block %d has len %d, want %d", c.Rank(), r, len(block), r+1)
-					return nil
-				}
-				for _, b := range block {
-					if b != byte(r) {
-						t.Errorf("rank %d: block %d corrupted", c.Rank(), r)
-						return nil
-					}
-				}
-			}
-			return nil
-		})
 	}
 }
 
@@ -287,7 +254,7 @@ func TestHierarchicalAllReduce(t *testing.T) {
 			for i := range data {
 				data[i] = float32(c.Rank() + i)
 			}
-			if err := HierarchicalAllReduce(c, 0, tc.perNode, data, tensor.OpSum); err != nil {
+			if err := HierarchicalAllReduceCodec(c, 0, tc.perNode, data, tensor.OpSum, compress.FP32{}); err != nil {
 				return err
 			}
 			for i := range data {
@@ -305,7 +272,7 @@ func TestHierarchicalAllReduce(t *testing.T) {
 
 func TestHierarchicalAllReduceBadPerNode(t *testing.T) {
 	runRanks(t, 2, 1, func(c *mpi.Comm) error {
-		err := HierarchicalAllReduce(c, 0, 0, []float32{1}, tensor.OpSum)
+		err := HierarchicalAllReduceCodec(c, 0, 0, []float32{1}, tensor.OpSum, compress.FP32{})
 		if err == nil {
 			t.Error("gpusPerNode=0 must be rejected")
 		}
@@ -315,7 +282,7 @@ func TestHierarchicalAllReduceBadPerNode(t *testing.T) {
 	// descriptive ErrBadGroup rather than silently producing a lopsided
 	// schedule.
 	runRanks(t, 6, 1, func(c *mpi.Comm) error {
-		err := HierarchicalAllReduce(c, 0, 4, []float32{1}, tensor.OpSum)
+		err := HierarchicalAllReduceCodec(c, 0, 4, []float32{1}, tensor.OpSum, compress.FP32{})
 		if !errors.Is(err, mpi.ErrBadGroup) {
 			t.Errorf("size 6 perNode 4: err = %v, want ErrBadGroup", err)
 		}
@@ -345,10 +312,10 @@ func TestHierarchicalMatchesReference(t *testing.T) {
 			return data
 		}
 		a, b := mk(), mk()
-		if err := HierarchicalAllReduce(c, 0, perNode, a, tensor.OpSum); err != nil {
+		if err := HierarchicalAllReduceCodec(c, 0, perNode, a, tensor.OpSum, compress.FP32{}); err != nil {
 			return err
 		}
-		if err := HierarchicalAllReduceCodecReference(c, 0, perNode, b, tensor.OpSum, compress.FP32{}); err != nil {
+		if err := hierarchicalReference(c, 0, perNode, b, tensor.OpSum, compress.FP32{}); err != nil {
 			return err
 		}
 		results[c.Rank()] = result{twoLevel: a, ref: b}
@@ -378,7 +345,7 @@ func TestConcurrentStreamsAllReduce(t *testing.T) {
 				for i := range data {
 					data[i] = float32(c.Rank() * (s + 1))
 				}
-				if err := RingAllReduce(c, s, data, tensor.OpSum); err != nil {
+				if err := RingAllReduceCodec(c, s, data, tensor.OpSum, compress.FP32{}); err != nil {
 					errs[s] = err
 					return
 				}
@@ -423,7 +390,7 @@ func TestRingAllReduceOverTCP(t *testing.T) {
 			for i := range data {
 				data[i] = float32(c.Rank())
 			}
-			if err := RingAllReduce(c, 1, data, tensor.OpSum); err != nil {
+			if err := RingAllReduceCodec(c, 1, data, tensor.OpSum, compress.FP32{}); err != nil {
 				t.Errorf("rank %d: %v", c.Rank(), err)
 				return
 			}
@@ -471,7 +438,7 @@ func TestPipelinedMatchesReferenceBitExact(t *testing.T) {
 				want := make([][]float32, size)
 				runRanks(t, size, 1, func(c *mpi.Comm) error {
 					data := append([]float32(nil), inputs[c.Rank()]...)
-					if err := RingAllReduceCodecReference(c, 0, data, op, compress.FP32{}); err != nil {
+					if err := ringAllReduceReference(c, 0, data, op, compress.FP32{}); err != nil {
 						return err
 					}
 					want[c.Rank()] = data
@@ -597,7 +564,7 @@ func TestHierarchicalAllReduceSegmented(t *testing.T) {
 		for i := range data {
 			data[i] = float32(c.Rank() + 1)
 		}
-		if err := HierarchicalAllReduce(c, 0, perNode, data, tensor.OpSum,
+		if err := HierarchicalAllReduceCodec(c, 0, perNode, data, tensor.OpSum, compress.FP32{},
 			WithSegmentBytes(512)); err != nil {
 			return err
 		}
@@ -657,7 +624,7 @@ func TestQuickRingAllReduceMatchesSerial(t *testing.T) {
 		}
 		runRanks(t, size, 1, func(c *mpi.Comm) error {
 			data := append([]float32(nil), inputs[c.Rank()]...)
-			if err := RingAllReduce(c, 0, data, tensor.OpSum); err != nil {
+			if err := RingAllReduceCodec(c, 0, data, tensor.OpSum, compress.FP32{}); err != nil {
 				return err
 			}
 			for i := range data {

@@ -32,11 +32,12 @@ func newOpMetrics(op string) opMetrics {
 }
 
 var (
-	mRing         = newOpMetrics("ring_allreduce")
-	mHierarchical = newOpMetrics("hierarchical_allreduce")
-	mBroadcast    = newOpMetrics("broadcast")
-	mAllGather    = newOpMetrics("allgather")
-	mAndBits      = newOpMetrics("and_bits")
+	mRing          = newOpMetrics("ring_allreduce")
+	mReduceScatter = newOpMetrics("reduce_scatter")
+	mAllGather     = newOpMetrics("allgather")
+	mHierarchical  = newOpMetrics("hierarchical_allreduce")
+	mBroadcast     = newOpMetrics("broadcast")
+	mAndBits       = newOpMetrics("and_bits")
 
 	mChunkBytes = metrics.NewHistogram("aiacc_collective_chunk_wire_bytes",
 		"Encoded wire size of one ring segment, observed post-encode.", metrics.SizeBytes)

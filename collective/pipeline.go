@@ -180,7 +180,7 @@ func (r *segRing) end() {
 }
 
 // ringPipeline is the per-operation state of a segment-pipelined ring
-// all-reduce.
+// operation: one or both of its phases, run by ring.
 type ringPipeline struct {
 	c          Comm
 	stream     int
@@ -201,8 +201,8 @@ func (p *ringPipeline) pause() {
 	}
 }
 
-// init fills in the per-operation pipeline state for an all-reduce-shaped
-// collective over dataLen elements. It is a method rather than a
+// init fills in the per-operation pipeline state for a ring operation over
+// dataLen elements. It is a method rather than a
 // constructor so the pipeline stays a stack value on the hot path; the
 // caller owns the send ring (p.r.end).
 func (p *ringPipeline) init(c Comm, stream, dataLen int, codec compress.Codec, o options) {
@@ -232,7 +232,9 @@ func (p *ringPipeline) segElems() int {
 // reduceScatter runs the n-1 reduce-scatter ring steps over data. Its
 // postcondition is the phase contract the all-gather (and the two-level
 // hierarchical schedule's inter phase) builds on: rank r ends holding the
-// full reduction of chunk (r+1) mod n.
+// full reduction of chunk r. On step s a rank sends chunk r-1-s and reduces
+// the incoming chunk r-2-s, so chunk k starts at rank k+1 and its last hop
+// lands on rank k.
 func (p *ringPipeline) reduceScatter(data []float32, op tensor.ReduceOp) error {
 	n := p.c.Size()
 	rank := p.c.Rank()
@@ -243,12 +245,10 @@ func (p *ringPipeline) reduceScatter(data []float32, op tensor.ReduceOp) error {
 		p.scratch = *fp
 	}
 	for step := 0; step < n-1; step++ {
-		sendIdx := (rank - step + n) % n
-		recvIdx := (rank - step - 1 + 2*n) % n
-		sLo, sHi := chunkBounds(len(data), n, sendIdx)
-		rLo, rHi := chunkBounds(len(data), n, recvIdx)
+		sLo, sHi := chunkBounds(len(data), n, (rank-step-1+n)%n)
+		rLo, rHi := chunkBounds(len(data), n, (rank-step-2+2*n)%n)
 		if err := p.reduceStep(data, sLo, sHi, rLo, rHi, op); err != nil {
-			return fmt.Errorf("ring all-reduce step %d: %w", step, err)
+			return fmt.Errorf("ring reduce-scatter step %d: %w", step, err)
 		}
 	}
 	obs(mPhaseRS, phase)
@@ -256,14 +256,15 @@ func (p *ringPipeline) reduceScatter(data []float32, op tensor.ReduceOp) error {
 }
 
 // allGather circulates the fully reduced chunks, assuming the reduceScatter
-// postcondition (rank r owns chunk (r+1) mod n). With n > 2 ranks the
-// payloads received on one step are the exact frames to forward on the
-// next, so two slot sets alternate between "forward now" and "fill for the
-// next step". requant folds a lossy codec's quantization into the origin
-// rank's local copy so all ranks finish bit-identical.
-func (p *ringPipeline) allGather(data []float32, requant bool) error {
+// postcondition (rank r owns chunk r). With n > 2 ranks the payloads
+// received on one step are the exact frames to forward on the next, so two
+// slot sets alternate between "forward now" and "fill for the next step".
+// Under a lossy codec the owner folds the codec's quantization into its own
+// copy too, so all ranks finish bit-identical.
+func (p *ringPipeline) allGather(data []float32) error {
 	n := p.c.Size()
 	rank := p.c.Rank()
+	requant := !codecLossless(p.codec)
 	phase := opStart()
 	var slots, spare *[][]byte
 	if n > 2 {
@@ -273,10 +274,8 @@ func (p *ringPipeline) allGather(data []float32, requant bool) error {
 		defer putSlots(spare)
 	}
 	for step := 0; step < n-1; step++ {
-		sendIdx := (rank - step + 1 + n) % n
-		recvIdx := (rank - step + 2*n) % n
-		sLo, sHi := chunkBounds(len(data), n, sendIdx)
-		rLo, rHi := chunkBounds(len(data), n, recvIdx)
+		sLo, sHi := chunkBounds(len(data), n, (rank-step+n)%n)
+		rLo, rHi := chunkBounds(len(data), n, (rank-step-1+n)%n)
 		var cur, nxt [][]byte
 		if slots != nil {
 			cur, nxt = *slots, *spare

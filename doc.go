@@ -5,11 +5,12 @@
 //
 // The repository has two halves that share the same algorithms:
 //
-//   - A live communication library: real collectives (ring and hierarchical
-//     all-reduce, broadcast, all-gather, bit-vector agreement) moving real
-//     float32 gradients over goroutine channels or TCP sockets, driven by
-//     the engine in package engine and surfaced through the
-//     Horovod-compatible API in package perseus.
+//   - A live communication library: real collectives (reduce-scatter,
+//     all-gather, ring and hierarchical all-reduce over one pipelined ring,
+//     broadcast, bit-vector agreement) moving real float32 gradients over
+//     goroutine channels, TCP sockets or shared memory, driven by the
+//     engine in package engine and surfaced through the Horovod-compatible
+//     API in package perseus.
 //
 //   - A discrete-event cluster simulator (package cluster over
 //     internal/sim) that models V100 nodes, NVLink, 30 Gbps VPC TCP and
@@ -19,5 +20,6 @@
 //
 // Start with README.md, the examples/ directory, and DESIGN.md for the
 // system inventory and experiment index. The benchmarks in bench_test.go
-// regenerate one paper artifact each.
+// regenerate one paper artifact each; the live engine's performance is
+// measured by the repository benchmark (benchmark/run.sh).
 package aiacc

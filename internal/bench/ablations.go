@@ -218,7 +218,6 @@ func (s *Suite) All() ([]Table, error) {
 		s.Production, s.DAWNBench, s.AutoTuneStudy,
 		s.AblationSync, s.AblationStreams, s.AblationGranularity,
 		s.AblationAlgorithm, s.AblationCongestion, s.AblationCompression,
-		s.Live, s.LiveBandwidth,
 	}
 	tables := make([]Table, 0, len(exps))
 	for _, e := range exps {

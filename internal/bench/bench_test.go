@@ -37,8 +37,8 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 21 {
-		t.Fatalf("got %d tables, want 21", len(tables))
+	if len(tables) != 19 {
+		t.Fatalf("got %d tables, want 19", len(tables))
 	}
 	seen := map[string]bool{}
 	for _, tb := range tables {

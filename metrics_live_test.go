@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"aiacc/collective"
+	"aiacc/compress"
 	"aiacc/metrics"
 	"aiacc/mpi"
 	"aiacc/tensor"
@@ -57,7 +58,7 @@ func (h *ringHarness) run(tb testing.TB, iters int) time.Duration {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if err := collective.RingAllReduce(h.comms[r], 0, h.datas[r], tensor.OpSum); err != nil {
+				if err := collective.RingAllReduceCodec(h.comms[r], 0, h.datas[r], tensor.OpSum, compress.FP32{}); err != nil {
 					tb.Error(err)
 					return
 				}

@@ -207,8 +207,9 @@ func PCIeGen3() Link {
 // frames move by memcpy through per-(peer, stream) rings, so one stream
 // already runs near memory-bandwidth-bound line rate and the hand-off
 // latency is a couple of scheduler yields, not a network round trip.
-// Calibrated against BenchmarkShmSendRecv (BENCH_pr6.json): ~4-9 GB/s per
-// lane on the reference box, rising with frame size.
+// Calibrated against transport/shmnet's BenchmarkShmSendRecv: ~4-9 GB/s per
+// lane on a 1-vCPU 2.1 GHz Xeon, rising with frame size (EXPERIMENTS.md,
+// "Earlier live A/Bs").
 func SHMIntraHost() Link {
 	return Link{
 		Kind:            SHM,

@@ -7,6 +7,7 @@ import (
 
 	"aiacc/autotune"
 	"aiacc/collective"
+	"aiacc/compress"
 	"aiacc/engine"
 	"aiacc/mpi"
 	"aiacc/optimizer"
@@ -120,7 +121,7 @@ func evalCandidate(comm *mpi.Comm, base engine.Config, p autotune.Params, iters 
 	// every rank's meta-solver sees the same value and the ensemble stays
 	// in lockstep.
 	buf := []float32{float32(elapsed)}
-	if err := collective.RingAllReduce(comm, 0, buf, tensor.OpSum); err != nil {
+	if err := collective.RingAllReduceCodec(comm, 0, buf, tensor.OpSum, compress.FP32{}); err != nil {
 		return 0, fmt.Errorf("candidate %v cost agreement: %w", p, err)
 	}
 	return float64(buf[0]) / float64(comm.Size()), nil
