@@ -44,12 +44,14 @@ race: purego
 # Reproduce one failure with: go test -race -run 'TestChaosSoakMem/seed=K' ./collective/
 # The engine package contributes the priority-scheduler kill scenario (a rank
 # dies mid-preemption; survivors classify the error and leak nothing) and the
-# liveness run of the preemptive depths under delay-only chaos.
+# liveness run of the preemptive depths under delay-only chaos. The shm
+# package contributes its wake tests: the exhaustive lost-wake-up model and
+# the ring exchange that hangs, rather than slows, if a wake is lost.
 chaos:
-	$(GO) test -race -count=1 -short -run 'TestChaosSoak|TestAbort|TestPrioritySchedLiveness' ./collective/ ./transport/chaos/ ./engine/
+	$(GO) test -race -count=1 -short -run 'TestChaosSoak|TestAbort|TestPrioritySchedLiveness|TestShmWake' ./collective/ ./transport/chaos/ ./engine/ ./transport/shmnet/
 
 bench-smoke:
-	$(GO) test -run XXX -bench 'RingAllReduceShm|EngineIterationTCP|WireKernels' -benchtime 1x . ./internal/wire/
+	$(GO) test -run XXX -bench 'RingAllReduceShm|EngineIterationTCP|WireKernels|ShmPingPong' -benchtime 1x . ./internal/wire/ ./transport/shmnet/
 
 # Observability cost gates (DESIGN.md §7, §8): the metric increment path must
 # be allocation-free, full-stack instrumentation must cost <2% on the live

@@ -10,17 +10,19 @@ import (
 // traffic counters mirror the TCP mesh's, so dashboards see both tiers of a
 // two-level all-reduce side by side; the occupancy histogram shows how hard
 // the rings are backpressuring, and the spin-vs-park counters show whether
-// waiters are resolving in the cheap Gosched phase or escalating to sleeps
+// waiters are resolving in the cheap Gosched phase or escalating to a block
 // (on a loaded host, a park-heavy profile means the ring is undersized or
-// the consumer is starved).
+// the consumer is starved). The backstop counters are the lost-wake-up
+// canary: a park the timer ended although the peer had already moved.
 //
 // All instruments are resolved once at endpoint construction and kept in
 // index-addressed slices — the data plane increments atomics directly.
 
 // waitCounters classifies resolved blocking episodes.
 type waitCounters struct {
-	spins *metrics.Counter // episodes resolved within the Gosched phase
-	parks *metrics.Counter // episodes that escalated to timed sleeps
+	spins     *metrics.Counter // episodes resolved within the Gosched phase
+	parks     *metrics.Counter // episodes that blocked
+	backstops *metrics.Counter // parks the timer ended rather than a signal
 }
 
 type shmMetrics struct {
@@ -63,13 +65,17 @@ func newShmMetrics(rank, size, streams int) *shmMetrics {
 		spins: metrics.NewCounter("aiacc_shm_send_spin_waits_total",
 			"Send blocking episodes resolved within the spin/yield phase.", rankL),
 		parks: metrics.NewCounter("aiacc_shm_send_park_waits_total",
-			"Send blocking episodes that escalated to timed sleeps.", rankL),
+			"Send blocking episodes that blocked (on a wake in process, in timed sleeps under Attach).", rankL),
+		backstops: metrics.NewCounter("aiacc_shm_send_backstop_wakes_total",
+			"Send parks ended by the backstop timer rather than by a signal, though the peer had moved (lost wake-up canary).", rankL),
 	}
 	m.recv = waitCounters{
 		spins: metrics.NewCounter("aiacc_shm_recv_spin_waits_total",
 			"Recv blocking episodes resolved within the spin/yield phase.", rankL),
 		parks: metrics.NewCounter("aiacc_shm_recv_park_waits_total",
-			"Recv blocking episodes that escalated to timed sleeps.", rankL),
+			"Recv blocking episodes that blocked (on a wake in process, in timed sleeps under Attach).", rankL),
+		backstops: metrics.NewCounter("aiacc_shm_recv_backstop_wakes_total",
+			"Recv parks ended by the backstop timer rather than by a signal, though the peer had moved (lost wake-up canary).", rankL),
 	}
 	return m
 }

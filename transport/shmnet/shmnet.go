@@ -10,9 +10,19 @@
 // all-reduce relies on) and each ring has exactly one producer and one
 // consumer. Frames use the TCP wire format — 4-byte big-endian length, then
 // payload — streamed through the ring, so frames larger than the ring work.
-// Waiters spin briefly, then yield, then sleep with escalating backoff: on
-// the 1-vCPU hosts the test matrix runs on, handing the core to the peer
-// beats burning it on a spin loop.
+//
+// A waiter — a receiver on an empty ring, a sender on a full one — first
+// yields a few rounds, since on a small host handing the core to the peer
+// beats burning it on a spin loop. On an in-process network it then parks:
+// it publishes a per-lane "waiting" word, re-checks the cursor it is waiting
+// on, and blocks on a channel the peer signals after its next cursor store
+// (a Dekker handshake: each side stores, then loads the other's word, and Go
+// atomics are sequentially consistent, so one of them sees the other). A
+// timer capped at 200 µs, or the op deadline if sooner, backstops the block,
+// and Close signals every lane of the rank, so close, peer close and timeouts
+// surface at once. Attach endpoints share only the mapped file with their
+// peers, so they keep the older wait: 64 yields, then sleeps doubling from
+// 2 µs to 200 µs.
 //
 // The buffer-ownership contract (transport.Endpoint) is satisfied by copy:
 // Send copies the payload into the ring and recycles the slice into the
@@ -62,12 +72,24 @@ const (
 	DefaultRingBytes = 256 << 10
 	minRingBytes     = 4 << 10
 
-	// spinYields bounds the Gosched phase of a wait before it escalates to
-	// sleeping. On a single vCPU the first yield usually schedules the peer.
+	// spinYields bounds the Gosched phase of an Attach wait before it
+	// escalates to sleeping. On a single vCPU the first yield usually
+	// schedules the peer.
 	spinYields = 64
 	parkBase   = 2 * time.Microsecond
 	parkMax    = 200 * time.Microsecond
+
+	// wakeSpins bounds the Gosched phase of an in-process wait before it
+	// parks on the lane's wake. A wake costs a channel handoff, so the spin
+	// only has to cover the peer's next cursor store when it is already
+	// running.
+	wakeSpins = 8
 )
+
+// parkBackstop caps one block of an in-process park. No wake is ever lost
+// (TestShmWakeModel), so the timer only bounds the damage of a bug; tests
+// raise it to turn such a bug into a hang.
+var parkBackstop = parkMax
 
 // Option configures New or Attach.
 type Option func(*config)
@@ -127,6 +149,7 @@ type network struct {
 	reg     *region
 	size    int
 	streams int
+	wakes   []wake // two per lane (data, space), in region.laneOff order
 
 	mu        sync.Mutex
 	closed    bool
@@ -158,14 +181,17 @@ func New(size, streams int, opts ...Option) (transport.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &network{reg: reg, size: size, streams: streams}
+	n := &network{reg: reg, size: size, streams: streams, wakes: make([]wake, 2*size*size*streams)}
+	for i := range n.wakes {
+		n.wakes[i].ch = make(chan struct{}, 1)
+	}
 	n.endpoints = make([]*Endpoint, size)
 	for r := 0; r < size; r++ {
 		if !reg.rankState(r).CompareAndSwap(rankFree, rankAttached) {
 			reg.unmap()
 			return nil, fmt.Errorf("%w: rank %d", ErrDuplicateRank, r)
 		}
-		n.endpoints[r] = newEndpoint(reg, r, cfg, false)
+		n.endpoints[r] = newEndpoint(reg, r, cfg, false, n.wakes)
 	}
 	return n, nil
 }
@@ -238,7 +264,31 @@ func Attach(path string, rank, size, streams int, opts ...Option) (transport.End
 		reg.unmap()
 		return nil, fmt.Errorf("%w: rank %d on %s", ErrDuplicateRank, rank, path)
 	}
-	return newEndpoint(reg, rank, cfg, true), nil
+	return newEndpoint(reg, rank, cfg, true, nil), nil
+}
+
+// wake is one direction of an in-process lane's wake: the waiter stores
+// waiting and blocks on ch; the peer, after its next cursor store, loads
+// waiting and if it is set sends a token without blocking. A token left over
+// from a wake the waiter no longer needed only costs one spurious re-check.
+type wake struct {
+	waiting atomic.Uint32
+	ch      chan struct{} // capacity 1
+	_       [48]byte      // waiting words of the two directions on separate lines
+}
+
+// signal wakes the waiter if one is published. Call after the cursor store.
+func (w *wake) signal() {
+	if w.waiting.Load() != 0 {
+		w.kick()
+	}
+}
+
+func (w *wake) kick() {
+	select {
+	case w.ch <- struct{}{}:
+	default: // a token is already pending
+	}
 }
 
 // lane is one process's handle on a directed ring. The producer side
@@ -257,16 +307,26 @@ type lane struct {
 	aborted bool  // producer: abort marker already queued
 	sendErr error // producer: sticky after a mid-frame failure wedged the stream
 	recvErr error // consumer: sticky after an abort marker or framing violation
+
+	// The lane's wakes, shared with the peer's handle; nil under Attach.
+	data  *wake       // a reader on an empty ring waits here
+	space *wake       // a writer on a full ring waits here
+	timer *time.Timer // park backstop of this side, created at its first park
 }
 
-func newLane(reg *region, from, to, stream int) *lane {
+func newLane(reg *region, from, to, stream int, wakes []wake) *lane {
 	off := reg.laneOff(from, to, stream)
-	return &lane{
+	l := &lane{
 		tail: reg.word(off + laneTailOff),
 		head: reg.word(off + laneHeadOff),
 		buf:  reg.mem[off+laneHdrBytes : off+laneHdrBytes+reg.ringBytes],
 		mask: uint64(reg.ringBytes - 1),
 	}
+	if wakes != nil {
+		i := 2 * ((from*reg.size+to)*reg.streams + stream)
+		l.data, l.space = &wakes[i], &wakes[i+1]
+	}
+	return l
 }
 
 // Endpoint is one rank's handle on a shared-memory network. It implements
@@ -290,7 +350,7 @@ type Endpoint struct {
 var _ transport.Endpoint = (*Endpoint)(nil)
 var _ transport.Aborter = (*Endpoint)(nil)
 
-func newEndpoint(reg *region, rank int, cfg config, ownsRegion bool) *Endpoint {
+func newEndpoint(reg *region, rank int, cfg config, ownsRegion bool, wakes []wake) *Endpoint {
 	e := &Endpoint{
 		reg: reg, rank: rank, size: reg.size, streams: reg.streams,
 		opTimeout: cfg.opTimeout, ownsRegion: ownsRegion,
@@ -300,8 +360,8 @@ func newEndpoint(reg *region, rank int, cfg config, ownsRegion bool) *Endpoint {
 	}
 	for peer := 0; peer < reg.size; peer++ {
 		for s := 0; s < reg.streams; s++ {
-			e.prod[peer*reg.streams+s] = newLane(reg, rank, peer, s)
-			e.cons[peer*reg.streams+s] = newLane(reg, peer, rank, s)
+			e.prod[peer*reg.streams+s] = newLane(reg, rank, peer, s, wakes)
+			e.cons[peer*reg.streams+s] = newLane(reg, peer, rank, s, wakes)
 		}
 	}
 	return e
@@ -337,8 +397,9 @@ func (e *Endpoint) peerClosed(r int) bool { return e.reg.rankState(r).Load() == 
 // waiter tracks one blocking episode's escalation state and records a
 // spin-vs-park sample when the episode resolves.
 type waiter struct {
-	spins int
-	slept bool
+	spins    int
+	slept    bool
+	backstop bool // the episode was ended by the park timer, not a signal
 }
 
 func (w *waiter) settle(c *waitCounters) {
@@ -347,10 +408,70 @@ func (w *waiter) settle(c *waitCounters) {
 	}
 	if w.slept {
 		c.parks.Inc()
+		if w.backstop {
+			c.backstops.Inc()
+		}
 	} else {
 		c.spins.Inc()
 	}
-	w.spins, w.slept = 0, false
+	*w = waiter{}
+}
+
+// await is one round of a blocked side's wait on cur, which it last saw at
+// seen. In-process lanes yield wakeSpins rounds, then park on sig; Attach
+// lanes (sig nil) step through the sleep loop.
+func (e *Endpoint) await(l *lane, w *waiter, sig *wake, cur *atomic.Uint64, seen uint64, peer int, deadline time.Time) error {
+	if sig == nil {
+		return w.step(deadline)
+	}
+	w.spins++
+	if w.spins <= wakeSpins {
+		runtime.Gosched()
+		return nil
+	}
+	d := parkBackstop
+	if !deadline.IsZero() {
+		left := time.Until(deadline)
+		if left <= 0 {
+			return transport.ErrTimeout
+		}
+		d = min(d, left)
+	}
+	w.slept = true
+	// Publish, then re-check: the peer stores its cursor, then loads
+	// waiting, so either it sees us or we see its store. Close kicks
+	// regardless of waiting, so its flags need no such ordering.
+	sig.waiting.Store(1)
+	defer sig.waiting.Store(0)
+	if cur.Load() != seen || e.closed.Load() || (peer != e.rank && e.peerClosed(peer)) {
+		return nil
+	}
+	t := l.parkTimer(d)
+	select {
+	case <-sig.ch:
+		t.Stop()
+	case <-t.C:
+		if cur.Load() != seen { // progress without a signal
+			select {
+			case <-sig.ch: // the signal raced the timer
+			default:
+				w.backstop = true
+			}
+		}
+	}
+	return nil
+}
+
+// parkTimer arms the lane side's reused backstop timer. Only one goroutine
+// parks on a lane side at a time (l.mu or l.rmu is held), and every park
+// stops or drains the timer before returning, so Reset finds it idle.
+func (l *lane) parkTimer(d time.Duration) *time.Timer {
+	if l.timer == nil {
+		l.timer = time.NewTimer(d)
+	} else {
+		l.timer.Reset(d)
+	}
+	return l.timer
 }
 
 // step advances the episode: Gosched for the first spinYields rounds, then
@@ -373,13 +494,6 @@ func (w *waiter) step(deadline time.Time) error {
 	return nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // write streams p into the lane's ring, blocking while full. Called with
 // l.mu held; the local tail mirror is authoritative (sole producer).
 func (e *Endpoint) write(l *lane, to int, p []byte, deadline time.Time) error {
@@ -396,7 +510,7 @@ func (e *Endpoint) write(l *lane, to int, p []byte, deadline time.Time) error {
 			if to != e.rank && e.peerClosed(to) {
 				return &transport.PeerFailedError{Rank: to, Cause: transport.ErrClosed}
 			}
-			if err := w.step(deadline); err != nil {
+			if err := e.await(l, &w, l.space, l.head, head, to, deadline); err != nil {
 				return err
 			}
 			continue
@@ -410,6 +524,9 @@ func (e *Endpoint) write(l *lane, to int, p []byte, deadline time.Time) error {
 		}
 		tail += uint64(n)
 		l.tail.Store(tail)
+		if l.data != nil {
+			l.data.signal()
+		}
 		p = p[n:]
 	}
 	return nil
@@ -436,7 +553,7 @@ func (e *Endpoint) read(l *lane, from int, dst []byte, deadline time.Time) error
 				}
 				return &transport.PeerFailedError{Rank: from, Cause: transport.ErrClosed}
 			}
-			if err := w.step(deadline); err != nil {
+			if err := e.await(l, &w, l.data, l.tail, tail, from, deadline); err != nil {
 				return err
 			}
 			continue
@@ -450,6 +567,9 @@ func (e *Endpoint) read(l *lane, from int, dst []byte, deadline time.Time) error
 		}
 		head += uint64(n)
 		l.head.Store(head)
+		if l.space != nil {
+			l.space.signal()
+		}
 		dst = dst[n:]
 	}
 	return nil
@@ -621,6 +741,16 @@ func (e *Endpoint) shutdown() {
 	}
 	if e.reg.mem != nil {
 		e.reg.rankState(e.rank).Store(rankClosed)
+	}
+	// Every lane this rank reads or writes: its own parked ops see closed,
+	// the peer's see the rank gone.
+	for _, lanes := range [2][]*lane{e.prod, e.cons} {
+		for _, l := range lanes {
+			if l.data != nil {
+				l.data.kick()
+				l.space.kick()
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -161,7 +162,9 @@ func TestShmAttach(t *testing.T) {
 	bufpool.Put(got)
 }
 
-func TestShmCloseUnblocksRecv(t *testing.T) {
+func TestShmCloseUnblocksRecv(t *testing.T) { testCloseUnblocksRecv(t) }
+
+func testCloseUnblocksRecv(t *testing.T) {
 	net, err := New(2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +188,9 @@ func TestShmCloseUnblocksRecv(t *testing.T) {
 	}
 }
 
-func TestShmPeerCloseFailsRecv(t *testing.T) {
+func TestShmPeerCloseFailsRecv(t *testing.T) { testPeerCloseFailsRecv(t) }
+
+func testPeerCloseFailsRecv(t *testing.T) {
 	net, err := New(2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +220,9 @@ func TestShmPeerCloseFailsRecv(t *testing.T) {
 	}
 }
 
-func TestShmOpTimeout(t *testing.T) {
+func TestShmOpTimeout(t *testing.T) { testOpTimeout(t) }
+
+func testOpTimeout(t *testing.T) {
 	net, err := New(2, 1, WithOpTimeout(50*time.Millisecond), WithRingBytes(minRingBytes))
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +307,9 @@ func TestShmBadArgs(t *testing.T) {
 }
 
 // TestShmZeroAllocSteadyState pins the 0 allocs/op acceptance criterion:
-// once the pool is warm, a send/recv round trip allocates nothing.
+// once the pool is warm, a send/recv round trip allocates nothing — also
+// when the receiver is already parked on the lane's wake as the frame lands
+// (the signal and the reused backstop timer allocate nothing either).
 func TestShmZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -327,6 +336,37 @@ func TestShmZeroAllocSteadyState(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, round); avg > 0.1 {
 		t.Fatalf("steady-state round trip allocates %.2f times, want 0", avg)
+	}
+
+	// The parked round: a standing receiver blocks on the empty ring, and
+	// the frame is sent only once it has published its waiting word.
+	data := b.(*Endpoint).cons[0].data
+	next, got := make(chan struct{}), make(chan error)
+	go func() {
+		for range next {
+			buf, err := b.Recv(0, 0)
+			bufpool.Put(buf)
+			got <- err
+		}
+	}()
+	defer close(next)
+	parked := func() {
+		next <- struct{}{}
+		for data.waiting.Load() == 0 {
+			runtime.Gosched()
+		}
+		if err := a.Send(1, 0, bufpool.Get(size)); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-got; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		parked()
+	}
+	if avg := testing.AllocsPerRun(100, parked); avg > 0.1 {
+		t.Fatalf("round trip to a parked receiver allocates %.2f times, want 0", avg)
 	}
 }
 
@@ -425,6 +465,51 @@ func BenchmarkShmSendRecv(b *testing.B) {
 				if err := src.Send(1, 0, bufpool.Get(size)); err != nil {
 					b.Fatal(err)
 				}
+			}
+			<-done
+		})
+	}
+}
+
+// BenchmarkShmPingPong is the OSU-style latency probe: one round trip of a
+// frame to an echoing peer and back, over a 1 MiB ring. A hop should cost
+// about one wake plus one pass over the frame.
+func BenchmarkShmPingPong(b *testing.B) {
+	for _, size := range []int{64, 4 << 10, 64 << 10, 256 << 10} {
+		b.Run(fmt.Sprintf("bytes=%d", size), func(b *testing.B) {
+			net, err := New(2, 1, WithRingBytes(1<<20))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer net.Close()
+			ping, _ := net.Endpoint(0)
+			pong, _ := net.Endpoint(1)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < b.N; i++ {
+					got, err := pong.Recv(0, 0)
+					if err == nil {
+						err = pong.Send(0, 0, got)
+					}
+					if err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+			b.SetBytes(int64(2 * size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ping.Send(1, 0, bufpool.Get(size)); err != nil {
+					b.Fatal(err)
+				}
+				got, err := ping.Recv(1, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bufpool.Put(got)
 			}
 			<-done
 		})
