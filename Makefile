@@ -7,13 +7,13 @@
 # catches benchmark bit-rot, not performance), and the metrics-overhead gate (alloc-free increments plus
 # the <2% instrumentation bound on the live all-reduce). The byte-path packages
 # are tested a second time under -tags purego, the build in which the portable
-# kernel loops do all the work.
+# kernel loops do all the work. Last, the benchmark module is vetted and tested.
 
 GO ?= go
 
-.PHONY: ci build test vet purego race chaos bench-smoke metrics-overhead bench
+.PHONY: ci build test vet purego race chaos bench-smoke metrics-overhead bench-module bench
 
-ci: vet build test purego race chaos bench-smoke metrics-overhead
+ci: vet build test purego race chaos bench-smoke metrics-overhead bench-module
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,12 @@ bench-smoke:
 metrics-overhead:
 	$(GO) test -run TestIncrementBenchmarksAllocFree -count=1 ./metrics/
 	AIACC_OVERHEAD_GATE=1 $(GO) test -run 'TestMetricsOverheadGate|TestHeartbeatOverheadGate' -count=1 .
+
+# The benchmark is a nested module that the root ./... does not reach: vet
+# and test it on its own. Its tests run the smoke workload and check
+# BENCHMARK.json against the program's workloads and metrics.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The live performance numbers of record: the repository benchmark's four
 # workloads (BENCHMARK.json, benchmark/README.md).

@@ -128,9 +128,14 @@ const (
 
 // ring runs the selected phases of the segment-pipelined ring over data on
 // one pipeline. Rank r owns chunk r: the reduce-scatter leaves it fully
-// reduced there, and the all-gather starts from that postcondition.
+// reduced there, and the all-gather starts from that postcondition. A
+// reduce-scatter applies o.scale to the owned chunk; on one rank that chunk
+// is all of data.
 func ring(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, ph phases, o options) error {
 	if c.Size() == 1 || len(data) == 0 {
+		if ph&phaseReduceScatter != 0 && o.scale != 0 {
+			wire.ScaleFloat32s(data, o.scale)
+		}
 		return nil
 	}
 	var p ringPipeline
@@ -319,7 +324,7 @@ func andAllReduceBits(c *mpi.Comm, stream int, bits []uint64) error {
 // inter-node links are congested. The codec and options (segment
 // pipelining) apply to every phase — in particular the cross-node shard
 // rings, where overlapping codec work with the slower inter-node wire pays
-// off most.
+// off most. WithScale is the exception: only the cross-node ring applies it.
 //
 // Each node reduce-scatters over its (fast, intra-host) lanes, leaving member
 // j of every node with one fully reduced shard; the j-th shards then
@@ -350,7 +355,7 @@ const twoLevelPipelineMin = 4096
 
 func hierarchicalAllReduce(c *mpi.Comm, stream, gpusPerNode int, data []float32, op tensor.ReduceOp, codec compress.Codec, o options) error {
 	if c.Size() == 1 || len(data) == 0 {
-		return nil
+		return ring(c, stream, data, op, codec, phaseAllReduce, o)
 	}
 	if gpusPerNode <= 0 {
 		return fmt.Errorf("%w: gpusPerNode %d", mpi.ErrBadGroup, gpusPerNode)
@@ -388,8 +393,11 @@ func hierarchicalAllReduce(c *mpi.Comm, stream, gpusPerNode int, data []float32,
 // data and X is the cross-node ring all-reduce of the block's owned shard.
 // Intra phases run on this goroutine, inter phases on one worker goroutine,
 // so each tier issues its lanes' frames in deterministic order (the FIFO
-// matching the transports require) while the two tiers overlap.
+// matching the transports require) while the two tiers overlap. Only X
+// applies o.scale: each element is scaled once, by its cross-node owner.
 func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, o options) error {
+	intra := o
+	intra.scale = 0
 	blocks := 2
 	if len(data) < twoLevelPipelineMin {
 		blocks = 1
@@ -410,7 +418,7 @@ func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data []float32, op ten
 	for b := 0; b < blocks; b++ {
 		lo, hi := chunkBounds(len(data), blocks, b)
 		blk := data[lo:hi]
-		if err := ring(node, stream, blk, op, codec, phaseReduceScatter, o); err != nil {
+		if err := ring(node, stream, blk, op, codec, phaseReduceScatter, intra); err != nil {
 			firstErr = fmt.Errorf("hierarchical all-reduce intra reduce-scatter block %d: %w", b, err)
 			break
 		}
@@ -437,7 +445,7 @@ func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data []float32, op ten
 			continue
 		}
 		lo, hi := chunkBounds(len(data), blocks, b)
-		if err := ring(node, stream, data[lo:hi], op, codec, phaseAllGather, o); err != nil {
+		if err := ring(node, stream, data[lo:hi], op, codec, phaseAllGather, intra); err != nil {
 			firstErr = fmt.Errorf("hierarchical all-reduce intra all-gather block %d: %w", b, err)
 		}
 	}

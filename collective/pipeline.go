@@ -6,6 +6,7 @@ import (
 
 	"aiacc/compress"
 	"aiacc/internal/sendpool"
+	"aiacc/internal/wire"
 	"aiacc/tensor"
 )
 
@@ -20,6 +21,7 @@ const DefaultSegmentBytes = 128 << 10
 type options struct {
 	segBytes int64
 	yield    func()
+	scale    float32 // 0: no scale
 }
 
 // Option configures a collective operation. It is a value, not the usual
@@ -29,6 +31,7 @@ type options struct {
 type Option struct {
 	segBytes int64
 	yield    func()
+	scale    float32
 }
 
 // WithSegmentBytes sets the wire-pipelining segment size in fp32 data bytes.
@@ -48,6 +51,18 @@ func WithSegmentBytes(n int64) Option { return Option{segBytes: n} }
 // sendpool.PipeDepth frames from this operation are in flight while parked.
 func WithYield(f func()) Option { return Option{yield: f} }
 
+// WithScale multiplies the reduced result by f — with f = 1/n, a sum becomes
+// the mean. Every element is scaled exactly once, by the rank that owns it
+// after the reduce-scatter, on the last reduce-scatter step while the
+// segment is still in cache: 1/n of the data per rank instead of a
+// full-buffer pass on every rank. Under a lossy codec the all-gather then
+// carries the scaled values, so fp16 quantizes the mean, not the sum. The
+// reduce-scatter hops still carry partial sums. Under fp32 the result is
+// bit-identical to the unscaled operation followed by x *= f.
+// AllGatherCodec reduces nothing and ignores it; HierarchicalAllReduceCodec
+// applies it once, in its cross-node ring. 0 and 1 mean no scale.
+func WithScale(f float32) Option { return Option{scale: f} }
+
 func buildOptions(opts []Option) options {
 	o := options{segBytes: DefaultSegmentBytes}
 	for _, op := range opts {
@@ -56,6 +71,9 @@ func buildOptions(opts []Option) options {
 		}
 		if op.yield != nil {
 			o.yield = op.yield
+		}
+		if op.scale != 0 && op.scale != 1 {
+			o.scale = op.scale
 		}
 	}
 	return o
@@ -192,6 +210,7 @@ type ringPipeline struct {
 	scratch    []float32 // one segment of decode scratch (unfused reduce ops only)
 	timed      bool      // metrics enabled at op start
 	yield      func()    // segment-boundary preemption hook (may be nil)
+	scale      float32   // factor for the owned chunk (0: none)
 }
 
 // pause invokes the preemption hook, if any, at a segment boundary.
@@ -212,7 +231,7 @@ func (p *ringPipeline) init(c Comm, stream, dataLen int, codec compress.Codec, o
 	p.c, p.stream = c, stream
 	p.next, p.prev = (rank+1)%n, (rank-1+n)%n
 	p.codec, p.segBytes, p.maxChunk = codec, o.segBytes, maxChunk
-	p.yield = o.yield
+	p.yield, p.scale = o.yield, o.scale
 	p.r = beginSeg(int(codec.WireBytes(p.segElems())))
 	p.timed = segTimed()
 	mSegCount.Set(int64(numSegments(maxChunk, o.segBytes)))
@@ -234,7 +253,8 @@ func (p *ringPipeline) segElems() int {
 // hierarchical schedule's inter phase) builds on: rank r ends holding the
 // full reduction of chunk r. On step s a rank sends chunk r-1-s and reduces
 // the incoming chunk r-2-s, so chunk k starts at rank k+1 and its last hop
-// lands on rank k.
+// lands on rank k. That last hop, step n-2, is where the owner applies the
+// pipeline's scale.
 func (p *ringPipeline) reduceScatter(data []float32, op tensor.ReduceOp) error {
 	n := p.c.Size()
 	rank := p.c.Rank()
@@ -247,7 +267,11 @@ func (p *ringPipeline) reduceScatter(data []float32, op tensor.ReduceOp) error {
 	for step := 0; step < n-1; step++ {
 		sLo, sHi := chunkBounds(len(data), n, (rank-step-1+n)%n)
 		rLo, rHi := chunkBounds(len(data), n, (rank-step-2+2*n)%n)
-		if err := p.reduceStep(data, sLo, sHi, rLo, rHi, op); err != nil {
+		var scale float32
+		if step == n-2 {
+			scale = p.scale
+		}
+		if err := p.reduceStep(data, sLo, sHi, rLo, rHi, op, scale); err != nil {
 			return fmt.Errorf("ring reduce-scatter step %d: %w", step, err)
 		}
 	}
@@ -329,8 +353,9 @@ func (p *ringPipeline) encodeSend(chunk []float32, segs, i int, requant bool) er
 // For OpSum the decode and the reduction are one pass (Codec.DecodeAdd,
 // bit-identical to Decode + AddSlice) timed under mSegReduceNs; mSegDecodeNs
 // then sees only the all-gather's decodes. The other ops decode into the
-// scratch segment and reduce from it.
-func (p *ringPipeline) reduceStep(data []float32, sLo, sHi, rLo, rHi int, op tensor.ReduceOp) error {
+// scratch segment and reduce from it. A non-zero scale multiplies each
+// reduced segment in the same timed section, while it is cache-hot.
+func (p *ringPipeline) reduceStep(data []float32, sLo, sHi, rLo, rHi int, op tensor.ReduceOp, scale float32) error {
 	send := data[sLo:sHi]
 	sendSegs := numSegments(len(send), p.segBytes)
 	recvSegs := numSegments(rHi-rLo, p.segBytes)
@@ -362,6 +387,9 @@ func (p *ringPipeline) reduceStep(data []float32, sLo, sHi, rLo, rHi int, op ten
 				segObsNext(mSegDecodeNs, &t0)
 				err = op.ApplyParallel(dst, tmp)
 			}
+		}
+		if err == nil && scale != 0 {
+			wire.ScaleFloat32s(dst, scale)
 		}
 		segObs(mSegReduceNs, t0)
 		p.r.giveBuf(payload)

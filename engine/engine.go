@@ -15,9 +15,10 @@
 //  4. dispatches each unit to its stream's dispatcher (sched.go), which
 //     runs ring (or hierarchical) all-reduce over independent communication
 //     streams concurrently, optionally fp16-compressed, and within a stream
-//     always runs the most urgent unit first,
-//  5. unpacks reduced units back into the gradient tensors, averages them,
-//     and fires the per-gradient completion callback for the optimizer.
+//     always runs the most urgent unit first; the collective also averages,
+//     each chunk owner scaling its 1/n of the unit (collective.WithScale),
+//  5. unpacks reduced units back into the gradient tensors and fires the
+//     per-gradient completion callback for the optimizer.
 //
 // All of this happens concurrently with the caller's ongoing backward pass,
 // which is what lets communication hide behind computation (Fig. 5).
@@ -34,7 +35,6 @@ import (
 	"aiacc/compress"
 	"aiacc/internal/gradsync"
 	"aiacc/internal/packing"
-	"aiacc/internal/wire"
 	"aiacc/mpi"
 	"aiacc/tensor"
 	"aiacc/trace"
@@ -150,10 +150,18 @@ type Config struct {
 	GPUsPerNode int
 	// Coordinator selects the readiness agreement protocol.
 	Coordinator CoordinatorKind
-	// Codec is the wire codec (fp32 or fp16 compression).
+	// Codec is the wire codec (fp32 or fp16 compression). Under fp16 the
+	// reduce-scatter hops carry partial sums, so inputs must keep
+	// (n-1)·max|x| below 65504; with Average the all-gather carries the mean.
 	Codec compress.Codec
 	// Average divides reduced gradients by the world size, yielding the
-	// data-parallel mean gradient.
+	// data-parallel mean gradient. The collective applies it: after the
+	// reduce-scatter each element's owner scales it once by 1/n
+	// (collective.WithScale), so there is no separate pass over the unit.
+	// Under fp32 the result is bit-identical to summing, then scaling. Under
+	// fp16 the all-gather encodes the mean, not the sum: a sum above 65504
+	// whose mean fits no longer becomes ±Inf, but a mean below 2⁻¹⁴ lands in
+	// fp16's subnormal range where the sum would have stayed normal.
 	Average bool
 	// DetectNaN scans every pushed gradient for non-finite values.
 	DetectNaN bool
@@ -659,21 +667,24 @@ func (e *Engine) reduceUnit(streamID int, u packing.Unit, comm collective.Comm, 
 			return err
 		}
 	}
+	// The collective averages: each chunk owner scales its 1/n of the unit.
+	var scale float32
+	if e.cfg.Average && e.comm.Size() > 1 {
+		scale = float32(1) / float32(e.comm.Size())
+	}
 	var rerr error
 	switch {
 	case e.cfg.Algorithm == Hierarchical:
 		rerr = collective.HierarchicalAllReduceCodec(
 			e.comm, streamID, e.cfg.GPUsPerNode, buf, tensor.OpSum, e.cfg.Codec,
-			collective.WithSegmentBytes(e.cfg.SegmentBytes))
+			collective.WithSegmentBytes(e.cfg.SegmentBytes), collective.WithScale(scale))
 	default:
 		rerr = collective.RingAllReduceCodec(comm, streamID, buf, tensor.OpSum, e.cfg.Codec,
-			collective.WithSegmentBytes(e.cfg.SegmentBytes), collective.WithYield(yield))
+			collective.WithSegmentBytes(e.cfg.SegmentBytes), collective.WithYield(yield),
+			collective.WithScale(scale))
 	}
 	if rerr != nil {
 		return fmt.Errorf("unit %d all-reduce: %w", u.Seq, rerr)
-	}
-	if e.cfg.Average && e.comm.Size() > 1 {
-		wire.ScaleFloat32s(buf, float32(1)/float32(e.comm.Size()))
 	}
 	if !inPlace {
 		if err := packing.Scatter(u, e.gradData, buf); err != nil {

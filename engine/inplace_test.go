@@ -14,10 +14,10 @@ import (
 )
 
 // pooledPathReference computes, for every rank, what the copy-out / reduce /
-// scale / copy-back path produces for one gradient cut into the given unit
-// spans: each span is gathered into a buffer of its own, ring all-reduced
-// with the engine's codec and segment size, averaged by the scalar loop and
-// scattered back.
+// copy-back path produces for one gradient cut into the given unit spans:
+// each span is gathered into a buffer of its own, ring all-reduced and
+// averaged with the engine's codec, segment size and scale, and scattered
+// back.
 func pooledPathReference(t *testing.T, cfg Config, inputs [][]float32, spans [][2]int) [][]float32 {
 	t.Helper()
 	size := len(inputs)
@@ -41,12 +41,9 @@ func pooledPathReference(t *testing.T, cfg Config, inputs [][]float32, spans [][
 			for _, s := range spans {
 				buf := append([]float32(nil), data[s[0]:s[1]]...)
 				if err := collective.RingAllReduceCodec(c, 0, buf, tensor.OpSum, cfg.Codec,
-					collective.WithSegmentBytes(cfg.SegmentBytes)); err != nil {
+					collective.WithSegmentBytes(cfg.SegmentBytes), collective.WithScale(inv)); err != nil {
 					t.Errorf("reference rank %d: %v", c.Rank(), err)
 					return
-				}
-				for i := range buf {
-					buf[i] *= inv
 				}
 				copy(data[s[0]:s[1]], buf)
 			}
@@ -114,5 +111,41 @@ func TestSingleFragmentUnitsReduceInPlaceBitIdentical(t *testing.T) {
 				return nil
 			})
 		}
+	}
+}
+
+// Under fp16 the all-gather carries the mean, not the sum: four ranks each
+// pushing 20000 sum to 80000, above fp16's largest finite 65504, yet the mean
+// is exactly representable and must come back as 20000, not ±Inf. The
+// reduce-scatter hops still carry partial sums, up to 3·20000 here, so the
+// bound is (n-1)·max|x| < 65504.
+func TestFP16AverageOfLargeSumStaysFinite(t *testing.T) {
+	const size, elems, x = 4, 1000, 20000
+	for _, algo := range []Algorithm{Ring, Hierarchical} {
+		cfg := DefaultConfig()
+		cfg.Streams = 2
+		cfg.Codec = compress.FP16{}
+		cfg.Algorithm = algo
+		cfg.GPUsPerNode = 2
+		runEngines(t, size, cfg, map[string]int{"g": elems}, func(e *Engine) error {
+			data := make([]float32, elems)
+			for i := range data {
+				data[i] = x
+			}
+			grad := tensor.FromSlice(data)
+			if err := e.PushGradient("g", grad); err != nil {
+				return err
+			}
+			if err := e.WaitIteration(); err != nil {
+				return err
+			}
+			for i, g := range grad.Data() {
+				if g != x {
+					t.Errorf("%v rank %d: element %d = %v, want the mean %v", algo, e.Rank(), i, g, float32(x))
+					break
+				}
+			}
+			return nil
+		})
 	}
 }

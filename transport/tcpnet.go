@@ -46,10 +46,11 @@ import (
 //
 // Failure model (DESIGN.md §8): WithOpTimeout bounds every blocking Send and
 // Recv; WithHeartbeat adds idle keep-alive frames plus a liveness read
-// deadline so a silently-dead peer is detected; a reader that dies for any
-// reason other than local teardown fans the failure out to every Recv on that
-// peer via a per-peer down channel, and collective aborts propagate as
-// control frames that poison the receiving lane.
+// deadline so a silently-dead peer is detected; a lane's Recv reports the
+// peer failed only once that lane's own reader has delivered every frame and
+// ended, a failed reader or write marks the peer down for every Send to it,
+// and collective aborts propagate as control frames that poison the
+// receiving lane.
 type tcpNetwork struct {
 	size    int
 	streams int
@@ -585,9 +586,13 @@ type tcpEndpoint struct {
 	readerErr []error
 
 	// peerDown[r] is closed (with the cause stored in downErr[r] first) when
-	// any reader from peer r dies while this endpoint is still open: the
-	// connection-error fan-out that converts one dead socket into a prompt
-	// *PeerFailedError on every Recv from that peer.
+	// any reader from peer r dies while this endpoint is still open, or a
+	// write to r fails: Send then reports *PeerFailedError on every lane to r.
+	// Recv does not consult it. Peer-down is per peer but delivery is per
+	// lane: a peer that wrote its last frames and closed may still have them
+	// unread in one lane's socket after another lane saw EOF, so each Recv
+	// waits for its own lane's reader, which delivers those frames and then
+	// closes the inbox with the reason the lane ended.
 	peerDown []chan struct{}
 	downErr  []error
 	downOnce []sync.Once
@@ -960,32 +965,16 @@ func (e *tcpEndpoint) Recv(from, stream int) ([]byte, error) {
 		defer timer.Stop()
 		deadline = timer.C
 	}
-	for {
-		select {
-		case <-e.closed:
-			return nil, ErrClosed
-		case data, ok := <-inbox:
-			if ok && !t0.IsZero() {
-				e.met.recvWaitNs.ObserveSince(t0)
-			}
-			return e.delivered(data, ok, from, stream, idx)
-		case <-e.peerDown[from]:
-			// Frames decoded before the connection died are still valid.
-			select {
-			case data, ok := <-inbox:
-				return e.delivered(data, ok, from, stream, idx)
-			default:
-			}
-			select {
-			case <-e.closed:
-				return nil, ErrClosed
-			default:
-			}
-			return nil, fmt.Errorf("recv %d<-%d stream %d: %w", e.rank, from, stream,
-				&PeerFailedError{Rank: from, Cause: e.downErr[from]})
-		case <-deadline:
-			return nil, fmt.Errorf("recv %d<-%d stream %d: %w", e.rank, from, stream, ErrTimeout)
+	select {
+	case <-e.closed:
+		return nil, ErrClosed
+	case data, ok := <-inbox:
+		if ok && !t0.IsZero() {
+			e.met.recvWaitNs.ObserveSince(t0)
 		}
+		return e.delivered(data, ok, from, stream, idx)
+	case <-deadline:
+		return nil, fmt.Errorf("recv %d<-%d stream %d: %w", e.rank, from, stream, ErrTimeout)
 	}
 }
 

@@ -124,6 +124,62 @@ func TestTCPOversizedHeaderSurfacesOnRecv(t *testing.T) {
 	}
 }
 
+// Peer-down is per peer but delivery is per lane. Here the peer's stream-1
+// socket reaches EOF first, which marks the peer down, while the frames it
+// wrote on stream 0 before closing have not been read yet. A Recv on stream
+// 0 must still receive every one of them, and only then report the peer
+// failed.
+func TestTCPPeerDownDeliversLaneFramesFirst(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+
+	ep := newTCPEndpoint(0, 2, 2, defaultTCPConfig())
+	defer func() { _ = ep.Close() }()
+	acceptErr := make(chan error, 1)
+	go func() { acceptErr <- ep.acceptAll(l, 2) }()
+	lane0 := dialHandshake(t, l.Addr().String(), 1, 0)
+	defer func() { _ = lane0.Close() }()
+	lane1 := dialHandshake(t, l.Addr().String(), 1, 1)
+	if err := <-acceptErr; err != nil {
+		t.Fatal(err)
+	}
+
+	_ = lane1.Close()
+	select {
+	case <-ep.peerDown[1]:
+	case <-time.After(5 * time.Second):
+		t.Fatal("EOF on stream 1 did not mark the peer down")
+	}
+
+	// The stream-0 frames reach the socket only after Recv has found the
+	// inbox empty with the peer already down.
+	const frames = 3
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		var buf []byte
+		for i := 0; i < frames; i++ {
+			buf = binary.BigEndian.AppendUint32(buf, 4)
+			buf = append(buf, fmt.Sprintf("f%03d", i)...)
+		}
+		_, _ = lane0.Write(buf)
+		_ = lane0.Close()
+	}()
+	watchdog(t, 5*time.Second, func() {
+		for i := 0; i < frames; i++ {
+			got, err := ep.Recv(1, 0)
+			if want := fmt.Sprintf("f%03d", i); err != nil || string(got) != want {
+				t.Fatalf("Recv %d = %q, %v; want %q", i, got, err, want)
+			}
+		}
+		if _, err := ep.Recv(1, 0); !errors.Is(err, ErrPeerFailed) {
+			t.Fatalf("Recv after the lane's EOF = %v, want ErrPeerFailed", err)
+		}
+	})
+}
+
 // A worker whose configured port is transiently held by another socket must
 // ride it out with bind retries rather than failing the mesh.
 func TestTCPWorkerBindRetry(t *testing.T) {
