@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"aiacc/internal/packing"
 	"aiacc/internal/sim"
 	"aiacc/model"
 	"aiacc/netmodel"
@@ -242,20 +243,6 @@ func (w *worker) prioritized() bool {
 	return w.cfg.Engine.Kind == AIACC && w.cfg.Engine.PriorityDepth > 0
 }
 
-// classOf quantizes a forward layer index into a priority class, mirroring
-// the live engine (engine/sched.go classOf).
-func (w *worker) classOf(layer int) int {
-	depth := w.cfg.Engine.PriorityDepth
-	if depth <= 1 || w.layers == 0 {
-		return 0
-	}
-	c := layer * depth / w.layers
-	if c >= depth {
-		c = depth - 1
-	}
-	return c
-}
-
 // iteration is the per-iteration engine state machine.
 type iteration struct {
 	w *worker
@@ -488,7 +475,7 @@ func (it *iteration) takeUnit(bytes int64) simUnit {
 			it.agreedSpans = it.agreedSpans[1:]
 		}
 	}
-	u.class = it.w.classOf(minLayer)
+	u.class = packing.Class(minLayer, it.w.layers, it.w.cfg.Engine.PriorityDepth)
 	it.agreedBacklog -= bytes
 	it.emittedBytes += bytes
 	return u

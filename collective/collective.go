@@ -27,7 +27,6 @@ import (
 	"fmt"
 
 	"aiacc/compress"
-	"aiacc/internal/sendpool"
 	"aiacc/internal/wire"
 	"aiacc/mpi"
 	"aiacc/tensor"
@@ -50,71 +49,11 @@ func chunkBounds(total, n, i int) (int, int) {
 	return lo, lo + size
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ChunkBounds returns the [lo, hi) element range of rank's chunk when total
 // elements are split across size ranks: the chunk ReduceScatterCodec leaves
 // reduced on that rank and AllGatherCodec takes from it.
 func ChunkBounds(total, size, rank int) (int, int) {
 	return chunkBounds(total, size, rank)
-}
-
-// ringOp bundles the per-operation resources of a whole-buffer ring
-// collective (AndAllReduceBits): one pooled sender goroutine (overlapping
-// each send with the blocking receive — the standard deadlock-free
-// formulation of a ring step) and one pooled wire buffer. The wire buffer is
-// used append-style: encode into it, send it (ownership transfers to the
-// receiver), then adopt the payload received on the same step as the next
-// step's wire buffer. In steady state the ring circulates a fixed set of
-// buffers and no step allocates.
-type ringOp struct {
-	async    *sendpool.Async
-	inflight bool
-	buf      []byte // owned wire buffer for the next encode
-}
-
-// beginRing returns the op by value so it stays on the caller's stack; a
-// pointer result would heap-allocate one ringOp per collective call.
-// wireHint is the expected encoded chunk size, used to draw a buffer from the
-// right size class.
-func beginRing(wireHint int) ringOp {
-	return ringOp{async: sendpool.Acquire(), buf: getWireCap(wireHint)}
-}
-
-// send dispatches the op's current wire buffer, whose ownership transfers
-// immediately; the caller must not touch it until adopt installs a new one.
-func (r *ringOp) send(c Comm, to, stream int) {
-	r.async.Send(c, to, stream, r.buf)
-	r.inflight = true
-	r.buf = nil
-}
-
-// wait blocks for the in-flight send's result.
-func (r *ringOp) wait() error {
-	err := r.async.Wait()
-	r.inflight = false
-	return err
-}
-
-// adopt takes ownership of a fully-consumed received payload as the next
-// send's encode buffer.
-func (r *ringOp) adopt(payload []byte) { r.buf = payload }
-
-// end releases the op's resources on every exit path. A sender abandoned
-// with a send still in flight is drained in the background before it is
-// pooled again.
-func (r *ringOp) end() {
-	if r.inflight {
-		sendpool.Abandon(r.async)
-	} else {
-		sendpool.Release(r.async)
-	}
-	recycleWire(r.buf)
 }
 
 // phases selects which halves of the pipelined ring an operation runs.
@@ -280,18 +219,20 @@ func andAllReduceBits(c *mpi.Comm, stream int, bits []uint64) error {
 	// circulate-and-AND steps suffice: after step s each rank holds the AND
 	// of its own and its s+1 upstream neighbours' vectors.
 	//
-	// Double buffering through payload adoption: the vector is encoded into
-	// the op's wire buffer, the buffer is sent away (the receiver owns it),
-	// and the payload received on the same step — already folded into bits —
-	// becomes the next step's wire buffer. No copies, no per-step allocation.
+	// Each step sends before it receives. The vector is encoded into a ring
+	// buffer that goes to the wire (the receiver owns it), and the payload
+	// received on the same step, once folded into bits, goes back to the
+	// ring as a later step's encode buffer. No per-step allocation.
 	defer obsOp(mAndBits, opStart())
 	size := 8 * len(bits)
-	r := beginRing(size)
+	r := beginSeg(size)
 	defer r.end()
-	r.buf = wire.Grow(r.buf[:0], size)
-	wire.PutUint64s(r.buf, bits)
 	for step := 0; step < n-1; step++ {
-		r.send(c, next, stream)
+		buf := wire.Grow(r.takeBuf(), size)
+		wire.PutUint64s(buf, bits)
+		if err := r.send(c, next, stream, buf); err != nil {
+			return fmt.Errorf("bit all-reduce send step %d: %w", step, err)
+		}
 		payload, err := c.Recv(prev, stream)
 		if err != nil {
 			return fmt.Errorf("bit all-reduce recv step %d: %w", step, err)
@@ -303,14 +244,10 @@ func andAllReduceBits(c *mpi.Comm, stream int, bits []uint64) error {
 		for i := range bits {
 			bits[i] &= binary.LittleEndian.Uint64(payload[8*i:])
 		}
-		if err := r.wait(); err != nil {
-			recycleWire(payload)
-			return fmt.Errorf("bit all-reduce send step %d: %w", step, err)
-		}
-		r.adopt(payload)
-		if step < n-2 {
-			wire.PutUint64s(r.buf, bits)
-		}
+		r.giveBuf(payload)
+	}
+	if err := r.drain(); err != nil {
+		return fmt.Errorf("bit all-reduce send: %w", err)
 	}
 	return nil
 }

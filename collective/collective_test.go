@@ -409,7 +409,7 @@ func TestRingAllReduceOverTCP(t *testing.T) {
 // reference protocol for the lossless fp32 codec — every world size, payload
 // shape and segment size, including empty chunks (n > len(data)), segments
 // larger than a chunk, and single-segment chunks. The reference decodes into
-// scratch and reduces with ApplyParallel; the pipelined OpSum hop is the
+// scratch and reduces with Apply; the pipelined OpSum hop is the
 // fused Codec.DecodeAdd, so this grid is also what holds the fused kernels
 // to the two-step form inside a real ring: inputs carry NaNs with payloads,
 // opposite infinities and -0 on some ranks, chunks longer than one assembly

@@ -101,14 +101,14 @@ func codecLossless(c compress.Codec) bool {
 	return ok && l.Lossless()
 }
 
-// segRing bundles the send-side resources of a segment-pipelined ring
-// collective: one pipelined sender (up to sendpool.PipeDepth frames in
-// flight, all on one goroutine so per-(peer,stream) FIFO order is preserved)
-// and a small free stack of owned wire buffers. Buffer circulation extends
-// the ringOp discipline: a sent buffer's ownership transfers to the
-// receiver, and every fully-consumed received payload is given back to the
-// free stack as a future encode buffer — the steady-state ring circulates a
-// fixed set of pool buffers and allocates nothing.
+// segRing bundles the send-side resources of a ring collective — the
+// segment-pipelined ring and the bit-vector AND ring alike: one pipelined
+// sender (up to sendpool.PipeDepth frames in flight, all on one goroutine so
+// per-(peer,stream) FIFO order is preserved) and a small free stack of owned
+// wire buffers. A buffer from takeBuf is encoded into and sent, and its
+// ownership transfers to the receiver; every fully-consumed received payload
+// goes back through giveBuf as a future encode buffer. The steady-state ring
+// circulates a fixed set of pool buffers and allocates nothing.
 type segRing struct {
 	pipe     *sendpool.Pipe
 	out      int // outstanding sends (Sends minus Waits)
@@ -385,7 +385,7 @@ func (p *ringPipeline) reduceStep(data []float32, sLo, sHi, rLo, rHi int, op ten
 			tmp := p.scratch[:hi-lo]
 			if err = p.codec.Decode(tmp, payload); err == nil {
 				segObsNext(mSegDecodeNs, &t0)
-				err = op.ApplyParallel(dst, tmp)
+				err = op.Apply(dst, tmp)
 			}
 		}
 		if err == nil && scale != 0 {

@@ -15,7 +15,7 @@ import (
 
 // ringAllReduceReference is the serial pre-pipelining ring all-reduce: one
 // wire frame per ring step, the whole chunk decoded into scratch before
-// tensor.ReduceOp.ApplyParallel reduces it, and an all-gather that decodes
+// tensor.ReduceOp.Apply reduces it, and an all-gather that decodes
 // and re-encodes every received chunk. Chunk ownership (rank r ends the
 // reduce-scatter owning chunk r) and hence the order of every fp32 addition
 // match the pipelined ring, so under a lossless codec the two must agree bit
@@ -33,7 +33,7 @@ func ringAllReduceSerial(c Comm, stream int, data []float32, op tensor.ReduceOp,
 	next := (rank + 1) % n
 	prev := (rank - 1 + n) % n
 
-	r := beginRing(int(codec.WireBytes(len(data)/n + 1)))
+	r := beginSeg(int(codec.WireBytes(len(data)/n + 1)))
 	defer r.end()
 	// One decode scratch of max-chunk size serves every step.
 	fp := getF32(len(data)/n + 1)
@@ -43,47 +43,43 @@ func ringAllReduceSerial(c Comm, stream int, data []float32, op tensor.ReduceOp,
 		sLo, sHi := chunkBounds(len(data), n, (rank-step-1+n)%n)
 		rLo, rHi := chunkBounds(len(data), n, (rank-step-2+2*n)%n)
 
-		r.buf = codec.EncodeTo(r.buf[:0], data[sLo:sHi])
-		r.send(c, next, stream)
+		if err := r.send(c, next, stream, codec.EncodeTo(r.takeBuf(), data[sLo:sHi])); err != nil {
+			return fmt.Errorf("reference reduce-scatter send step %d: %w", step, err)
+		}
 		payload, err := c.Recv(prev, stream)
 		if err != nil {
 			return fmt.Errorf("reference reduce-scatter recv step %d: %w", step, err)
 		}
 		tmp := (*fp)[:rHi-rLo]
-		if err := codec.Decode(tmp, payload); err != nil {
-			recycleWire(payload)
+		err = codec.Decode(tmp, payload)
+		r.giveBuf(payload)
+		if err != nil {
 			return fmt.Errorf("reference reduce-scatter step %d: %w", step, err)
 		}
-		if err := op.ApplyParallel(data[rLo:rHi], tmp); err != nil {
-			recycleWire(payload)
+		if err := op.Apply(data[rLo:rHi], tmp); err != nil {
 			return fmt.Errorf("reference reduce-scatter reduce step %d: %w", step, err)
 		}
-		if err := r.wait(); err != nil {
-			recycleWire(payload)
-			return fmt.Errorf("reference reduce-scatter send step %d: %w", step, err)
-		}
-		r.adopt(payload)
 	}
 
 	for step := 0; step < n-1; step++ {
 		sLo, sHi := chunkBounds(len(data), n, (rank-step+n)%n)
 		rLo, rHi := chunkBounds(len(data), n, (rank-step-1+n)%n)
 
-		r.buf = codec.EncodeTo(r.buf[:0], data[sLo:sHi])
-		r.send(c, next, stream)
+		if err := r.send(c, next, stream, codec.EncodeTo(r.takeBuf(), data[sLo:sHi])); err != nil {
+			return fmt.Errorf("reference all-gather send step %d: %w", step, err)
+		}
 		payload, err := c.Recv(prev, stream)
 		if err != nil {
 			return fmt.Errorf("reference all-gather recv step %d: %w", step, err)
 		}
-		if err := codec.Decode(data[rLo:rHi], payload); err != nil {
-			recycleWire(payload)
+		err = codec.Decode(data[rLo:rHi], payload)
+		r.giveBuf(payload)
+		if err != nil {
 			return fmt.Errorf("reference all-gather step %d: %w", step, err)
 		}
-		if err := r.wait(); err != nil {
-			recycleWire(payload)
-			return fmt.Errorf("reference all-gather send step %d: %w", step, err)
-		}
-		r.adopt(payload)
+	}
+	if err := r.drain(); err != nil {
+		return fmt.Errorf("reference send: %w", err)
 	}
 	return nil
 }

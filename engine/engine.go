@@ -370,8 +370,7 @@ func (e *Engine) Start() error {
 	for _, g := range grads {
 		e.maxPriority = max(e.maxPriority, g.Priority)
 	}
-	// More classes than distinct priority levels cannot discriminate.
-	e.classes = max(1, min(e.cfg.PriorityDepth, e.maxPriority+1))
+	e.classes = packing.Classes(e.maxPriority+1, e.cfg.PriorityDepth)
 	e.schedCond = sync.NewCond(&e.schedMu)
 	e.sched = make([]*streamSched, e.cfg.Streams)
 	for s := range e.sched {

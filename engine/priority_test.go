@@ -268,21 +268,15 @@ func TestPrioritySchedPreemption(t *testing.T) {
 func TestChaosSoakPriorityKill(t *testing.T) {
 	// Warm the sendpool so its persistent senders land in the leakcheck
 	// baseline: with preemption on, this test runs up to classes × streams ×
-	// ranks (4 × 2 × 3) concurrent pipelines, more than the fixed slack
-	// covers, and pooled-idle senders after teardown are by design, not a leak.
-	warmPipes := make([]*sendpool.Pipe, 24)
-	warmAsyncs := make([]*sendpool.Async, 8)
-	for i := range warmPipes {
-		warmPipes[i] = sendpool.AcquirePipe()
+	// ranks (4 × 2 × 3) concurrent pipelines plus the readiness rounds' and
+	// barriers' senders, more than the fixed slack covers, and pooled-idle
+	// senders after teardown are by design, not a leak.
+	warm := make([]*sendpool.Pipe, 24+8)
+	for i := range warm {
+		warm[i] = sendpool.AcquirePipe()
 	}
-	for i := range warmAsyncs {
-		warmAsyncs[i] = sendpool.Acquire()
-	}
-	for _, p := range warmPipes {
+	for _, p := range warm {
 		sendpool.ReleasePipe(p)
-	}
-	for _, a := range warmAsyncs {
-		sendpool.Release(a)
 	}
 
 	base := leakcheck.Take()

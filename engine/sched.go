@@ -165,24 +165,10 @@ func newStreamSched(classes int) *streamSched {
 	return st
 }
 
-// classOf quantizes a gradient priority (forward layer index) into one of the
-// engine's priority classes. Identical on every rank: priorities and the
-// layer range come from the registered model.
-func (e *Engine) classOf(priority int) int {
-	if e.classes <= 1 {
-		return 0
-	}
-	c := priority * e.classes / (e.maxPriority + 1)
-	if c >= e.classes {
-		c = e.classes - 1
-	}
-	return c
-}
-
 // dispatch hands one unit to its stream's dispatcher; a unit that must start
 // gets its own goroutine. Only a full one-class queue makes it wait.
 func (e *Engine) dispatch(u packing.Unit) {
-	t := unitTask{u: u, class: e.classOf(u.Priority)}
+	t := unitTask{u: u, class: packing.Class(u.Priority, e.maxPriority+1, e.cfg.PriorityDepth)}
 	st := e.sched[u.Seq%e.cfg.Streams]
 
 	e.schedMu.Lock()

@@ -30,7 +30,6 @@ import (
 
 	"aiacc/compress"
 	"aiacc/internal/gradsync"
-	"aiacc/tensor"
 )
 
 // ErrBadGranularity indicates a non-positive granularity.
@@ -204,7 +203,7 @@ func Gather(u Unit, lookup func(id int) ([]float32, error), buf []float32) error
 		if err != nil {
 			return err
 		}
-		tensor.CopyParallel(buf[pos:pos+f.Elems], span)
+		copy(buf[pos:pos+f.Elems], span)
 		pos += f.Elems
 	}
 	return nil
@@ -226,7 +225,7 @@ func Scatter(u Unit, lookup func(id int) ([]float32, error), buf []float32) erro
 		if err != nil {
 			return err
 		}
-		tensor.CopyParallel(span, buf[pos:pos+f.Elems])
+		copy(span, buf[pos:pos+f.Elems])
 		pos += f.Elems
 	}
 	return nil
@@ -243,4 +242,21 @@ func FragmentsPerGradient(units []Unit) map[int]int {
 		}
 	}
 	return out
+}
+
+// Classes returns how many priority classes a scheduler of the given depth
+// runs over levels distinct priorities (forward layers): the depth, capped at
+// levels because more classes than priorities cannot discriminate, and at
+// least one.
+func Classes(levels, depth int) int { return max(1, min(depth, levels)) }
+
+// Class quantizes a priority in [0, levels) into one of Classes(levels,
+// depth) classes, 0 the most urgent. The live engine and the cluster
+// simulator share it, so both order units the same way.
+func Class(priority, levels, depth int) int {
+	classes := Classes(levels, depth)
+	if classes == 1 {
+		return 0
+	}
+	return min(priority*classes/levels, classes-1)
 }

@@ -205,3 +205,58 @@ func TestPackPriorityZooProperty(t *testing.T) {
 		}
 	}
 }
+
+// simClassBefore is the cluster simulator's own layer→class map before it
+// shared Class: depth classes over layers, not capped at the layer count.
+func simClassBefore(layer, layers, depth int) int {
+	if depth <= 1 || layers == 0 {
+		return 0
+	}
+	return min(layer*depth/layers, depth-1)
+}
+
+func sign(x int) int {
+	switch {
+	case x < 0:
+		return -1
+	case x > 0:
+		return 1
+	}
+	return 0
+}
+
+// TestClassMatchesSimulatorOrder pins the shared quantization against the
+// simulator's former map. Where depth ≤ levels the two are equal; above it
+// Class caps the count at levels, which renumbers the classes but must order
+// every pair of layers the same way, because the simulator only compares
+// classes or tests them for equality.
+func TestClassMatchesSimulatorOrder(t *testing.T) {
+	for levels := 1; levels <= 64; levels++ {
+		for depth := 0; depth <= 16; depth++ {
+			classes := Classes(levels, depth)
+			if want := max(1, min(depth, levels)); classes != want {
+				t.Fatalf("Classes(%d, %d) = %d, want %d", levels, depth, classes, want)
+			}
+			for a := 0; a < levels; a++ {
+				ca := Class(a, levels, depth)
+				if ca < 0 || ca >= classes {
+					t.Fatalf("Class(%d, %d, %d) = %d outside [0, %d)", a, levels, depth, ca, classes)
+				}
+				if old := simClassBefore(a, levels, depth); depth <= levels && ca != old {
+					t.Fatalf("Class(%d, %d, %d) = %d, simulator had %d", a, levels, depth, ca, old)
+				}
+				for b := 0; b < levels; b++ {
+					got := sign(ca - Class(b, levels, depth))
+					want := sign(simClassBefore(a, levels, depth) - simClassBefore(b, levels, depth))
+					if got != want {
+						t.Fatalf("levels %d depth %d: layers %d, %d order %d, simulator had %d",
+							levels, depth, a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+	if got := Class(0, 0, 4); got != 0 {
+		t.Errorf("Class with no levels = %d, want 0", got)
+	}
+}

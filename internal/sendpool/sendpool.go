@@ -5,10 +5,10 @@
 // (the standard deadlock-free formulation). Spawning a goroutine per send —
 // the obvious formulation — costs a goroutine start, a channel allocation and
 // a closure allocation per ring step, which at 64 ranks is 126 goroutines per
-// tensor. Instead, an operation acquires one Async sender for its whole
-// lifetime: a parked goroutine fed requests by value through a channel.
-// Acquire/Release recycle senders through a bounded free list, so the steady
-// state allocates nothing and never leaks goroutines (senders beyond the
+// tensor. Instead, an operation acquires one Pipe for its whole lifetime: a
+// parked goroutine fed requests by value through a channel.
+// AcquirePipe/ReleasePipe recycle pipes through a bounded free list, so the
+// steady state allocates nothing and never leaks goroutines (pipes beyond the
 // free-list cap are retired by closing their feed channel).
 package sendpool
 
@@ -17,13 +17,13 @@ import (
 	"sync/atomic"
 )
 
-// abandoned counts senders handed to Abandon/AbandonPipe whose background
-// drain has not completed yet. Failure tests poll PendingAbandoned() to
-// quiesce before asserting goroutine and buffer-pool balance: an abandoned
-// sender still holds an in-flight payload until the transport releases it.
+// abandoned counts pipes handed to AbandonPipe whose background drain has
+// not completed yet. Failure tests poll PendingAbandoned() to quiesce before
+// asserting goroutine and buffer-pool balance: an abandoned pipe still holds
+// its in-flight payloads until the transport releases them.
 var abandoned atomic.Int64
 
-// PendingAbandoned returns how many abandoned senders are still draining.
+// PendingAbandoned returns how many abandoned pipes are still draining.
 func PendingAbandoned() int64 { return abandoned.Load() }
 
 // Sender is the point-to-point send half used by collectives; *mpi.Comm and
@@ -38,95 +38,32 @@ type request struct {
 	data       []byte
 }
 
-// Async is a persistent sender goroutine. It executes one send at a time:
-// every Send must be paired with a Wait before the next Send. An Async must
-// be used by one operation at a time.
-type Async struct {
-	req chan request
-	err chan error
-}
-
 // run is the parked sender loop. It deliberately captures only the channels,
-// not the Async, so a retired Async is collectable.
+// not the Pipe, so a retired Pipe is collectable.
 func run(req chan request, err chan error) {
 	for r := range req {
 		err <- r.s.Send(r.to, r.stream, r.data)
 	}
 }
 
-// Send asynchronously delivers data to rank `to` on the given stream of s.
-// Ownership of data transfers to the transport (and onward to the receiver)
-// immediately; the caller must not touch it again.
-func (a *Async) Send(s Sender, to, stream int, data []byte) {
-	a.req <- request{s: s, to: to, stream: stream, data: data}
-}
-
-// Wait blocks until the in-flight send completes and returns its error.
-func (a *Async) Wait() error { return <-a.err }
-
 // maxIdle bounds the free list. It only needs to cover the peak number of
 // concurrent collective operations in the process (streams × communicators);
-// excess senders are retired rather than parked forever.
+// excess pipes are retired rather than parked forever.
 const maxIdle = 256
-
-var (
-	mu   sync.Mutex
-	idle []*Async
-)
-
-// Acquire returns a ready sender, reusing a parked one when available.
-func Acquire() *Async {
-	mu.Lock()
-	if n := len(idle); n > 0 {
-		a := idle[n-1]
-		idle[n-1] = nil
-		idle = idle[:n-1]
-		mu.Unlock()
-		return a
-	}
-	mu.Unlock()
-	a := &Async{req: make(chan request), err: make(chan error, 1)}
-	go run(a.req, a.err)
-	return a
-}
-
-// Abandon returns a sender that still has exactly one send in flight — the
-// error path of an operation that failed between Send and Wait. The sender is
-// drained in the background and pooled once the transport releases it.
-func Abandon(a *Async) {
-	abandoned.Add(1)
-	go func() {
-		<-a.err
-		Release(a)
-		abandoned.Add(-1)
-	}()
-}
-
-// Release returns a sender to the pool. The caller must have Waited on every
-// Send it issued (no send may be in flight).
-func Release(a *Async) {
-	mu.Lock()
-	if len(idle) < maxIdle {
-		idle = append(idle, a)
-		mu.Unlock()
-		return
-	}
-	mu.Unlock()
-	close(a.req) // retire: the parked goroutine exits
-}
 
 // PipeDepth is the number of sends a Pipe accepts before Send blocks: one
 // executing on the transport plus one queued behind it.
 const PipeDepth = 2
 
 // Pipe is a persistent sender goroutine that accepts up to PipeDepth sends
-// before the caller must Wait — the double-buffered variant of Async used by
-// the segment-pipelined ring collectives. All sends run on one goroutine, so
-// frames are put on the wire in Send order and the transport's per-(peer,
-// stream) FIFO matching is preserved even with several frames in flight per
-// ring step (two Asyncs racing on the same stream would interleave). A Pipe
-// must be used by one operation at a time; the caller tracks how many sends
-// are outstanding (Sends minus Waits) and keeps it within PipeDepth.
+// before the caller must Wait. All sends run on one goroutine, so frames are
+// put on the wire in Send order and the transport's per-(peer, stream) FIFO
+// matching is preserved even with several frames in flight per ring step
+// (two senders racing on the same stream would interleave). A Pipe must be
+// used by one operation at a time; the caller tracks how many sends are
+// outstanding (Sends minus Waits) and keeps it within PipeDepth. An
+// operation that needs only one send in flight, such as a barrier round,
+// simply never issues a second before its Wait.
 type Pipe struct {
 	req chan request
 	err chan error

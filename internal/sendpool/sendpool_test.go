@@ -21,8 +21,8 @@ func (f *fakeSender) Send(to, stream int, data []byte) error {
 
 func TestSendWaitDeliversInOrder(t *testing.T) {
 	f := &fakeSender{}
-	a := Acquire()
-	defer Release(a)
+	a := AcquirePipe()
+	defer ReleasePipe(a)
 	for _, msg := range []string{"one", "two", "three"} {
 		a.Send(f, 1, 0, []byte(msg))
 		if err := a.Wait(); err != nil {
@@ -37,8 +37,8 @@ func TestSendWaitDeliversInOrder(t *testing.T) {
 func TestWaitReturnsSendError(t *testing.T) {
 	want := errors.New("boom")
 	f := &fakeSender{err: want}
-	a := Acquire()
-	defer Release(a)
+	a := AcquirePipe()
+	defer ReleasePipe(a)
 	a.Send(f, 0, 0, nil)
 	if err := a.Wait(); !errors.Is(err, want) {
 		t.Fatalf("Wait = %v, want %v", err, want)
@@ -46,12 +46,12 @@ func TestWaitReturnsSendError(t *testing.T) {
 }
 
 func TestAcquireReusesReleased(t *testing.T) {
-	a := Acquire()
-	Release(a)
-	b := Acquire()
-	defer Release(b)
+	a := AcquirePipe()
+	ReleasePipe(a)
+	b := AcquirePipe()
+	defer ReleasePipe(b)
 	if a != b {
-		t.Error("Acquire should reuse the released sender")
+		t.Error("AcquirePipe should reuse the released pipe")
 	}
 	// The recycled sender must still work.
 	f := &fakeSender{}
@@ -153,8 +153,8 @@ func TestConcurrentOperations(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			f := &fakeSender{}
-			a := Acquire()
-			defer Release(a)
+			a := AcquirePipe()
+			defer ReleasePipe(a)
 			for i := 0; i < 100; i++ {
 				a.Send(f, 0, 0, []byte{byte(i)})
 				if err := a.Wait(); err != nil {

@@ -198,36 +198,29 @@ var barrierToken = []byte{1}
 
 // Barrier blocks until every member of the communicator has entered it, using
 // a dissemination barrier: ceil(log2(n)) rounds of paired send/recv. The
-// concurrent send of each round runs on a pooled persistent sender rather
-// than a fresh goroutine per round.
+// concurrent send of each round runs on a pooled sendpool.Pipe, one send in
+// flight at a time, rather than a fresh goroutine per round.
 func (c *Comm) Barrier(stream int) error {
 	n := len(c.group)
 	if n == 1 {
 		return nil
 	}
-	a := sendpool.Acquire()
-	inflight := false
-	defer func() {
-		if inflight {
-			sendpool.Abandon(a)
-		} else {
-			sendpool.Release(a)
-		}
-	}()
-	token := barrierToken
+	p := sendpool.AcquirePipe()
+	inflight := 0
+	defer func() { sendpool.AbandonPipe(p, inflight) }()
 	for dist := 1; dist < n; dist *= 2 {
 		to := (c.rank + dist) % n
 		from := (c.rank - dist%n + n) % n
-		a.Send(c, to, stream, token)
-		inflight = true
+		p.Send(c, to, stream, barrierToken)
+		inflight = 1
 		if _, err := c.Recv(from, stream); err != nil {
 			return fmt.Errorf("barrier recv: %w", err)
 		}
-		if err := a.Wait(); err != nil {
-			inflight = false
+		err := p.Wait()
+		inflight = 0
+		if err != nil {
 			return fmt.Errorf("barrier send: %w", err)
 		}
-		inflight = false
 	}
 	return nil
 }

@@ -2,10 +2,14 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"aiacc/internal/leakcheck"
 	"aiacc/transport"
+	"aiacc/transport/chaos"
 )
 
 // worldComms builds a mem network of the given size and returns the world
@@ -237,5 +241,57 @@ func TestBarrierSynchronizes(t *testing.T) {
 	wg.Wait()
 	if violation {
 		t.Error("a rank left the barrier before all ranks entered")
+	}
+}
+
+// TestBarrierUnwindsOnCrash crashes a rank as it enters its second barrier,
+// so it never signals the survivors, who are then mid-barrier. A barrier
+// cannot complete without every member, so each survivor must fail with a
+// classified communication failure — not hang — and the abandoned senders
+// and every pooled buffer must come back. Run under -race in make ci.
+func TestBarrierUnwindsOnCrash(t *testing.T) {
+	const size, victim = 4, 1
+	base := leakcheck.Take()
+	inner, err := transport.NewMem(size, 1, transport.WithMemOpTimeout(500*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 4-rank barrier is two rounds, one send each: the third send is the
+	// victim's entry into the second barrier.
+	net := chaos.Wrap(inner, chaos.NewPlan(1).CrashRank(victim, 2))
+	results := make([]error, size)
+	var wg sync.WaitGroup
+	for r := 0; r < size; r++ {
+		ep, err := net.Endpoint(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(r int, c *Comm) {
+			defer wg.Done()
+			if err := c.Barrier(0); err != nil {
+				results[r] = fmt.Errorf("first barrier: %w", err)
+				return
+			}
+			results[r] = c.Barrier(0)
+		}(r, NewWorld(ep))
+	}
+	wg.Wait()
+	_ = net.Close()
+	for r, err := range results {
+		switch {
+		case r == victim:
+			if !errors.Is(err, chaos.ErrKilled) {
+				t.Errorf("victim: %v, want chaos.ErrKilled", err)
+			}
+		case !transport.IsCommFailure(err):
+			t.Errorf("rank %d: %v, want a communication failure", r, err)
+		}
+	}
+	if err := base.Goroutines(10 * time.Second); err != nil {
+		t.Error(err)
+	}
+	if err := base.Buffers(10 * time.Second); err != nil {
+		t.Error(err)
 	}
 }

@@ -1,130 +1,7 @@
-// Parallel element-wise kernels. The collectives' reduce step and the
-// engine's pack/unpack copies are pure data movement over disjoint ranges, so
-// above a threshold they are chunked across a small pool of persistent
-// workers — one goroutine per processor, started lazily on first use and fed
-// by value through a channel, so the steady state allocates nothing. Below
-// the threshold (or on a single-processor machine) the scalar loop runs
-// inline: for small slices the hand-off cost exceeds the memory bandwidth
-// gain.
 package tensor
 
-import (
-	"runtime"
-	"sync"
-)
-
-// parallelThresholdElems is the slice length (in float32 elements, ~64 KiB)
-// above which kernels fan out to the worker pool.
-const parallelThresholdElems = 16 << 10
-
-// opCopy is the internal pseudo-op the copy kernel dispatches; it is not a
-// valid ReduceOp for the public Apply API.
-const opCopy ReduceOp = 0
-
-type kernelReq struct {
-	op       ReduceOp
-	dst, src []float32
-	wg       *sync.WaitGroup
-}
-
-var (
-	kernelOnce    sync.Once
-	kernelCh      chan kernelReq
-	kernelWorkers int
-
-	kernelWGPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
-)
-
-func startKernelPool() {
-	kernelWorkers = runtime.GOMAXPROCS(0)
-	if kernelWorkers > 16 {
-		kernelWorkers = 16
-	}
-	if kernelWorkers <= 1 {
-		return
-	}
-	kernelCh = make(chan kernelReq, kernelWorkers)
-	// workers-1 helpers: the caller always executes one chunk itself.
-	for i := 0; i < kernelWorkers-1; i++ {
-		go func() {
-			for req := range kernelCh {
-				applyChunk(req.op, req.dst, req.src)
-				req.wg.Done()
-			}
-		}()
-	}
-}
-
-func applyChunk(op ReduceOp, dst, src []float32) {
-	switch op {
-	case opCopy:
-		copy(dst, src)
-	case OpSum:
-		AddSlice(dst, src)
-	case OpMin:
-		MinSlice(dst, src)
-	case OpMax:
-		MaxSlice(dst, src)
-	}
-}
-
-// parallelApply chunks op over the worker pool. Lengths must match and op
-// must be valid; callers check both. The final chunk always runs on the
-// calling goroutine, and when every helper's queue is full the caller simply
-// takes the chunk itself, so the kernel never deadlocks and degrades to the
-// scalar loop under contention.
-func parallelApply(op ReduceOp, dst, src []float32) {
-	n := len(src)
-	if kernelWorkers <= 1 || n <= parallelThresholdElems {
-		applyChunk(op, dst, src)
-		return
-	}
-	parts := (n + parallelThresholdElems - 1) / parallelThresholdElems
-	if parts > kernelWorkers {
-		parts = kernelWorkers
-	}
-	wg := kernelWGPool.Get().(*sync.WaitGroup)
-	lo := 0
-	for i := 0; i < parts-1; i++ {
-		hi := lo + n/parts
-		wg.Add(1)
-		select {
-		case kernelCh <- kernelReq{op: op, dst: dst[lo:hi], src: src[lo:hi], wg: wg}:
-		default:
-			applyChunk(op, dst[lo:hi], src[lo:hi])
-			wg.Done()
-		}
-		lo = hi
-	}
-	applyChunk(op, dst[lo:], src[lo:])
-	wg.Wait()
-	kernelWGPool.Put(wg)
-}
-
-// ApplyParallel reduces src into dst like Apply, fanning large slices out
-// across the processor-count worker pool. dst and src must not overlap.
-func (op ReduceOp) ApplyParallel(dst, src []float32) error {
-	if err := checkApply(op, dst, src); err != nil {
-		return err
-	}
-	if len(src) == 0 {
-		return nil
-	}
-	kernelOnce.Do(startKernelPool)
-	parallelApply(op, dst, src)
-	return nil
-}
-
-// CopyParallel copies src into dst (lengths must match in the prefix sense of
-// the builtin copy: min(len(dst), len(src)) elements move) using the same
-// chunked worker pool as ApplyParallel. dst and src must not overlap.
-func CopyParallel(dst, src []float32) {
-	if len(src) > len(dst) {
-		src = src[:len(dst)]
-	}
-	if len(src) == 0 {
-		return
-	}
-	kernelOnce.Do(startKernelPool)
-	parallelApply(opCopy, dst, src)
-}
+// ApplyParallel is Apply.
+//
+// Deprecated: the kernel worker pool it once fanned out to is gone; call
+// Apply.
+func (op ReduceOp) ApplyParallel(dst, src []float32) error { return op.Apply(dst, src) }

@@ -6,12 +6,11 @@ import (
 	"testing"
 )
 
-// The parallel kernel must match the scalar reference exactly for sizes
-// straddling the fan-out threshold and for every op.
+// The deprecated alias must match Apply exactly for every op, at sizes that
+// straddled the retired worker pool's 16 Ki-element fan-out threshold.
 func TestApplyParallelMatchesScalar(t *testing.T) {
 	sizes := []int{0, 1, 7, 1000,
-		parallelThresholdElems - 1, parallelThresholdElems,
-		parallelThresholdElems + 1, 3*parallelThresholdElems + 17}
+		16383, 16384, 16385, 49169}
 	ops := []ReduceOp{OpSum, OpMin, OpMax}
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range sizes {
@@ -52,33 +51,10 @@ func TestApplyParallelErrors(t *testing.T) {
 	}
 }
 
-func TestCopyParallel(t *testing.T) {
-	for _, n := range []int{0, 1, 100, parallelThresholdElems, 2*parallelThresholdElems + 5} {
-		src := make([]float32, n)
-		for i := range src {
-			src[i] = float32(i)
-		}
-		dst := make([]float32, n)
-		CopyParallel(dst, src)
-		for i := range src {
-			if dst[i] != src[i] {
-				t.Fatalf("n=%d element %d: %v != %v", n, i, dst[i], src[i])
-			}
-		}
-	}
-	// Prefix semantics like the builtin copy.
-	short := make([]float32, 3)
-	CopyParallel(short, []float32{1, 2, 3, 4, 5})
-	if short[2] != 3 {
-		t.Errorf("prefix copy: %v", short)
-	}
-	CopyParallel(nil, []float32{1})
-}
-
 // Concurrent callers (the engine's stream workers) must not interfere.
 func TestApplyParallelConcurrent(t *testing.T) {
 	const goroutines = 8
-	n := 2*parallelThresholdElems + 3
+	n := 32771
 	done := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		go func(seed int64) {

@@ -207,9 +207,8 @@ func AddSlice(dst, src []float32) {
 	}
 }
 
-// MinSlice writes the element-wise minimum of dst and src into dst. Used by
-// the gradient-synchronization bit vector (a gradient is globally ready only
-// if every worker marked it 1, i.e. min == 1).
+// MinSlice writes the element-wise minimum of dst and src into dst: the
+// OpMin reduction.
 func MinSlice(dst, src []float32) {
 	if len(src) == 0 {
 		return
@@ -260,22 +259,20 @@ func (op ReduceOp) String() string {
 	}
 }
 
-// checkApply validates an Apply/ApplyParallel call.
-func checkApply(op ReduceOp, dst, src []float32) error {
+// Apply reduces src into dst according to op, on the calling goroutine.
+func (op ReduceOp) Apply(dst, src []float32) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("%w: %d vs %d elements", ErrShapeMismatch, len(dst), len(src))
 	}
-	if op != OpSum && op != OpMin && op != OpMax {
+	switch op {
+	case OpSum:
+		AddSlice(dst, src)
+	case OpMin:
+		MinSlice(dst, src)
+	case OpMax:
+		MaxSlice(dst, src)
+	default:
 		return fmt.Errorf("tensor: unknown reduce op %d", int(op))
 	}
-	return nil
-}
-
-// Apply reduces src into dst according to op.
-func (op ReduceOp) Apply(dst, src []float32) error {
-	if err := checkApply(op, dst, src); err != nil {
-		return err
-	}
-	applyChunk(op, dst, src)
 	return nil
 }
