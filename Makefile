@@ -1,7 +1,7 @@
 # Tier-1+ verification for the live communication path.
 #
 # `make ci` is the check gate for changes touching the hot path: it runs the
-# tier-1 verify (build + full test suite), vet, the race detector over the
+# tier-1 verify (build + full test suite), a gofmt gate, vet, the race detector over the
 # packages that exercise the transport ownership contract, a smoke run of
 # the live-path profiling benchmarks and the wire kernels (1 iteration —
 # catches benchmark bit-rot, not performance), and the metrics-overhead gate (alloc-free increments plus
@@ -11,9 +11,9 @@
 
 GO ?= go
 
-.PHONY: ci build test vet purego race chaos bench-smoke metrics-overhead bench-module bench
+.PHONY: ci fmt build test vet purego race chaos bench-smoke metrics-overhead bench-module bench
 
-ci: vet build test purego race chaos bench-smoke metrics-overhead bench-module
+ci: fmt vet build test purego race chaos bench-smoke metrics-overhead bench-module
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Every root-module file must be gofmt-clean. The list comes from the root
+# module's package directories (gofmt on a directory would recurse into the
+# nested benchmark/ module, which has its own gates).
+fmt:
+	@out=$$(for d in $$($(GO) list -f '{{.Dir}}' ./...); do gofmt -l $$d/*.go; done); \
+	if [ -n "$$out" ]; then echo "gofmt -w needed on:"; echo "$$out"; exit 1; fi
 
 # The portable arm of the wire kernels (internal/wire/kernels.go): on amd64 the
 # default build runs the assembly, so without this the Go loops that every
@@ -34,8 +41,9 @@ purego:
 # (transport/shmnet), the two-tier composition and the cross-transport
 # conformance suite alongside the mem and TCP transports. ./train/... covers
 # the live tuner, which drives several engines' lifecycles back to back.
+# ./perseus/... runs a training session over a NewTCPWorker mesh end to end.
 race: purego
-	$(GO) test -race ./collective/... ./transport/... ./engine/... ./mpi/... ./metrics/... ./internal/sendpool/... ./internal/gradsync/... ./internal/packing/... ./internal/wire/... ./baseline/... ./fault/... ./train/... .
+	$(GO) test -race ./collective/... ./transport/... ./engine/... ./mpi/... ./metrics/... ./internal/sendpool/... ./internal/gradsync/... ./internal/packing/... ./internal/wire/... ./baseline/... ./fault/... ./train/... ./perseus/... .
 
 # Seeded chaos soak (DESIGN.md §8): the pipelined ring all-reduce under ~20
 # randomized fault scenarios (crashes, partitions, drops, truncation, delay)

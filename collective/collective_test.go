@@ -589,11 +589,11 @@ func TestNumSegments(t *testing.T) {
 	}{
 		{0, 1 << 20, 1},
 		{1, 1 << 20, 1},
-		{100, 400, 1},  // exactly one segment
-		{101, 400, 2},  // one element over
+		{100, 400, 1}, // exactly one segment
+		{101, 400, 2}, // one element over
 		{1000, 400, 10},
-		{1000, 3, 0},   // <4 bytes: degenerate, fall back to one segment
-		{1000, 0, 0},   // answered by buildOptions before numSegments; 0 treated as 1
+		{1000, 3, 0}, // <4 bytes: degenerate, fall back to one segment
+		{1000, 0, 0}, // answered by buildOptions before numSegments; 0 treated as 1
 	}
 	for _, c := range cases {
 		got := numSegments(c.elems, c.seg)

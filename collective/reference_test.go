@@ -103,7 +103,11 @@ func hierarchicalSerial(c *mpi.Comm, stream, gpusPerNode int, data []float32, op
 		return fmt.Errorf("reference hierarchy intra: %w", err)
 	}
 	if node.Rank() == 0 {
-		leaders, err := c.LeaderGroup(gpusPerNode)
+		var ranks []int // each node's first rank: 0, g, 2g, ...
+		for g := 0; g < c.Size(); g += gpusPerNode {
+			ranks = append(ranks, g)
+		}
+		leaders, err := c.Subgroup(ranks)
 		if err != nil {
 			return fmt.Errorf("reference hierarchy leader group: %w", err)
 		}

@@ -127,17 +127,3 @@ func (FP16) DecodeAdd(dst []float32, buf []byte) error {
 
 // WireBytes implements Codec.
 func (FP16) WireBytes(n int) int64 { return int64(n) * 2 }
-
-// ByName returns the codec registered under name.
-func ByName(name string) (Codec, error) {
-	switch name {
-	case "fp32", "":
-		return FP32{}, nil
-	case "fp16":
-		return FP16{}, nil
-	case "topk":
-		return TopK{Ratio: 0.01}, nil
-	default:
-		return nil, fmt.Errorf("compress: unknown codec %q", name)
-	}
-}

@@ -9,28 +9,6 @@ import (
 
 func codecs() []Codec { return []Codec{FP32{}, FP16{}} }
 
-func TestByName(t *testing.T) {
-	for _, tt := range []struct {
-		in   string
-		want string
-	}{
-		{in: "fp32", want: "fp32"},
-		{in: "", want: "fp32"},
-		{in: "fp16", want: "fp16"},
-	} {
-		c, err := ByName(tt.in)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", tt.in, err)
-		}
-		if c.Name() != tt.want {
-			t.Errorf("ByName(%q).Name() = %q, want %q", tt.in, c.Name(), tt.want)
-		}
-	}
-	if _, err := ByName("int8"); err == nil {
-		t.Error("unknown codec must fail")
-	}
-}
-
 func TestWireBytes(t *testing.T) {
 	if (FP32{}).WireBytes(100) != 400 {
 		t.Error("fp32 wire size wrong")

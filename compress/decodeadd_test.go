@@ -34,8 +34,7 @@ func fillOperand(rng *rand.Rand, dst []float32) {
 // bits it never would (a peer's NaN payloads arrive as they are).
 func TestDecodeAddMatchesDecodeThenAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	all := []Codec{FP32{}, FP16{}, TopK{Ratio: 0.3}, TopK{Ratio: 1}}
-	for _, c := range all {
+	for _, c := range codecs() {
 		for _, n := range []int{0, 1, 7, 8, 9, 64, 1000, 9001} {
 			for trial := 0; trial < 4; trial++ {
 				src := make([]float32, n)
@@ -82,10 +81,6 @@ func smudge(rng *rand.Rand, c Codec, buf []byte) {
 			if len(buf) >= 4 {
 				binary.LittleEndian.PutUint32(buf[4*rng.Intn(len(buf)/4):], operandSpecials[rng.Intn(len(operandSpecials))])
 			}
-		case TopK:
-			if len(buf) >= 16 {
-				binary.LittleEndian.PutUint32(buf[12+8*rng.Intn((len(buf)-8)/8):], operandSpecials[rng.Intn(len(operandSpecials))])
-			}
 		}
 	}
 }
@@ -94,15 +89,6 @@ func smudge(rng *rand.Rand, c Codec, buf []byte) {
 // before dst is touched.
 func TestDecodeAddRejectsCorruptPayload(t *testing.T) {
 	src := []float32{1, -2, 3, -4, 5, -6, 7, -8, 9}
-	topk := func(n, k uint32, entries ...uint32) []byte {
-		b := binary.LittleEndian.AppendUint32(nil, n)
-		b = binary.LittleEndian.AppendUint32(b, k)
-		for _, e := range entries {
-			b = binary.LittleEndian.AppendUint32(b, e)
-		}
-		return b
-	}
-	one := math.Float32bits(1)
 	cases := []struct {
 		codec Codec
 		name  string
@@ -114,12 +100,6 @@ func TestDecodeAddRejectsCorruptPayload(t *testing.T) {
 		{FP16{}, "short", FP16{}.Encode(src)[:2*len(src)-1]},
 		{FP16{}, "long", append(FP16{}.Encode(src), 0)},
 		{FP16{}, "fp32 payload", FP32{}.Encode(src)},
-		{TopK{}, "tiny", []byte{1}},
-		{TopK{}, "empty", nil},
-		{TopK{}, "element count", topk(8, 1, 0, one)},
-		{TopK{}, "kept count", topk(9, 2, 0, one)},
-		{TopK{}, "index range", topk(9, 2, 0, one, 9, one)},
-		{TopK{}, "index order", topk(9, 2, 5, one, 5, one)},
 	}
 	for _, c := range cases {
 		dst := append([]float32(nil), src...)

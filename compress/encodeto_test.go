@@ -41,7 +41,7 @@ func referenceEncode(name string, src []float32) []byte {
 func checkEncodeToProperties(t *testing.T, codec Codec, src []float32, want []byte) {
 	t.Helper()
 	plain := codec.Encode(src)
-	if want != nil && !bytes.Equal(plain, want) {
+	if !bytes.Equal(plain, want) {
 		t.Fatalf("%s: Encode differs from scalar reference", codec.Name())
 	}
 	appendNil := codec.EncodeTo(nil, src)
@@ -139,45 +139,6 @@ func TestEncodeToFP16OddLengthsAndOffsets(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 17, 76} {
 			src := base[off : off+n]
 			checkEncodeToProperties(t, FP16{}, src, referenceEncode("fp16", src))
-		}
-	}
-}
-
-func TestEncodeToMatchesEncodeTopK(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{0, 1, 2, 10, 100, 1000} {
-		src := make([]float32, n)
-		for i := range src {
-			src[i] = float32(rng.NormFloat64())
-		}
-		for _, ratio := range []float64{0.01, 0.1, 1} {
-			codec := TopK{Ratio: ratio}
-			checkEncodeToProperties(t, codec, src, nil)
-			// Structural check of the appended bytes: header, ascending
-			// in-range indices, values bit-equal to the source.
-			enc := codec.Encode(src)
-			if n == 0 {
-				continue
-			}
-			if got := int(binary.LittleEndian.Uint32(enc[0:])); got != n {
-				t.Fatalf("topk n=%d ratio=%g: header count %d", n, ratio, got)
-			}
-			k := int(binary.LittleEndian.Uint32(enc[4:]))
-			if len(enc) != 8+8*k {
-				t.Fatalf("topk n=%d ratio=%g: %d bytes for k=%d", n, ratio, len(enc), k)
-			}
-			prev := -1
-			for e := 0; e < k; e++ {
-				idx := int(binary.LittleEndian.Uint32(enc[8+8*e:]))
-				if idx <= prev || idx >= n {
-					t.Fatalf("topk n=%d ratio=%g: index %d after %d", n, ratio, idx, prev)
-				}
-				prev = idx
-				v := binary.LittleEndian.Uint32(enc[12+8*e:])
-				if v != math.Float32bits(src[idx]) {
-					t.Fatalf("topk n=%d ratio=%g: value mismatch at %d", n, ratio, idx)
-				}
-			}
 		}
 	}
 }

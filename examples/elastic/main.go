@@ -18,7 +18,7 @@
 //     optimizer is stateless SGD, the recovered run is bit-identical to a
 //     reference run that never crashed — which the example verifies.
 //
-//	go run ./examples/elastic
+//     go run ./examples/elastic
 package main
 
 import (

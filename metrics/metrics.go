@@ -456,7 +456,7 @@ type FamilySnapshot struct {
 	Series []SeriesSnapshot `json:"series"`
 }
 
-/// Snapshot is a consistent-enough view of a registry: each series is read
+// Snapshot is a consistent-enough view of a registry: each series is read
 // atomically, families are sorted by name, series keep registration order.
 type Snapshot struct {
 	Families []FamilySnapshot `json:"families"`

@@ -153,20 +153,6 @@ func (c *Comm) NodeGroup(gpusPerNode int) (*Comm, error) {
 	return c.Subgroup(ranks)
 }
 
-// LeaderGroup derives the sub-communicator of node leaders (the first rank
-// of each node), assuming gpusPerNode consecutive global ranks per node.
-// Returns ErrNotMember for non-leader callers.
-func (c *Comm) LeaderGroup(gpusPerNode int) (*Comm, error) {
-	if gpusPerNode <= 0 {
-		return nil, fmt.Errorf("%w: gpusPerNode %d", ErrBadGroup, gpusPerNode)
-	}
-	var leaders []int
-	for g := 0; g < c.ep.Size(); g += gpusPerNode {
-		leaders = append(leaders, g)
-	}
-	return c.Subgroup(leaders)
-}
-
 // CrossNodeGroup derives the sub-communicator of the ranks sharing this
 // rank's node-local index across all nodes — {j, g+j, 2g+j, ...} for local
 // index j — assuming gpusPerNode consecutive global ranks per node. Every

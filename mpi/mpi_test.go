@@ -142,20 +142,6 @@ func TestNodeGroupRagged(t *testing.T) {
 	}
 }
 
-func TestLeaderGroup(t *testing.T) {
-	comms := worldComms(t, 8, 1)
-	sub, err := comms[4].LeaderGroup(4) // leaders are global 0 and 4
-	if err != nil {
-		t.Fatalf("LeaderGroup: %v", err)
-	}
-	if sub.Size() != 2 || sub.Rank() != 1 {
-		t.Errorf("leader group = size %d rank %d, want 2/1", sub.Size(), sub.Rank())
-	}
-	if _, err := comms[1].LeaderGroup(4); !errors.Is(err, ErrNotMember) {
-		t.Errorf("non-leader error = %v", err)
-	}
-}
-
 func TestCrossNodeGroup(t *testing.T) {
 	comms := worldComms(t, 8, 1) // two "nodes" of 4
 	for r, c := range comms {

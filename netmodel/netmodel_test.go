@@ -98,9 +98,9 @@ func TestSegments(t *testing.T) {
 		bytes, seg int64
 		want       int
 	}{
-		{1 << 20, 0, 1},    // disabled
-		{1 << 20, -1, 1},   // disabled
-		{0, 128 << 10, 1},  // empty payload still one segment
+		{1 << 20, 0, 1},   // disabled
+		{1 << 20, -1, 1},  // disabled
+		{0, 128 << 10, 1}, // empty payload still one segment
 		{64 << 10, 128 << 10, 1},
 		{128 << 10, 128 << 10, 1},
 		{128<<10 + 1, 128 << 10, 2},

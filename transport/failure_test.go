@@ -52,8 +52,8 @@ func TestFailureTaxonomy(t *testing.T) {
 // forever, on both transports.
 func TestOpTimeoutRecv(t *testing.T) {
 	build := map[string]func() (Network, error){
-		"mem": func() (Network, error) { return NewMem(2, 1, WithMemOpTimeout(100 * time.Millisecond)) },
-		"tcp": func() (Network, error) { return NewTCP(2, 1, WithOpTimeout(100 * time.Millisecond)) },
+		"mem": func() (Network, error) { return NewMem(2, 1, WithMemOpTimeout(100*time.Millisecond)) },
+		"tcp": func() (Network, error) { return NewTCP(2, 1, WithOpTimeout(100*time.Millisecond)) },
 	}
 	for name, mk := range build {
 		t.Run(name, func(t *testing.T) {

@@ -89,71 +89,26 @@ const (
 	abortMarker = 0xFFFFFFFE
 )
 
-// TCPOption tunes the TCP data plane of NewTCP (and, via WithTCPOptions, of
-// NewTCPWorker).
+// Data-plane constants. Depth 4 lets a reader stay a few frames ahead of the
+// collective's reduce/copy work without hiding backpressure entirely. One
+// bufio fill of readBufSize absorbs many small frames (bit-vector agreement
+// messages are tens of bytes); large payloads bypass the buffer after at most
+// one readBufSize copy.
+const (
+	inboxDepth  = 4
+	readBufSize = 32 << 10
+)
+
+// TCPOption configures the failure model and tracing of NewTCP (and, via
+// WithTCPOptions, of NewTCPWorker).
 type TCPOption func(*tcpConfig)
 
+// tcpConfig's zero value is the default: unbounded operations, no heartbeat,
+// no trace.
 type tcpConfig struct {
-	inboxDepth  int
-	readBufSize int
-	sndBuf      int
-	rcvBuf      int
-	noDelay     bool
-	opTimeout   time.Duration
-	heartbeat   time.Duration
-	trace       *trace.Recorder
-}
-
-func defaultTCPConfig() tcpConfig {
-	return tcpConfig{
-		// Depth 4 lets a reader stay a few frames ahead of the collective's
-		// reduce/copy work without hiding backpressure entirely.
-		inboxDepth: 4,
-		// One bufio fill absorbs many small frames (bit-vector agreement
-		// messages are tens of bytes); large payloads bypass the buffer after
-		// at most one readBufSize copy.
-		readBufSize: 32 << 10,
-		noDelay:     true,
-	}
-}
-
-// WithInboxDepth sets how many received frames each (peer, stream) inbox
-// buffers ahead of Recv (default 4, minimum 1). Depth > 1 lets the reader
-// goroutine prefetch the next frame while the collective reduces the current
-// chunk.
-func WithInboxDepth(n int) TCPOption {
-	return func(c *tcpConfig) {
-		if n >= 1 {
-			c.inboxDepth = n
-		}
-	}
-}
-
-// WithReadBuffer sets the per-socket userspace read-ahead buffer in bytes
-// (default 32 KiB). Small frames are drained from it without extra syscalls;
-// payloads larger than the buffer are read directly into pooled memory.
-func WithReadBuffer(n int) TCPOption {
-	return func(c *tcpConfig) {
-		if n >= 16 {
-			c.readBufSize = n
-		}
-	}
-}
-
-// WithSocketBuffers sets SO_SNDBUF and SO_RCVBUF on every mesh socket; zero
-// leaves the OS default in place.
-func WithSocketBuffers(snd, rcv int) TCPOption {
-	return func(c *tcpConfig) {
-		c.sndBuf = snd
-		c.rcvBuf = rcv
-	}
-}
-
-// WithNoDelay controls TCP_NODELAY (default true: frames ship immediately,
-// which the latency-sensitive ring steps want). Passing false re-enables
-// Nagle's algorithm, trading latency for kernel-side small-frame coalescing.
-func WithNoDelay(v bool) TCPOption {
-	return func(c *tcpConfig) { c.noDelay = v }
+	opTimeout time.Duration
+	heartbeat time.Duration
+	trace     *trace.Recorder
 }
 
 // WithOpTimeout bounds every blocking Send and Recv on the mesh: a Recv with
@@ -205,25 +160,11 @@ func (c *tcpConfig) writeTimeout() time.Duration {
 	return c.livenessWindow()
 }
 
-// apply sets the configured socket options, best effort: a transport that
-// cannot tune its socket still works.
-func (c *tcpConfig) apply(conn net.Conn) {
-	tc, ok := conn.(*net.TCPConn)
-	if !ok {
-		return
-	}
-	_ = tc.SetNoDelay(c.noDelay)
-	if c.sndBuf > 0 {
-		_ = tc.SetWriteBuffer(c.sndBuf)
-	}
-	if c.rcvBuf > 0 {
-		_ = tc.SetReadBuffer(c.rcvBuf)
-	}
-}
-
 // NewTCP creates a fully-connected TCP mesh of `size` ranks on the loopback
-// interface with `streams` sockets per directed pair. It blocks until the
-// mesh is established.
+// interface with `streams` sockets per directed pair. It binds one listener
+// per rank, then establishes every rank concurrently exactly as a
+// NewTCPWorker process does, and blocks until the mesh is complete (or
+// meshTimeout passes).
 func NewTCP(size, streams int, opts ...TCPOption) (Network, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("%w: size %d", ErrBadRank, size)
@@ -231,97 +172,44 @@ func NewTCP(size, streams int, opts ...TCPOption) (Network, error) {
 	if streams <= 0 {
 		return nil, fmt.Errorf("%w: streams %d", ErrBadStream, streams)
 	}
-	cfg := defaultTCPConfig()
+	var cfg tcpConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 
 	listeners := make([]net.Listener, size)
 	addrs := make([]string, size)
-	for r := 0; r < size; r++ {
+	for r := range listeners {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			closeListeners(listeners[:r])
+			for _, l := range listeners[:r] {
+				_ = l.Close()
+			}
 			return nil, fmt.Errorf("listen rank %d: %w", r, err)
 		}
 		listeners[r] = l
 		addrs[r] = l.Addr().String()
 	}
 
-	n := &tcpNetwork{size: size, streams: streams}
-	n.endpoints = make([]*tcpEndpoint, size)
-	for r := 0; r < size; r++ {
+	n := &tcpNetwork{size: size, streams: streams, endpoints: make([]*tcpEndpoint, size)}
+	errs := make([]error, size)
+	var wg sync.WaitGroup
+	for r, l := range listeners {
 		n.endpoints[r] = newTCPEndpoint(r, size, streams, cfg)
-	}
-
-	// Accept the expected incoming connections on every rank.
-	expect := (size - 1) * streams
-	var acceptWG sync.WaitGroup
-	acceptErrs := make(chan error, size)
-	for r := 0; r < size; r++ {
-		acceptWG.Add(1)
-		go func(r int) {
-			defer acceptWG.Done()
-			if err := n.endpoints[r].acceptAll(listeners[r], expect); err != nil {
-				acceptErrs <- fmt.Errorf("rank %d accept: %w", r, err)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := n.endpoints[r].establish(l, addrs, meshTimeout); err != nil {
+				errs[r] = fmt.Errorf("rank %d: %w", r, err)
 			}
-		}(r)
+		}()
 	}
-
-	// Dial the mesh: rank i owns the sockets it sends on.
-	var dialWG sync.WaitGroup
-	dialErrs := make(chan error, size*size*streams)
-	for i := 0; i < size; i++ {
-		for j := 0; j < size; j++ {
-			if i == j {
-				continue
-			}
-			for s := 0; s < streams; s++ {
-				dialWG.Add(1)
-				go func(i, j, s int) {
-					defer dialWG.Done()
-					conn, err := net.Dial("tcp", addrs[j])
-					if err != nil {
-						dialErrs <- fmt.Errorf("dial %d->%d stream %d: %w", i, j, s, err)
-						return
-					}
-					cfg.apply(conn)
-					var hdr [8]byte
-					binary.BigEndian.PutUint32(hdr[0:], uint32(i))
-					binary.BigEndian.PutUint32(hdr[4:], uint32(s))
-					if _, err := conn.Write(hdr[:]); err != nil {
-						_ = conn.Close()
-						dialErrs <- fmt.Errorf("handshake %d->%d stream %d: %w", i, j, s, err)
-						return
-					}
-					n.endpoints[i].setOut(j, s, conn)
-				}(i, j, s)
-			}
-		}
-	}
-	dialWG.Wait()
-	acceptWG.Wait()
-	closeListeners(listeners)
-	close(dialErrs)
-	close(acceptErrs)
-	for _, ch := range []chan error{dialErrs, acceptErrs} {
-		for err := range ch {
-			_ = n.Close()
-			return nil, err
-		}
-	}
-	for _, ep := range n.endpoints {
-		ep.startHeartbeat()
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		_ = n.Close()
+		return nil, err
 	}
 	return n, nil
-}
-
-func closeListeners(ls []net.Listener) {
-	for _, l := range ls {
-		if l != nil {
-			_ = l.Close()
-		}
-	}
 }
 
 func (n *tcpNetwork) Size() int    { return n.size }
@@ -577,7 +465,7 @@ type tcpEndpoint struct {
 	out []*connWriter
 
 	// inbox[from*streams+stream] receives decoded frames from the reader
-	// goroutines, cfg.inboxDepth frames ahead of Recv. A reader that exits
+	// goroutines, inboxDepth frames ahead of Recv. A reader that exits
 	// records why in readerErr and closes its inbox, so a Recv that drains the
 	// channel learns the stream is down instead of blocking forever; the
 	// write-then-close ordering makes the slot safe to read after the channel
@@ -632,7 +520,7 @@ func newTCPEndpoint(rank, size, streams int, cfg tcpConfig) *tcpEndpoint {
 		w.trackIdle = cfg.heartbeat > 0
 		w.writeTimeout = cfg.writeTimeout()
 		ep.out[i] = w
-		ep.inbox[i] = make(chan []byte, cfg.inboxDepth)
+		ep.inbox[i] = make(chan []byte, inboxDepth)
 	}
 	for r := range ep.peerDown {
 		ep.peerDown[r] = make(chan struct{})
@@ -725,8 +613,14 @@ func (e *tcpEndpoint) Abort(to, stream, origin int) error {
 // spawns a reader goroutine per connection. A handshake that claims an
 // already-connected (rank, stream) pair fails the mesh with ErrDuplicatePeer:
 // a second reader on the same inbox would interleave frames and break the
-// per-pair FIFO guarantee.
-func (e *tcpEndpoint) acceptAll(l net.Listener, expect int) error {
+// per-pair FIFO guarantee. Accepting and each handshake read give up at the
+// deadline (zero means none) with an error wrapping os.ErrDeadlineExceeded,
+// so a peer that never dials, or dials and never sends its header, cannot
+// hold mesh establishment past it.
+func (e *tcpEndpoint) acceptAll(l net.Listener, expect int, deadline time.Time) error {
+	if dl, ok := l.(interface{ SetDeadline(time.Time) error }); ok {
+		_ = dl.SetDeadline(deadline)
+	}
 	seen := make(map[int]bool, expect)
 	for i := 0; i < expect; i++ {
 		conn, err := l.Accept()
@@ -734,10 +628,12 @@ func (e *tcpEndpoint) acceptAll(l net.Listener, expect int) error {
 			return err
 		}
 		var hdr [8]byte
+		_ = conn.SetReadDeadline(deadline)
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			_ = conn.Close()
 			return fmt.Errorf("read handshake: %w", err)
 		}
+		_ = conn.SetReadDeadline(time.Time{})
 		from := int(binary.BigEndian.Uint32(hdr[0:]))
 		stream := int(binary.BigEndian.Uint32(hdr[4:]))
 		if err := checkRank(from, e.size); err != nil {
@@ -755,7 +651,6 @@ func (e *tcpEndpoint) acceptAll(l net.Listener, expect int) error {
 		}
 		seen[idx] = true
 		mHandshakes.Inc()
-		e.cfg.apply(conn)
 		e.readerWG.Add(1)
 		go e.readLoop(conn, from, stream)
 	}
@@ -811,7 +706,7 @@ func (e *tcpEndpoint) readLoop(conn net.Conn, from, stream int) {
 // payload read. Control frames (heartbeats, aborts) are consumed here and
 // never surface through Recv.
 func (e *tcpEndpoint) readFrames(conn net.Conn, inbox chan []byte, idx, stream int) error {
-	br := bufio.NewReaderSize(conn, e.cfg.readBufSize)
+	br := bufio.NewReaderSize(conn, readBufSize)
 	rec := e.cfg.trace
 	lane := traceLane(e.rank, stream)
 	liveness := e.cfg.livenessWindow()

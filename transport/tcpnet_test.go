@@ -37,10 +37,10 @@ func TestTCPDuplicateHandshakeRejected(t *testing.T) {
 	}
 	defer func() { _ = l.Close() }()
 
-	ep := newTCPEndpoint(0, 3, 2, defaultTCPConfig())
+	ep := newTCPEndpoint(0, 3, 2, tcpConfig{})
 	defer func() { _ = ep.Close() }()
 	acceptErr := make(chan error, 1)
-	go func() { acceptErr <- ep.acceptAll(l, 2) }()
+	go func() { acceptErr <- ep.acceptAll(l, 2, time.Time{}) }()
 
 	c1 := dialHandshake(t, l.Addr().String(), 1, 0)
 	defer func() { _ = c1.Close() }()
@@ -65,10 +65,10 @@ func TestTCPDistinctStreamsAccepted(t *testing.T) {
 	}
 	defer func() { _ = l.Close() }()
 
-	ep := newTCPEndpoint(0, 2, 2, defaultTCPConfig())
+	ep := newTCPEndpoint(0, 2, 2, tcpConfig{})
 	defer func() { _ = ep.Close() }()
 	acceptErr := make(chan error, 1)
-	go func() { acceptErr <- ep.acceptAll(l, 2) }()
+	go func() { acceptErr <- ep.acceptAll(l, 2, time.Time{}) }()
 
 	c1 := dialHandshake(t, l.Addr().String(), 1, 0)
 	defer func() { _ = c1.Close() }()
@@ -95,10 +95,10 @@ func TestTCPOversizedHeaderSurfacesOnRecv(t *testing.T) {
 	}
 	defer func() { _ = l.Close() }()
 
-	ep := newTCPEndpoint(0, 2, 1, defaultTCPConfig())
+	ep := newTCPEndpoint(0, 2, 1, tcpConfig{})
 	defer func() { _ = ep.Close() }()
 	acceptErr := make(chan error, 1)
-	go func() { acceptErr <- ep.acceptAll(l, 1) }()
+	go func() { acceptErr <- ep.acceptAll(l, 1, time.Time{}) }()
 
 	conn := dialHandshake(t, l.Addr().String(), 1, 0)
 	defer func() { _ = conn.Close() }()
@@ -136,10 +136,10 @@ func TestTCPPeerDownDeliversLaneFramesFirst(t *testing.T) {
 	}
 	defer func() { _ = l.Close() }()
 
-	ep := newTCPEndpoint(0, 2, 2, defaultTCPConfig())
+	ep := newTCPEndpoint(0, 2, 2, tcpConfig{})
 	defer func() { _ = ep.Close() }()
 	acceptErr := make(chan error, 1)
-	go func() { acceptErr <- ep.acceptAll(l, 2) }()
+	go func() { acceptErr <- ep.acceptAll(l, 2, time.Time{}) }()
 	lane0 := dialHandshake(t, l.Addr().String(), 1, 0)
 	defer func() { _ = lane0.Close() }()
 	lane1 := dialHandshake(t, l.Addr().String(), 1, 1)
@@ -318,36 +318,6 @@ func TestTCPSendRecvRaceClose(t *testing.T) {
 	wg.Wait()
 	if delivered.Load() == 0 {
 		t.Error("no frames delivered before close")
-	}
-}
-
-// The tuning options must produce a working mesh end to end.
-func TestTCPOptionsEndToEnd(t *testing.T) {
-	net_, err := NewTCP(2, 1,
-		WithInboxDepth(8),
-		WithReadBuffer(4<<10),
-		WithSocketBuffers(64<<10, 64<<10),
-		WithNoDelay(false),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net_.Close() }()
-	ep0, _ := net_.Endpoint(0)
-	ep1, _ := net_.Endpoint(1)
-	for i := 0; i < 16; i++ {
-		if err := ep0.Send(1, 0, []byte(fmt.Sprintf("frame-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 16; i++ {
-		got, err := ep1.Recv(0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("frame-%d", i); string(got) != want {
-			t.Fatalf("frame %d = %q, want %q", i, got, want)
-		}
 	}
 }
 

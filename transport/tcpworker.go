@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"syscall"
 	"time"
 )
@@ -18,14 +19,17 @@ type WorkerOption func(*workerConfig)
 
 type workerConfig struct {
 	dialTimeout time.Duration
-	retryDelay  time.Duration
 	bindRetries int
 	bindDelay   time.Duration
 	tcp         tcpConfig
 }
 
+// meshTimeout bounds mesh establishment: NewTCP's, and NewTCPWorker's unless
+// WithDialTimeout replaces it.
+const meshTimeout = 30 * time.Second
+
 // WithDialTimeout bounds how long a worker waits for its peers to come up
-// (default 30s).
+// (default meshTimeout, 30s).
 func WithDialTimeout(d time.Duration) WorkerOption {
 	return func(c *workerConfig) {
 		if d > 0 {
@@ -34,9 +38,8 @@ func WithDialTimeout(d time.Duration) WorkerOption {
 	}
 }
 
-// WithTCPOptions applies data-plane tuning (inbox depth, socket buffers,
-// TCP_NODELAY, read buffer) to the worker's mesh sockets — the same options
-// NewTCP takes.
+// WithTCPOptions applies the options NewTCP takes (operation timeout,
+// heartbeat, trace) to the worker's endpoint.
 func WithTCPOptions(opts ...TCPOption) WorkerOption {
 	return func(c *workerConfig) {
 		for _, o := range opts {
@@ -80,11 +83,9 @@ func NewTCPWorker(rank, streams int, addrs []string, opts ...WorkerOption) (Endp
 		return nil, fmt.Errorf("%w: streams %d", ErrBadStream, streams)
 	}
 	cfg := workerConfig{
-		dialTimeout: 30 * time.Second,
-		retryDelay:  50 * time.Millisecond,
+		dialTimeout: meshTimeout,
 		bindRetries: 20,
 		bindDelay:   25 * time.Millisecond,
-		tcp:         defaultTCPConfig(),
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -95,70 +96,62 @@ func NewTCPWorker(rank, streams int, addrs []string, opts ...WorkerOption) (Endp
 		return nil, fmt.Errorf("listen %s: %w", addrs[rank], err)
 	}
 	ep := newTCPEndpoint(rank, size, streams, cfg.tcp)
-
-	expect := (size - 1) * streams
-	acceptErr := make(chan error, 1)
-	go func() {
-		acceptErr <- ep.acceptAll(l, expect)
-	}()
-
-	dialErr := make(chan error, 1)
-	go func() {
-		dialErr <- dialMesh(ep, rank, streams, addrs, cfg)
-	}()
-
-	deadline := time.NewTimer(cfg.dialTimeout)
-	defer deadline.Stop()
-	var firstErr error
-	for pending := 2; pending > 0; {
-		select {
-		case err := <-acceptErr:
-			pending--
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("accept: %w", err)
-			}
-		case err := <-dialErr:
-			pending--
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		case <-deadline.C:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: mesh incomplete after %v", ErrRendezvous, cfg.dialTimeout)
-			}
-			pending = 0
-		}
-	}
-	_ = l.Close()
-	if firstErr != nil {
+	if err := ep.establish(l, addrs, cfg.dialTimeout); err != nil {
 		_ = ep.Close()
-		return nil, firstErr
+		return nil, err
 	}
-	ep.startHeartbeat()
 	return ep, nil
 }
 
-// dialMesh connects this rank's outgoing sockets, retrying while peers boot.
-func dialMesh(ep *tcpEndpoint, rank, streams int, addrs []string, cfg workerConfig) error {
-	deadline := time.Now().Add(cfg.dialTimeout)
+// establish builds this rank's part of the mesh: it accepts the
+// (size-1)·streams sockets its peers dial into l while dialing its own to
+// every addrs[to], and fails with ErrRendezvous if the mesh is incomplete
+// after timeout. It closes l and waits for its accept goroutine before
+// returning, so nothing it started outlives it; the heartbeat starts only on
+// success. On failure the caller closes the endpoint, which releases the
+// sockets already attached.
+func (e *tcpEndpoint) establish(l net.Listener, addrs []string, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	acceptErr := make(chan error, 1)
+	go func() { acceptErr <- e.acceptAll(l, (e.size-1)*e.streams, deadline) }()
+	err := e.dialMesh(addrs, deadline)
+	if err != nil {
+		_ = l.Close() // unblock the accept loop now rather than at the deadline
+	}
+	aerr := <-acceptErr
+	_ = l.Close()
+	switch {
+	case err != nil:
+		return err
+	case errors.Is(aerr, os.ErrDeadlineExceeded):
+		return fmt.Errorf("%w: mesh incomplete after %v", ErrRendezvous, timeout)
+	case aerr != nil:
+		return fmt.Errorf("accept: %w", aerr)
+	}
+	e.startHeartbeat()
+	return nil
+}
+
+// dialMesh connects this rank's outgoing sockets in order, retrying while
+// peers boot, and sends each one's handshake header: (from rank, stream).
+func (e *tcpEndpoint) dialMesh(addrs []string, deadline time.Time) error {
 	for to, addr := range addrs {
-		if to == rank {
+		if to == e.rank {
 			continue
 		}
-		for s := 0; s < streams; s++ {
-			conn, err := dialRetry(addr, deadline, cfg.retryDelay)
+		for s := 0; s < e.streams; s++ {
+			conn, err := dialRetry(addr, deadline)
 			if err != nil {
-				return fmt.Errorf("%w: dial %d->%d: %v", ErrRendezvous, rank, to, err)
+				return fmt.Errorf("%w: dial %d->%d: %v", ErrRendezvous, e.rank, to, err)
 			}
-			cfg.tcp.apply(conn)
 			var hdr [8]byte
-			binary.BigEndian.PutUint32(hdr[0:], uint32(rank))
+			binary.BigEndian.PutUint32(hdr[0:], uint32(e.rank))
 			binary.BigEndian.PutUint32(hdr[4:], uint32(s))
 			if _, err := conn.Write(hdr[:]); err != nil {
 				_ = conn.Close()
-				return fmt.Errorf("%w: handshake %d->%d: %v", ErrRendezvous, rank, to, err)
+				return fmt.Errorf("%w: handshake %d->%d: %v", ErrRendezvous, e.rank, to, err)
 			}
-			ep.setOut(to, s, conn)
+			e.setOut(to, s, conn)
 		}
 	}
 	return nil
@@ -194,12 +187,13 @@ func listenRetry(addr string, attempts int, delay time.Duration) (net.Listener, 
 }
 
 // dialRetry dials addr until the deadline, backing off exponentially from
-// `delay` (doubling per attempt, capped at 1s) so a mesh waiting on a slow
-// peer doesn't hammer its listen queue. Transient refusals while the peer
-// boots — or while it restarts after a crash, the elastic-recovery path — are
+// 50ms (doubling per attempt, capped at 1s) so a mesh waiting on a slow peer
+// doesn't hammer its listen queue. Transient refusals while the peer boots —
+// or while it restarts after a crash, the elastic-recovery path — are
 // absorbed here; only the deadline makes the failure permanent.
-func dialRetry(addr string, deadline time.Time, delay time.Duration) (net.Conn, error) {
+func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
 	const maxBackoff = time.Second
+	delay := 50 * time.Millisecond
 	var lastErr error
 	for attempt := 0; time.Now().Before(deadline); attempt++ {
 		if attempt > 0 {

@@ -3,9 +3,13 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"aiacc/internal/leakcheck"
 )
 
 func TestFreeAddrs(t *testing.T) {
@@ -161,7 +165,12 @@ func TestTCPWorkerValidation(t *testing.T) {
 	}
 }
 
-// A worker whose peers never appear must fail with ErrRendezvous, not hang.
+// A worker whose mesh cannot complete must fail with ErrRendezvous, not hang,
+// and leave nothing behind. First no peer listens at all (the dial side
+// fails). Then a peer accepts rank 0's socket and either never dials back or
+// dials back and never sends its handshake (the accept side fails, in Accept
+// or in the header read). There, the socket rank 0 dialed must be closed on
+// return, and no goroutine establish started may outlive it.
 func TestTCPWorkerTimeout(t *testing.T) {
 	addrs, err := FreeAddrs(2)
 	if err != nil {
@@ -170,9 +179,57 @@ func TestTCPWorkerTimeout(t *testing.T) {
 	start := time.Now()
 	_, err = NewTCPWorker(0, 1, addrs, WithDialTimeout(400*time.Millisecond))
 	if !errors.Is(err, ErrRendezvous) {
-		t.Fatalf("error = %v, want ErrRendezvous", err)
+		t.Fatalf("no peer: error = %v, want ErrRendezvous", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("timeout took %v", elapsed)
+		t.Fatalf("no peer: timeout took %v", elapsed)
+	}
+
+	for _, dialBack := range []bool{false, true} {
+		peer, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[1] = peer.Addr().String()
+		accepted := make(chan net.Conn, 1)
+		var back net.Conn
+		go func() {
+			defer close(accepted)
+			c, err := peer.Accept()
+			if err != nil {
+				return
+			}
+			if dialBack {
+				// Rank 0 dials only after binding, so its listener is up.
+				back, _ = net.Dial("tcp", addrs[0])
+			}
+			accepted <- c
+		}()
+
+		snap := leakcheck.Take()
+		_, err = NewTCPWorker(0, 1, addrs, WithDialTimeout(400*time.Millisecond))
+		if !errors.Is(err, ErrRendezvous) {
+			t.Fatalf("dialBack=%v: error = %v, want ErrRendezvous", dialBack, err)
+		}
+		conn, ok := <-accepted
+		if !ok {
+			t.Fatalf("dialBack=%v: rank 0 never dialed the peer", dialBack)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+		var hdr [8]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			t.Fatalf("dialBack=%v: read handshake: %v", dialBack, err)
+		}
+		if _, err := conn.Read(hdr[:1]); err != io.EOF {
+			t.Fatalf("dialBack=%v: read after failed rendezvous = %v, want io.EOF", dialBack, err)
+		}
+		if err := snap.Goroutines(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.Close()
+		_ = peer.Close()
+		if back != nil {
+			_ = back.Close()
+		}
 	}
 }

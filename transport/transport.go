@@ -6,13 +6,20 @@
 // (separate sockets for the TCP transport), which is the substrate AIACC's
 // multi-streamed concurrent all-reduce relies on.
 //
-// Two implementations are provided:
+// Implementations:
 //
-//   - Mem: an in-process network backed by Go channels, used by the live
-//     engine, the examples and the test suite.
-//   - TCP: a real TCP mesh over the loopback (or any) interface, one socket
-//     per (peer, stream) pair, demonstrating that the protocol stack works
-//     over an actual network.
+//   - Mem (NewMem): an in-process network backed by Go channels, used by the
+//     live engine, the examples and the test suite.
+//   - TCP: a real TCP mesh, one socket per (peer, stream) pair.
+//     NewTCPWorker builds one rank's part of a mesh spanning OS processes or
+//     machines; NewTCP builds a whole mesh on the loopback interface and runs
+//     each rank exactly as a NewTCPWorker process does.
+//   - transport/shmnet: shared-memory rings between ranks on one host,
+//     in-process or across OS processes over an mmap'd region file.
+//   - NewTwoTier: a two-tier network that routes intra-host traffic over one
+//     network (e.g. shm) and inter-host traffic over another (e.g. TCP).
+//   - transport/chaos: a deterministic fault-injection decorator over any
+//     Network.
 package transport
 
 import (
