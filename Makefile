@@ -7,13 +7,14 @@
 # catches benchmark bit-rot, not performance), and the metrics-overhead gate (alloc-free increments plus
 # the <2% instrumentation bound on the live all-reduce). The byte-path packages
 # are tested a second time under -tags purego, the build in which the portable
-# kernel loops do all the work. Last, the benchmark module is vetted and tested.
+# kernel loops do all the work, and the virtual-time tests run under
+# GOEXPERIMENT=synctest. Last, the benchmark module is vetted and tested.
 
 GO ?= go
 
-.PHONY: ci fmt build test vet purego race chaos bench-smoke metrics-overhead bench-module bench
+.PHONY: ci fmt build test vet purego race chaos vtime bench-smoke metrics-overhead bench-module bench
 
-ci: fmt vet build test purego race chaos bench-smoke metrics-overhead bench-module
+ci: fmt vet build test purego race chaos vtime bench-smoke metrics-overhead bench-module
 
 build:
 	$(GO) build ./...
@@ -58,13 +59,19 @@ race: purego
 chaos:
 	$(GO) test -race -count=1 -short -run 'TestChaosSoak|TestAbort|TestPrioritySchedLiveness|TestShmWake' ./collective/ ./transport/chaos/ ./engine/ ./transport/shmnet/
 
+# Virtual-time tests (internal/vtime, DESIGN.md §8): the real engine over
+# memnet's modelled link inside a testing/synctest bubble, which Go 1.24 ships
+# only under this experiment. Tier-1 does not set it and never builds them.
+vtime:
+	GOEXPERIMENT=synctest $(GO) test -count=1 -run VTime ./...
+
 bench-smoke:
 	$(GO) test -run XXX -bench 'RingAllReduceShm|EngineIterationTCP|WireKernels|ShmPingPong' -benchtime 1x . ./internal/wire/ ./transport/shmnet/
 
 # Observability cost gates (DESIGN.md §7, §8): the metric increment path must
 # be allocation-free, full-stack instrumentation must cost <2% on the live
 # ring all-reduce, and idle-only TCP liveness heartbeats must cost <5% on the
-# busy path (min-of-trials A/B in both cases).
+# busy path (median of interleaved on/off pairs in both cases).
 metrics-overhead:
 	$(GO) test -run TestIncrementBenchmarksAllocFree -count=1 ./metrics/
 	AIACC_OVERHEAD_GATE=1 $(GO) test -run 'TestMetricsOverheadGate|TestHeartbeatOverheadGate' -count=1 .

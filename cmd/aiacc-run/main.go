@@ -283,6 +283,7 @@ func worker(rank int, ep transport.Endpoint, cfg engine.Config, engineKind strin
 		return err
 	}
 	comm := mpi.NewWorld(ep)
+	defer comm.Close()
 	if tune {
 		res, err := train.TuneLive(comm, cfg, train.LiveSpace(), tuneBudget, producer,
 			func() optimizer.Optimizer { return opt }, 42)

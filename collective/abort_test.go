@@ -39,7 +39,9 @@ func runChaosRanks(t *testing.T, size, streams int, plan *chaos.Plan, fn func(c 
 		wg.Add(1)
 		go func(r int, ep transport.Endpoint) {
 			defer wg.Done()
-			results[r] = fn(mpi.NewWorld(ep), r)
+			c := mpi.NewWorld(ep)
+			defer c.Close()
+			results[r] = fn(c, r)
 		}(r, ep)
 	}
 	done := make(chan struct{})
@@ -245,7 +247,9 @@ func soakOnce(t *testing.T, seed int64, size int, net transport.Network, plan *c
 		wg.Add(1)
 		go func(r int, ep transport.Endpoint) {
 			defer wg.Done()
-			results[r] = RingAllReduceCodec(mpi.NewWorld(ep), 0, datas[r], tensor.OpSum, compress.FP32{})
+			c := mpi.NewWorld(ep)
+			defer c.Close()
+			results[r] = RingAllReduceCodec(c, 0, datas[r], tensor.OpSum, compress.FP32{})
 		}(r, ep)
 	}
 	done := make(chan struct{})

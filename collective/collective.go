@@ -225,7 +225,7 @@ func andAllReduceBits(c *mpi.Comm, stream int, bits []uint64) error {
 	// ring as a later step's encode buffer. No per-step allocation.
 	defer obsOp(mAndBits, opStart())
 	size := 8 * len(bits)
-	r := beginSeg(size)
+	r := beginSeg(c, size)
 	defer r.end()
 	for step := 0; step < n-1; step++ {
 		buf := wire.Grow(r.takeBuf(), size)

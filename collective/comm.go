@@ -1,5 +1,7 @@
 package collective
 
+import "aiacc/internal/sendpool"
+
 // Comm is the communicator surface the ring collectives run over. *mpi.Comm
 // implements it directly; the engine's priority scheduler implements it with
 // a tagging multiplexer (engine.plexComm) so a preempting high-priority unit
@@ -24,4 +26,6 @@ type Comm interface {
 	// Abort poisons the lane to the member, attributing failure to the
 	// world-rank origin.
 	Abort(to, stream, origin int) error
+	// Senders returns the pool the operation borrows its sender from.
+	Senders() *sendpool.Pool
 }

@@ -40,11 +40,11 @@ var (
 	mAndBits       = newOpMetrics("and_bits")
 
 	mChunkBytes = metrics.NewHistogram("aiacc_collective_chunk_wire_bytes",
-		"Encoded wire size of one ring segment, observed post-encode.", metrics.SizeBytes)
+		"Encoded wire size of one ring segment, observed post-encode (sampled ops, see segSamplePeriod).", metrics.SizeBytes)
 	mPhaseRS = metrics.NewHistogram("aiacc_collective_phase_ns",
-		"Ring phase wall time.", metrics.LatencyNs, metrics.L("phase", "reduce_scatter"))
+		"Ring phase wall time (sampled ops, see segSamplePeriod).", metrics.LatencyNs, metrics.L("phase", "reduce_scatter"))
 	mPhaseAG = metrics.NewHistogram("aiacc_collective_phase_ns",
-		"Ring phase wall time.", metrics.LatencyNs, metrics.L("phase", "all_gather"))
+		"Ring phase wall time (sampled ops, see segSamplePeriod).", metrics.LatencyNs, metrics.L("phase", "all_gather"))
 
 	// Segment-pipelining metrics: how finely the most recent ring op sliced
 	// its chunks, where each segment's time went, and — the overlap headline —
@@ -93,13 +93,16 @@ func obsOp(m opMetrics, t0 time.Time) {
 }
 
 // segSamplePeriod trades pipeline-metric resolution against hot-path cost:
-// per-segment stage timing runs on 1 ring op in segSamplePeriod (power of
-// two). A small op makes ~6 clock reads per ring step when timed, and on
-// virtualized hosts a clock read is expensive enough that timing every op
-// blows the ≤2% instrumentation budget (TestMetricsOverheadGate). Sampling
-// keeps the stage histograms statistically faithful; the wire-wait/compute
-// counters are scaled by the period so their totals still estimate whole-run
-// time and their ratio — the overlap headline — is unbiased.
+// per-segment stage timing, ring phase timing and segment wire sizes are
+// recorded on 1 ring op in segSamplePeriod (power of two); op latency and op
+// counts stay exact. A small op makes ~6 clock reads per ring step when
+// timed, and on virtualized hosts a clock read, and a histogram update that
+// other ranks' goroutines contend for, are expensive enough that recording
+// all of these on every op blows the ≤2% instrumentation budget
+// (TestMetricsOverheadGate). Sampling keeps the histograms statistically
+// faithful; the wire-wait/compute counters are scaled by the period so their
+// totals still estimate whole-run time and their ratio — the overlap
+// headline — is unbiased.
 const segSamplePeriod = 8
 
 var segSampleTick atomic.Uint64

@@ -110,6 +110,7 @@ func codecLossless(c compress.Codec) bool {
 // goes back through giveBuf as a future encode buffer. The steady-state ring
 // circulates a fixed set of pool buffers and allocates nothing.
 type segRing struct {
+	pool     *sendpool.Pool
 	pipe     *sendpool.Pipe
 	out      int // outstanding sends (Sends minus Waits)
 	nfree    int
@@ -117,11 +118,12 @@ type segRing struct {
 	wireHint int
 }
 
-// beginSeg returns the ring by value so it stays on the caller's stack.
-// wireHint is the expected encoded segment size, used to draw buffers from
-// the right pool size class.
-func beginSeg(wireHint int) segRing {
-	return segRing{pipe: sendpool.AcquirePipe(), wireHint: wireHint}
+// beginSeg returns the ring by value so it stays on the caller's stack. Its
+// sender is borrowed from c's pool. wireHint is the expected encoded segment
+// size, used to draw buffers from the right pool size class.
+func beginSeg(c Comm, wireHint int) segRing {
+	pool := c.Senders()
+	return segRing{pool: pool, pipe: pool.Get(), wireHint: wireHint}
 }
 
 // takeBuf returns an owned zero-length wire buffer ready for append-style
@@ -185,10 +187,10 @@ func (r *segRing) drain() error {
 	return first
 }
 
-// end releases the ring's resources on every exit path. A pipe abandoned
+// end releases the ring's resources on every exit path. A pipe returned
 // with sends still in flight is drained in the background before pooling.
 func (r *segRing) end() {
-	sendpool.AbandonPipe(r.pipe, r.out)
+	r.pool.Put(r.pipe, r.out)
 	r.out = 0
 	for i := 0; i < r.nfree; i++ {
 		recycleWire(r.free[i])
@@ -208,7 +210,7 @@ type ringPipeline struct {
 	maxChunk   int // largest per-rank chunk, for slot sizing
 	r          segRing
 	scratch    []float32 // one segment of decode scratch (unfused reduce ops only)
-	timed      bool      // metrics enabled at op start
+	timed      bool      // this op records the sampled metrics (segTimed)
 	yield      func()    // segment-boundary preemption hook (may be nil)
 	scale      float32   // factor for the owned chunk (0: none)
 }
@@ -232,7 +234,7 @@ func (p *ringPipeline) init(c Comm, stream, dataLen int, codec compress.Codec, o
 	p.next, p.prev = (rank+1)%n, (rank-1+n)%n
 	p.codec, p.segBytes, p.maxChunk = codec, o.segBytes, maxChunk
 	p.yield, p.scale = o.yield, o.scale
-	p.r = beginSeg(int(codec.WireBytes(p.segElems())))
+	p.r = beginSeg(p.c, int(codec.WireBytes(p.segElems())))
 	p.timed = segTimed()
 	mSegCount.Set(int64(numSegments(maxChunk, o.segBytes)))
 }
@@ -258,7 +260,7 @@ func (p *ringPipeline) segElems() int {
 func (p *ringPipeline) reduceScatter(data []float32, op tensor.ReduceOp) error {
 	n := p.c.Size()
 	rank := p.c.Rank()
-	phase := opStart()
+	phase := segStart(p.timed)
 	if op != tensor.OpSum {
 		fp := getF32(p.segElems())
 		defer putF32(fp)
@@ -289,7 +291,7 @@ func (p *ringPipeline) allGather(data []float32) error {
 	n := p.c.Size()
 	rank := p.c.Rank()
 	requant := !codecLossless(p.codec)
-	phase := opStart()
+	phase := segStart(p.timed)
 	var slots, spare *[][]byte
 	if n > 2 {
 		maxSegs := numSegments(p.maxChunk, p.segBytes)
@@ -333,7 +335,9 @@ func (p *ringPipeline) encodeSend(chunk []float32, segs, i int, requant bool) er
 	t0 := segStart(p.timed)
 	buf = p.codec.EncodeTo(buf, chunk[lo:hi])
 	segObs(mSegEncodeNs, t0)
-	mChunkBytes.Observe(int64(len(buf)))
+	if p.timed {
+		mChunkBytes.Observe(int64(len(buf)))
+	}
 	if requant {
 		if err := p.codec.Decode(chunk[lo:hi], buf); err != nil {
 			p.r.giveBuf(buf)

@@ -33,7 +33,7 @@ func ringAllReduceSerial(c Comm, stream int, data []float32, op tensor.ReduceOp,
 	next := (rank + 1) % n
 	prev := (rank - 1 + n) % n
 
-	r := beginSeg(int(codec.WireBytes(len(data)/n + 1)))
+	r := beginSeg(c, int(codec.WireBytes(len(data)/n+1)))
 	defer r.end()
 	// One decode scratch of max-chunk size serves every step.
 	fp := getF32(len(data)/n + 1)

@@ -38,12 +38,14 @@ func TestChaosKillMidIteration(t *testing.T) {
 	defer func() { _ = net.Close() }()
 
 	engines := make([]*Engine, size)
+	comms := make([]*mpi.Comm, size)
 	for r := 0; r < size; r++ {
 		ep, err := net.Endpoint(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewEngine(mpi.NewWorld(ep), cfg)
+		comms[r] = mpi.NewWorld(ep)
+		eng, err := NewEngine(comms[r], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,8 +102,9 @@ func TestChaosKillMidIteration(t *testing.T) {
 		}
 	}
 
-	for _, e := range engines {
+	for r, e := range engines {
 		_ = e.Close()
+		comms[r].Close()
 	}
 	_ = net.Close()
 	if err := base.Goroutines(10 * time.Second); err != nil {

@@ -498,6 +498,13 @@ func (e *Engine) loop() {
 	defer close(e.loopDone)
 	for {
 		err := e.runIteration()
+		if err == nil {
+			// Counted before WaitIteration can return, so Stats read after
+			// it sees this iteration.
+			e.mu.Lock()
+			e.stats.Iterations++
+			e.mu.Unlock()
+		}
 		select {
 		case e.iterDone <- err:
 		case <-e.stop:
@@ -516,7 +523,6 @@ func (e *Engine) resetIteration() {
 	e.mu.Lock()
 	clear(e.data)
 	clear(e.remaining)
-	e.stats.Iterations++
 	e.mu.Unlock()
 }
 

@@ -32,6 +32,7 @@ import (
 	"sync"
 
 	"aiacc/internal/bufpool"
+	"aiacc/internal/sendpool"
 	"aiacc/mpi"
 	"aiacc/transport"
 )
@@ -215,3 +216,4 @@ func (p plexComm) Send(to, stream int, data []byte) error {
 func (p plexComm) Recv(from, stream int) ([]byte, error) {
 	return p.t.recv(from, stream, p.tag)
 }
+func (p plexComm) Senders() *sendpool.Pool { return p.t.c.Senders() }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"aiacc/internal/leakcheck"
-	"aiacc/internal/sendpool"
 	"aiacc/mpi"
 	"aiacc/netmodel"
 	"aiacc/tensor"
@@ -266,19 +265,6 @@ func TestPrioritySchedPreemption(t *testing.T) {
 // parked yield gates and the plex demux lanes — and leak neither goroutines
 // nor pooled buffers: parked frames on lane queues must return to the pool.
 func TestChaosSoakPriorityKill(t *testing.T) {
-	// Warm the sendpool so its persistent senders land in the leakcheck
-	// baseline: with preemption on, this test runs up to classes × streams ×
-	// ranks (4 × 2 × 3) concurrent pipelines plus the readiness rounds' and
-	// barriers' senders, more than the fixed slack covers, and pooled-idle
-	// senders after teardown are by design, not a leak.
-	warm := make([]*sendpool.Pipe, 24+8)
-	for i := range warm {
-		warm[i] = sendpool.AcquirePipe()
-	}
-	for _, p := range warm {
-		sendpool.ReleasePipe(p)
-	}
-
 	base := leakcheck.Take()
 	params := skewedProfile()
 	cfg := DefaultConfig()
@@ -307,12 +293,14 @@ func TestChaosSoakPriorityKill(t *testing.T) {
 	defer func() { _ = net.Close() }()
 
 	engines := make([]*Engine, size)
+	comms := make([]*mpi.Comm, size)
 	for r := 0; r < size; r++ {
 		ep, err := net.Endpoint(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewEngine(mpi.NewWorld(ep), cfg)
+		comms[r] = mpi.NewWorld(ep)
+		eng, err := NewEngine(comms[r], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,8 +358,9 @@ func TestChaosSoakPriorityKill(t *testing.T) {
 		}
 	}
 
-	for _, e := range engines {
+	for r, e := range engines {
 		_ = e.Close()
+		comms[r].Close()
 	}
 	_ = net.Close()
 	if err := base.Goroutines(10 * time.Second); err != nil {

@@ -83,7 +83,9 @@ func liveIteration() error {
 				errc <- err
 				return
 			}
-			tr, err := train.NewTrainer(mpi.NewWorld(ep), cfg, producer, opt)
+			comm := mpi.NewWorld(ep)
+			defer comm.Close()
+			tr, err := train.NewTrainer(comm, cfg, producer, opt)
 			if err != nil {
 				errc <- err
 				return

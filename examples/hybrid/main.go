@@ -91,6 +91,7 @@ func run() error {
 
 func worker(rank int, ep transport.Endpoint, cfg engine.Config) error {
 	world := mpi.NewWorld(ep)
+	defer world.Close()
 	shard := rank % shards
 	group, err := world.Subgroup(shardGroup(shard))
 	if err != nil {

@@ -98,7 +98,9 @@ func runTrainingPhase(t *testing.T, size, endStep, crashStep, victim int,
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := engine.NewEngine(mpi.NewWorld(ep), cfg)
+		c := mpi.NewWorld(ep)
+		defer c.Close()
+		eng, err := engine.NewEngine(c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

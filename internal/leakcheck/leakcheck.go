@@ -3,13 +3,14 @@
 // fault, no goroutine may be left blocked on a dead lane and every pooled
 // buffer the operation borrowed must be back in internal/bufpool.
 //
-// Goroutine counting in a process that keeps pooled infrastructure warm
-// (internal/sendpool idles persistent senders; the runtime lazily grows its
-// own service goroutines) cannot demand an exact return to the starting
-// count. Instead Snapshot records a baseline and Check polls until the count
-// falls back to baseline plus a small slack, quiescing abandoned sendpool
-// senders first — a genuine leak (a reader parked on a wedged Recv, a writer
-// goroutine that never exited) holds the count elevated forever and fails the
+// The goroutine balance is exact. Every goroutine belongs to the object
+// that started it: transports to their network, sender goroutines
+// (internal/sendpool) to the communicator's pool, which mpi.Comm.Close
+// retires. So a test that closes what it built must come back to precisely
+// the goroutine count it started from. Goroutines polls for that, because
+// retired goroutines exit asynchronously; a genuine leak (a reader parked on
+// a wedged Recv, a writer that never exited, one parked sender of an
+// unclosed communicator) holds the count above the baseline and fails the
 // deadline.
 package leakcheck
 
@@ -19,7 +20,6 @@ import (
 	"time"
 
 	"aiacc/internal/bufpool"
-	"aiacc/internal/sendpool"
 )
 
 // Snapshot is a point-in-time goroutine and buffer-pool baseline.
@@ -37,19 +37,13 @@ func Take() Snapshot {
 	}
 }
 
-// slack tolerates goroutines that are legitimately alive after teardown:
-// sendpool keeps up to its idle cap of persistent senders warm, and the
-// runtime may have grown GC/timer service goroutines under load.
-const slack = 12
-
-// Goroutines polls until the goroutine count returns to baseline+slack or
-// the deadline passes, first waiting for abandoned sendpool senders to
-// quiesce. It returns an error naming the excess (with a stack dump) on
-// timeout.
+// Goroutines polls until the goroutine count returns to the baseline or the
+// deadline passes. It returns an error naming the excess (with a stack dump)
+// on timeout.
 func (s Snapshot) Goroutines(deadline time.Duration) error {
 	limit := time.Now().Add(deadline)
 	for {
-		if sendpool.PendingAbandoned() == 0 && runtime.NumGoroutine() <= s.goroutines+slack {
+		if runtime.NumGoroutine() <= s.goroutines {
 			return nil
 		}
 		if time.Now().After(limit) {
@@ -60,8 +54,8 @@ func (s Snapshot) Goroutines(deadline time.Duration) error {
 	}
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
-	return fmt.Errorf("leakcheck: %d goroutines (baseline %d, slack %d, abandoned senders %d) after %v\n%s",
-		runtime.NumGoroutine(), s.goroutines, slack, sendpool.PendingAbandoned(), deadline, buf[:n])
+	return fmt.Errorf("leakcheck: %d goroutines (baseline %d) after %v\n%s",
+		runtime.NumGoroutine(), s.goroutines, deadline, buf[:n])
 }
 
 // Buffers polls until bufpool's outstanding-buffer balance returns to the

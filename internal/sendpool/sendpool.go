@@ -5,26 +5,16 @@
 // (the standard deadlock-free formulation). Spawning a goroutine per send —
 // the obvious formulation — costs a goroutine start, a channel allocation and
 // a closure allocation per ring step, which at 64 ranks is 126 goroutines per
-// tensor. Instead, an operation acquires one Pipe for its whole lifetime: a
+// tensor. Instead, an operation borrows one Pipe for its whole lifetime: a
 // parked goroutine fed requests by value through a channel.
-// AcquirePipe/ReleasePipe recycle pipes through a bounded free list, so the
-// steady state allocates nothing and never leaks goroutines (pipes beyond the
-// free-list cap are retired by closing their feed channel).
+//
+// Pipes belong to a Pool, and a Pool belongs to the communicator that made
+// it (mpi.NewWorld): Get and Put recycle pipes through the pool's free list,
+// so the steady state allocates nothing, and Close retires them, so no sender
+// goroutine outlives its communicator.
 package sendpool
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// abandoned counts pipes handed to AbandonPipe whose background drain has
-// not completed yet. Failure tests poll PendingAbandoned() to quiesce before
-// asserting goroutine and buffer-pool balance: an abandoned pipe still holds
-// its in-flight payloads until the transport releases them.
-var abandoned atomic.Int64
-
-// PendingAbandoned returns how many abandoned pipes are still draining.
-func PendingAbandoned() int64 { return abandoned.Load() }
+import "sync"
 
 // Sender is the point-to-point send half used by collectives; *mpi.Comm and
 // transport.Endpoint both satisfy it.
@@ -45,11 +35,6 @@ func run(req chan request, err chan error) {
 		err <- r.s.Send(r.to, r.stream, r.data)
 	}
 }
-
-// maxIdle bounds the free list. It only needs to cover the peak number of
-// concurrent collective operations in the process (streams × communicators);
-// excess pipes are retired rather than parked forever.
-const maxIdle = 256
 
 // PipeDepth is the number of sends a Pipe accepts before Send blocks: one
 // executing on the transport plus one queued behind it.
@@ -80,23 +65,27 @@ func (p *Pipe) Send(s Sender, to, stream int, data []byte) {
 // error. Results arrive in Send order.
 func (p *Pipe) Wait() error { return <-p.err }
 
-var (
-	pipeMu   sync.Mutex
-	pipeIdle []*Pipe
-)
+// Pool is a free list of idle pipes. Its size is the peak number of
+// operations that ran at once on its communicators; it has no cap. The zero
+// value is ready to use. A Pool is safe for concurrent use.
+type Pool struct {
+	mu     sync.Mutex
+	idle   []*Pipe
+	closed bool
+}
 
-// AcquirePipe returns a ready pipelined sender, reusing a parked one when
-// available.
-func AcquirePipe() *Pipe {
-	pipeMu.Lock()
-	if n := len(pipeIdle); n > 0 {
-		p := pipeIdle[n-1]
-		pipeIdle[n-1] = nil
-		pipeIdle = pipeIdle[:n-1]
-		pipeMu.Unlock()
+// Get returns a ready pipelined sender, reusing an idle one when available.
+// It works after Close too: the pipe is then retired by its Put.
+func (pl *Pool) Get() *Pipe {
+	pl.mu.Lock()
+	if n := len(pl.idle); n > 0 {
+		p := pl.idle[n-1]
+		pl.idle[n-1] = nil
+		pl.idle = pl.idle[:n-1]
+		pl.mu.Unlock()
 		return p
 	}
-	pipeMu.Unlock()
+	pl.mu.Unlock()
 	// req buffers PipeDepth-1 queued requests behind the executing send; err
 	// buffers every completion so the sender loop never blocks reporting.
 	p := &Pipe{req: make(chan request, PipeDepth-1), err: make(chan error, PipeDepth)}
@@ -104,33 +93,40 @@ func AcquirePipe() *Pipe {
 	return p
 }
 
-// AbandonPipe returns a pipe with `outstanding` sends still in flight — the
-// error path of an operation that failed between Send and Wait. The pipe is
-// drained in the background and pooled once the transport releases it.
-func AbandonPipe(p *Pipe, outstanding int) {
-	if outstanding <= 0 {
-		ReleasePipe(p)
+// Put returns a pipe with `outstanding` sends not yet Waited on. With none
+// it is pooled at once (or retired if the pool is closed). With some — the
+// error path of an operation that failed between Send and Wait — a goroutine
+// waits them out first; it ends when the transport resolves those sends,
+// which a closed or failed transport does promptly.
+func (pl *Pool) Put(p *Pipe, outstanding int) {
+	if outstanding > 0 {
+		go func() {
+			for i := 0; i < outstanding; i++ {
+				<-p.err
+			}
+			pl.Put(p, 0)
+		}()
 		return
 	}
-	abandoned.Add(1)
-	go func() {
-		for i := 0; i < outstanding; i++ {
-			<-p.err
-		}
-		ReleasePipe(p)
-		abandoned.Add(-1)
-	}()
+	pl.mu.Lock()
+	if !pl.closed {
+		pl.idle = append(pl.idle, p)
+		pl.mu.Unlock()
+		return
+	}
+	pl.mu.Unlock()
+	close(p.req)
 }
 
-// ReleasePipe returns a pipe to the pool. The caller must have Waited on
-// every Send it issued.
-func ReleasePipe(p *Pipe) {
-	pipeMu.Lock()
-	if len(pipeIdle) < maxIdle {
-		pipeIdle = append(pipeIdle, p)
-		pipeMu.Unlock()
-		return
+// Close retires every idle pipe. Pipes still borrowed, or still draining,
+// are retired by their Put. Close does not wait for drains, so it cannot
+// hang on a send the transport has not resolved.
+func (pl *Pool) Close() {
+	pl.mu.Lock()
+	idle := pl.idle
+	pl.idle, pl.closed = nil, true
+	pl.mu.Unlock()
+	for _, p := range idle {
+		close(p.req)
 	}
-	pipeMu.Unlock()
-	close(p.req)
 }

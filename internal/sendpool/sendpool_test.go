@@ -4,6 +4,9 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
+
+	"aiacc/internal/leakcheck"
 )
 
 type fakeSender struct {
@@ -20,9 +23,11 @@ func (f *fakeSender) Send(to, stream int, data []byte) error {
 }
 
 func TestSendWaitDeliversInOrder(t *testing.T) {
+	var pl Pool
+	defer pl.Close()
 	f := &fakeSender{}
-	a := AcquirePipe()
-	defer ReleasePipe(a)
+	a := pl.Get()
+	defer pl.Put(a, 0)
 	for _, msg := range []string{"one", "two", "three"} {
 		a.Send(f, 1, 0, []byte(msg))
 		if err := a.Wait(); err != nil {
@@ -35,23 +40,27 @@ func TestSendWaitDeliversInOrder(t *testing.T) {
 }
 
 func TestWaitReturnsSendError(t *testing.T) {
+	var pl Pool
+	defer pl.Close()
 	want := errors.New("boom")
 	f := &fakeSender{err: want}
-	a := AcquirePipe()
-	defer ReleasePipe(a)
+	a := pl.Get()
+	defer pl.Put(a, 0)
 	a.Send(f, 0, 0, nil)
 	if err := a.Wait(); !errors.Is(err, want) {
 		t.Fatalf("Wait = %v, want %v", err, want)
 	}
 }
 
-func TestAcquireReusesReleased(t *testing.T) {
-	a := AcquirePipe()
-	ReleasePipe(a)
-	b := AcquirePipe()
-	defer ReleasePipe(b)
+func TestGetReusesPut(t *testing.T) {
+	var pl Pool
+	defer pl.Close()
+	a := pl.Get()
+	pl.Put(a, 0)
+	b := pl.Get()
+	defer pl.Put(b, 0)
 	if a != b {
-		t.Error("AcquirePipe should reuse the released pipe")
+		t.Error("Get should reuse the pipe that was Put")
 	}
 	// The recycled sender must still work.
 	f := &fakeSender{}
@@ -76,9 +85,11 @@ func (s *slowSender) Send(to, stream int, data []byte) error {
 }
 
 func TestPipeFIFOWithTwoInFlight(t *testing.T) {
+	var pl Pool
+	defer pl.Close()
 	f := &fakeSender{}
-	p := AcquirePipe()
-	defer ReleasePipe(p)
+	p := pl.Get()
+	defer pl.Put(p, 0)
 	// Issue PipeDepth sends back to back, then wait for both: completions
 	// must arrive in send order and the wire order must match.
 	p.Send(f, 1, 0, []byte("a"))
@@ -98,10 +109,12 @@ func TestPipeFIFOWithTwoInFlight(t *testing.T) {
 }
 
 func TestPipeErrorsArriveInSendOrder(t *testing.T) {
+	var pl Pool
+	defer pl.Close()
 	want := errors.New("boom")
 	f := &fakeSender{err: want}
-	p := AcquirePipe()
-	defer ReleasePipe(p)
+	p := pl.Get()
+	defer pl.Put(p, 0)
 	p.Send(f, 0, 0, []byte("x"))
 	p.Send(f, 0, 0, []byte("y"))
 	for i := 0; i < 2; i++ {
@@ -111,34 +124,21 @@ func TestPipeErrorsArriveInSendOrder(t *testing.T) {
 	}
 }
 
-func TestAcquirePipeReusesReleased(t *testing.T) {
-	p := AcquirePipe()
-	ReleasePipe(p)
-	q := AcquirePipe()
-	defer ReleasePipe(q)
-	if p != q {
-		t.Error("AcquirePipe should reuse the released pipe")
-	}
-	f := &fakeSender{}
-	q.Send(f, 0, 0, []byte("again"))
-	if err := q.Wait(); err != nil {
-		t.Fatalf("Wait after reuse: %v", err)
-	}
-}
-
-func TestAbandonPipeDrainsOutstanding(t *testing.T) {
+func TestPutDrainsOutstanding(t *testing.T) {
+	var pl Pool
+	defer pl.Close()
 	s := &slowSender{gate: make(chan struct{})}
-	p := AcquirePipe()
+	p := pl.Get()
 	p.Send(s, 0, 0, []byte("in-flight"))
 	p.Send(s, 0, 0, []byte("queued"))
-	// Abandon with both sends outstanding, then let them through; the pipe
-	// must drain in the background and return to the pool reusable.
-	AbandonPipe(p, 2)
+	// Put with both sends outstanding, then let them through; the pipe must
+	// drain in the background and return to the pool reusable.
+	pl.Put(p, 2)
 	close(s.gate)
-	// The abandoned pipe is pooled asynchronously; a fresh acquire must work
-	// regardless of when that happens.
-	q := AcquirePipe()
-	defer ReleasePipe(q)
+	// The pipe is pooled asynchronously; a fresh Get must work regardless of
+	// when that happens.
+	q := pl.Get()
+	defer pl.Put(q, 0)
 	f := &fakeSender{}
 	q.Send(f, 0, 0, []byte("next-op"))
 	if err := q.Wait(); err != nil {
@@ -147,14 +147,16 @@ func TestAbandonPipeDrainsOutstanding(t *testing.T) {
 }
 
 func TestConcurrentOperations(t *testing.T) {
+	var pl Pool
+	defer pl.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			f := &fakeSender{}
-			a := AcquirePipe()
-			defer ReleasePipe(a)
+			a := pl.Get()
+			defer pl.Put(a, 0)
 			for i := 0; i < 100; i++ {
 				a.Send(f, 0, 0, []byte{byte(i)})
 				if err := a.Wait(); err != nil {
@@ -165,4 +167,36 @@ func TestConcurrentOperations(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestCloseRetiresEveryPipe pins ownership: after Close, the pool's idle
+// pipes, a pipe Put later and a pipe still draining when Close ran all leave
+// no goroutine behind, and Get still works.
+func TestCloseRetiresEveryPipe(t *testing.T) {
+	base := leakcheck.Take()
+	var pl Pool
+	idle := []*Pipe{pl.Get(), pl.Get(), pl.Get()}
+	for _, p := range idle {
+		pl.Put(p, 0)
+	}
+	borrowed := pl.Get()
+	s := &slowSender{gate: make(chan struct{})}
+	draining := pl.Get()
+	draining.Send(s, 0, 0, []byte("in-flight"))
+	pl.Put(draining, 1)
+
+	pl.Close()
+	pl.Put(borrowed, 0)
+	late := pl.Get()
+	f := &fakeSender{}
+	late.Send(f, 0, 0, []byte("after close"))
+	if err := late.Wait(); err != nil {
+		t.Fatalf("Wait after Close: %v", err)
+	}
+	pl.Put(late, 0)
+	close(s.gate)
+
+	if err := base.Goroutines(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 }

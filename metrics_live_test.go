@@ -5,7 +5,9 @@ package aiacc_test
 
 import (
 	"bytes"
+	"math"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -47,6 +49,13 @@ func newRingHarness(tb testing.TB, net transport.Network, elems int) *ringHarnes
 	return h
 }
 
+// close retires the comms' sender goroutines.
+func (h *ringHarness) close() {
+	for _, c := range h.comms {
+		c.Close()
+	}
+}
+
 // run performs iters ring all-reduce rounds on all 4 ranks and returns the
 // wall time.
 func (h *ringHarness) run(tb testing.TB, iters int) time.Duration {
@@ -82,6 +91,7 @@ func TestMetricsDuringLiveTCPAllReduce(t *testing.T) {
 	}
 	defer func() { _ = net.Close() }()
 	h := newRingHarness(t, net, 1<<14)
+	defer h.close()
 
 	before := metrics.SnapshotDefault()
 	stop := make(chan struct{})
@@ -148,12 +158,57 @@ func familyTotal(s metrics.Snapshot, name string) float64 {
 	return sum
 }
 
+// pairedOverhead is the timing method of the overhead gates: it runs pairs
+// of short on/off trials back to back, alternating which side goes first,
+// and compares them pair by pair. Pairing cancels
+// the host's drift, since both sides of a pair see the same machine state;
+// many short pairs make the median steady where a few long trials are not.
+// It returns the median ratio and its noise floor, the standard error of a
+// median estimated from the ratios' quartile spread (1.2533·σ/√pairs, with
+// σ = IQR/1.349).
+func pairedOverhead(pairs int, on, off func() time.Duration) (median, noise float64) {
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var a, b time.Duration
+		if i%2 == 0 {
+			b = off()
+			a = on()
+		} else {
+			a = on()
+			b = off()
+		}
+		ratios[i] = float64(a) / float64(b)
+	}
+	slices.Sort(ratios)
+	iqr := ratios[(3*pairs)/4] - ratios[pairs/4]
+	return ratios[pairs/2], 1.2533 * iqr / 1.349 / math.Sqrt(float64(pairs))
+}
+
+// overheadGate passes when one attempt's median paired on/off ratio is
+// within bound. Each attempt is a fresh set of interleaved pairs; a few are
+// allowed before failing.
+func overheadGate(t *testing.T, what string, bound float64, pairs int, on, off func() time.Duration) {
+	t.Helper()
+	const attempts = 3
+	var median float64
+	for a := 0; a < attempts; a++ {
+		var noise float64
+		median, noise = pairedOverhead(pairs, on, off)
+		t.Logf("attempt %d: %s on/off median ratio %.4f ± %.4f (noise floor) over %d pairs, bound %.2f",
+			a, what, median, noise, pairs, bound)
+		if median <= bound {
+			return
+		}
+	}
+	t.Fatalf("%s cost more than %.0f%%: median paired on/off ratio %.4f", what, (bound-1)*100, median)
+}
+
 // TestMetricsOverheadGate bounds the cost of full-stack instrumentation: the
 // live 4-rank ring all-reduce with metrics enabled must stay within 2% of
 // the same loop with the registry disabled (DESIGN.md §7 budget). Timing a
 // shared-machine CI worker is noisy, so the gate is opt-in via
-// AIACC_OVERHEAD_GATE=1 (make metrics-overhead) and compares min-of-trials
-// with a few retries before failing.
+// AIACC_OVERHEAD_GATE=1 (make metrics-overhead) and uses overheadGate's
+// interleaved pairs.
 func TestMetricsOverheadGate(t *testing.T) {
 	if os.Getenv("AIACC_OVERHEAD_GATE") == "" {
 		t.Skip("set AIACC_OVERHEAD_GATE=1 (or run `make metrics-overhead`) to run the timing gate")
@@ -164,73 +219,40 @@ func TestMetricsOverheadGate(t *testing.T) {
 	}
 	defer func() { _ = net.Close() }()
 	h := newRingHarness(t, net, 1<<16)
+	defer h.close()
 	defer metrics.SetEnabled(true)
 
-	const iters, trials, attempts = 50, 5, 3
 	h.run(t, 20) // warm-up: registration, pools, scheduler
-
-	measure := func(enabled bool) time.Duration {
-		metrics.SetEnabled(enabled)
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < trials; i++ {
-			if d := h.run(t, iters); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	const bound = 1.02
-	var on, off time.Duration
-	for a := 0; a < attempts; a++ {
-		off = measure(false)
-		on = measure(true)
-		ratio := float64(on) / float64(off)
-		t.Logf("attempt %d: enabled %v, disabled %v, ratio %.4f", a, on, off, ratio)
-		if ratio <= bound {
-			return
+	trial := func(enabled bool) func() time.Duration {
+		return func() time.Duration {
+			metrics.SetEnabled(enabled)
+			return h.run(t, 10)
 		}
 	}
-	t.Fatalf("instrumented all-reduce regressed beyond %.0f%%: enabled %v vs disabled %v",
-		(bound-1)*100, on, off)
+	overheadGate(t, "instrumentation", 1.02, 501, trial(true), trial(false))
 }
 
 // TestHeartbeatOverheadGate bounds the happy-path cost of TCP liveness
 // heartbeats (DESIGN.md §8): probes are idle-only, so a busy all-reduce loop
 // with heartbeats enabled must stay within 5% of the same loop without them.
 // Opt-in alongside the metrics gate (make metrics-overhead) because it times
-// real sockets on a shared machine.
+// real sockets on a shared machine. The two networks live side by side and
+// take turns; while one runs, the other is idle (the heartbeating one then
+// probes, which costs the other side, not this one, a little).
 func TestHeartbeatOverheadGate(t *testing.T) {
 	if os.Getenv("AIACC_OVERHEAD_GATE") == "" {
 		t.Skip("set AIACC_OVERHEAD_GATE=1 (or run `make metrics-overhead`) to run the timing gate")
 	}
-	const iters, trials, attempts = 30, 5, 3
-	measure := func(opts ...transport.TCPOption) time.Duration {
+	trial := func(opts ...transport.TCPOption) func() time.Duration {
 		net, err := transport.NewTCP(4, 1, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer func() { _ = net.Close() }()
+		t.Cleanup(func() { _ = net.Close() })
 		h := newRingHarness(t, net, 1<<16)
+		t.Cleanup(h.close)
 		h.run(t, 10) // warm-up: connections, pools
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < trials; i++ {
-			if d := h.run(t, iters); d < best {
-				best = d
-			}
-		}
-		return best
+		return func() time.Duration { return h.run(t, 10) }
 	}
-	const bound = 1.05
-	var on, off time.Duration
-	for a := 0; a < attempts; a++ {
-		off = measure()
-		on = measure(transport.WithHeartbeat(50 * time.Millisecond))
-		ratio := float64(on) / float64(off)
-		t.Logf("attempt %d: heartbeats %v, none %v, ratio %.4f", a, on, off, ratio)
-		if ratio <= bound {
-			return
-		}
-	}
-	t.Fatalf("heartbeats cost more than %.0f%% on the happy path: %v vs %v",
-		(bound-1)*100, on, off)
+	overheadGate(t, "heartbeats", 1.05, 301, trial(transport.WithHeartbeat(50*time.Millisecond)), trial())
 }

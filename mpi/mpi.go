@@ -33,20 +33,32 @@ var (
 // communicator-relative; the communicator translates them to global
 // transport ranks.
 type Comm struct {
-	ep    transport.Endpoint
-	group []int // global rank of each member, ascending
-	rank  int   // my index in group
+	ep      transport.Endpoint
+	group   []int // global rank of each member, ascending
+	rank    int   // my index in group
+	senders *sendpool.Pool
 }
 
 // NewWorld returns the world communicator containing every rank of the
-// endpoint's network.
+// endpoint's network. It owns the sender goroutines that collectives over it
+// and over every communicator derived from it borrow; Close retires them.
 func NewWorld(ep transport.Endpoint) *Comm {
 	group := make([]int, ep.Size())
 	for i := range group {
 		group[i] = i
 	}
-	return &Comm{ep: ep, group: group, rank: ep.Rank()}
+	return &Comm{ep: ep, group: group, rank: ep.Rank(), senders: new(sendpool.Pool)}
 }
+
+// Close retires the sender goroutines of this communicator's world: the
+// pool is shared with the world and every communicator derived from it, so
+// closing any of them closes it for all. Operations still running finish
+// normally and their senders are retired as they return. Close does not
+// close the endpoint, which belongs to whoever built the network.
+func (c *Comm) Close() { c.senders.Close() }
+
+// Senders returns the sender pool that collectives over c borrow from.
+func (c *Comm) Senders() *sendpool.Pool { return c.senders }
 
 // Rank returns the caller's rank within this communicator.
 func (c *Comm) Rank() int { return c.rank }
@@ -129,7 +141,7 @@ func (c *Comm) Subgroup(globalRanks []int) (*Comm, error) {
 	if me < 0 {
 		return nil, fmt.Errorf("%w: rank %d not in %v", ErrNotMember, myGlobal, group)
 	}
-	return &Comm{ep: c.ep, group: group, rank: me}, nil
+	return &Comm{ep: c.ep, group: group, rank: me, senders: c.senders}, nil
 }
 
 // NodeGroup derives the sub-communicator of ranks sharing the caller's
@@ -184,16 +196,17 @@ var barrierToken = []byte{1}
 
 // Barrier blocks until every member of the communicator has entered it, using
 // a dissemination barrier: ceil(log2(n)) rounds of paired send/recv. The
-// concurrent send of each round runs on a pooled sendpool.Pipe, one send in
-// flight at a time, rather than a fresh goroutine per round.
+// concurrent send of each round runs on a pipe borrowed from the
+// communicator's sender pool, one send in flight at a time, rather than a
+// fresh goroutine per round.
 func (c *Comm) Barrier(stream int) error {
 	n := len(c.group)
 	if n == 1 {
 		return nil
 	}
-	p := sendpool.AcquirePipe()
+	p := c.senders.Get()
 	inflight := 0
-	defer func() { sendpool.AbandonPipe(p, inflight) }()
+	defer func() { c.senders.Put(p, inflight) }()
 	for dist := 1; dist < n; dist *= 2 {
 		to := (c.rank + dist) % n
 		from := (c.rank - dist%n + n) % n

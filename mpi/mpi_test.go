@@ -255,6 +255,7 @@ func TestBarrierUnwindsOnCrash(t *testing.T) {
 		wg.Add(1)
 		go func(r int, c *Comm) {
 			defer wg.Done()
+			defer c.Close()
 			if err := c.Barrier(0); err != nil {
 				results[r] = fmt.Errorf("first barrier: %w", err)
 				return

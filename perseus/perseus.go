@@ -253,8 +253,13 @@ type Stats = engine.Stats
 // Stats returns a snapshot of the communication counters.
 func (s *Session) Stats() Stats { return s.engine.Stats() }
 
-// Close shuts the session down.
-func (s *Session) Close() error { return s.engine.Close() }
+// Close shuts the session down: the engine, then the communicator's
+// sender goroutines.
+func (s *Session) Close() error {
+	err := s.engine.Close()
+	s.comm.Close()
+	return err
+}
 
 // DistributedOptimizer wraps an optimizer the way hvd.DistributedOptimizer
 // does: its Step first pushes all local gradients (in reverse registration

@@ -69,7 +69,9 @@ func modeledLinkIterTime(t *testing.T, link netmodel.Link, streams int) time.Dur
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng, err := engine.NewEngine(mpi.NewWorld(ep), cfg)
+			comm := mpi.NewWorld(ep)
+			defer comm.Close()
+			eng, err := engine.NewEngine(comm, cfg)
 			if err != nil {
 				t.Error(err)
 				return

@@ -83,11 +83,11 @@ func WithMemOpTimeout(d time.Duration) MemOption {
 	}
 }
 
-// WithModeledLink throttles every stream to the link's *single-stream*
-// bandwidth (plus its base latency), reproducing the paper's §III
-// observation in live wall-clock time: one stream is capped at the
-// single-stream efficiency of the link, while concurrent streams on other
-// lanes proceed in parallel and aggregate bandwidth. Senders block for the
+// WithModeledLink throttles every send to the link's modelled bandwidth
+// (plus its base latency), reproducing the paper's §III observation in live
+// wall-clock time: one stream is capped at the single-stream efficiency of
+// the link, and n concurrent sends from one rank share the aggregate rate
+// netmodel gives n streams, BytesPerSecond(n)/n each. Senders block for the
 // modelled serialization delay.
 func WithModeledLink(link netmodel.Link) MemOption {
 	return func(c *memConfig) {
@@ -223,20 +223,17 @@ func (e *memEndpoint) Send(to, stream int, data []byte) error {
 		return err
 	}
 	if l := e.net.link; l != nil && to != e.rank {
-		// Model the stream's serialization delay: the payload drains at the
-		// link's single-stream rate. Independent streams sleep concurrently,
-		// so aggregate live bandwidth grows with stream count — the §III
-		// behaviour, observable in wall-clock — but once this sender's
-		// concurrent streams together would exceed its NIC's utilization
-		// ceiling, each is slowed proportionally (shared physical egress).
+		// Model the stream's serialization delay: with `active` of this
+		// sender's streams on the wire when it starts, the payload drains at
+		// an equal share of the link's aggregate rate for that many streams,
+		// the §III diminishing-returns curve the simulator uses
+		// (netmodel.Link.Utilization). Independent streams sleep
+		// concurrently, so live aggregate bandwidth grows with stream count
+		// along that curve.
 		active := e.net.sending[e.rank].Add(1)
 		delay := l.BaseLatency
-		if bps := l.BytesPerSecond(1); bps > 0 {
-			sec := float64(len(data)) / bps
-			if over := float64(active) * l.SingleStreamEff / l.MaxUtilization; over > 1 {
-				sec *= over
-			}
-			delay += time.Duration(sec * float64(time.Second))
+		if bps := l.BytesPerSecond(int(active)); bps > 0 {
+			delay += time.Duration(float64(len(data)) * float64(active) / bps * float64(time.Second))
 		}
 		select {
 		case <-e.closed:
