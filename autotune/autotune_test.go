@@ -45,10 +45,10 @@ func TestSpaceBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 7 streams x 8 granularities x 5 segments, times ring at depths
-	// {1, 4, 8} plus the tree at node groups {2, 4, 8}: the product's 8960
-	// points hold only 1680 distinct engine configurations.
-	if s.Size() != 7*8*5*(3+3) {
-		t.Errorf("Size = %d, want 1680", s.Size())
+	// {1, 2} plus the tree at node groups {2, 4, 8}: the product's 4480
+	// points hold only 1400 distinct engine configurations.
+	if s.Size() != 7*8*5*(2+3) {
+		t.Errorf("Size = %d, want 1400", s.Size())
 	}
 	// Points are distinct and each is its own canonical form.
 	points := s.Points()
@@ -67,7 +67,7 @@ func TestSpaceBasics(t *testing.T) {
 	}
 	for _, alias := range []Params{
 		{Streams: 2, GranularityBytes: 1 << 20, Algorithm: AlgoRing, SegmentBytes: 64 << 10, GPUsPerNode: 4, PriorityDepth: 0},
-		{Streams: 2, GranularityBytes: 1 << 20, Algorithm: AlgoTree, SegmentBytes: 64 << 10, GPUsPerNode: 1, PriorityDepth: 8},
+		{Streams: 2, GranularityBytes: 1 << 20, Algorithm: AlgoTree, SegmentBytes: 64 << 10, GPUsPerNode: 1, PriorityDepth: 2},
 	} {
 		if canonical(alias) != ring {
 			t.Errorf("canonical(%v) = %v, want %v", alias, canonical(alias), ring)
@@ -85,8 +85,8 @@ func TestSpaceBasics(t *testing.T) {
 	if got := s.ForWorld(4).NodeGroups; !slices.Equal(got, []int{1, 2, 4}) {
 		t.Errorf("ForWorld(4) node groups = %v", got)
 	}
-	if got := s.ForWorld(4).Size(); got != 7*8*5*(3+2) {
-		t.Errorf("ForWorld(4) size = %d, want 1400", got)
+	if got := s.ForWorld(4).Size(); got != 7*8*5*(2+2) {
+		t.Errorf("ForWorld(4) size = %d, want 1120", got)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestSpaceNeighbor(t *testing.T) {
 	}
 	// A tree point asked for more classes becomes the ring.
 	deep := s.Neighbor(flip, dimDepth, 1)
-	if deep.Algorithm != AlgoRing || deep.PriorityDepth != 4 || deep.Streams != 8 {
+	if deep.Algorithm != AlgoRing || deep.PriorityDepth != 2 || deep.Streams != 8 {
 		t.Errorf("depth neighbor of a tree point = %v", deep)
 	}
 	for d := range dims {
@@ -146,7 +146,7 @@ func TestSpaceAround(t *testing.T) {
 		Algorithms:    []string{AlgoRing, AlgoTree},
 		Segments:      []int64{1 << 20, 4 << 20},
 		NodeGroups:    []int{2, 4, 8},
-		Depths:        []int{1, 4},
+		Depths:        []int{1, 2},
 	}
 	if fmt.Sprint(sub) != fmt.Sprint(want) {
 		t.Errorf("Around(%v) = %+v, want %+v", p, sub, want)
@@ -169,7 +169,7 @@ func TestNormalizeRange(t *testing.T) {
 		}
 	}
 	lo := s.Normalize(Params{Streams: 1, GranularityBytes: 512 << 10, Algorithm: AlgoRing, SegmentBytes: 64 << 10, GPUsPerNode: 1, PriorityDepth: 0})
-	hi := s.Normalize(Params{Streams: 24, GranularityBytes: 64 << 20, Algorithm: AlgoTree, SegmentBytes: 4 << 20, GPUsPerNode: 8, PriorityDepth: 8})
+	hi := s.Normalize(Params{Streams: 24, GranularityBytes: 64 << 20, Algorithm: AlgoTree, SegmentBytes: 4 << 20, GPUsPerNode: 8, PriorityDepth: 2})
 	if !slices.Equal(lo, []float64{0, 0, 0, 0, 0, 0}) {
 		t.Errorf("low corner = %v", lo)
 	}
@@ -245,7 +245,7 @@ func TestSearchersConverge(t *testing.T) {
 			}
 			bestCost := math.Inf(1)
 			// The lexicographic grid sweep needs enough budget to reach the
-			// optimum's region (point 426 of 1680), and hyperband's random
+			// optimum's region (point 284 of 1400), and hyperband's random
 			// sampling proportionally many draws; the model-guided searchers
 			// converge on the standard budget.
 			budget := 120

@@ -2,7 +2,7 @@
 // AIACC-Training at runtime (§VI): the all-reduce algorithm, the number of
 // concurrent communication streams, the all-reduce unit granularity, the
 // ring wire-pipelining segment size, the hierarchy topology (GPUs per node
-// group) and the priority-scheduler depth.
+// group) and the priority setting.
 //
 // The search problem is formulated as a multi-armed bandit over an ensemble
 // of search techniques — grid search, population based training, Bayesian
@@ -50,10 +50,10 @@ type Params struct {
 	// group of the two-level schedule. 1 means flat (every rank its own
 	// node), which is the ring; ring points of a Space carry 1.
 	GPUsPerNode int
-	// PriorityDepth is the priority-scheduler class count (engine.Config.
-	// PriorityDepth): 0 and 1 both mean one class, ≥2 additionally preempts
-	// in-flight units at segment boundaries. Ring only: the tree runs one
-	// class, so tree points of a Space carry 1.
+	// PriorityDepth is the priority setting (engine.Config.PriorityDepth):
+	// 0 and 1 both mean one class, 2 gives each priority its own class and
+	// preempts in-flight units at segment boundaries. Ring only: the tree
+	// runs one class, so tree points of a Space carry 1.
 	PriorityDepth int
 }
 
@@ -82,15 +82,17 @@ type Space struct {
 	// algorithm, ascending. A deployment drops the groups it cannot form
 	// (ForWorld, ForSimulator) before it searches.
 	NodeGroups []int
-	// Depths lists candidate PriorityDepth values, ascending. Only the ring
-	// schedules by priority.
+	// Depths lists candidate PriorityDepth values, ascending: a subset of
+	// {1, 2}. Only the ring schedules by priority.
 	Depths []int
 }
 
 // DefaultSpace returns the space AIACC-Training searches in production:
 // ring and tree all-reduce, 1-24 streams (§VIII-D), 512 KiB - 64 MiB units,
-// 64 KiB - 4 MiB wire segments, node groups of 1 (flat) to 8, and priority
-// scheduler depths of 1 (one class) to 8 classes.
+// 64 KiB - 4 MiB wire segments, node groups of 1 (flat) to 8, and the two
+// priority settings: one class (1) and one class per priority (2).
+// Intermediate class counts never won the depth sweep (EXPERIMENTS.md "One
+// priority setting").
 func DefaultSpace() Space {
 	return Space{
 		Streams:       []int{1, 2, 4, 8, 12, 16, 24},
@@ -98,7 +100,7 @@ func DefaultSpace() Space {
 		Algorithms:    []string{AlgoRing, AlgoTree},
 		Segments:      []int64{64 << 10, 128 << 10, 256 << 10, 1 << 20, 4 << 20},
 		NodeGroups:    []int{1, 2, 4, 8},
-		Depths:        []int{1, 4, 8},
+		Depths:        []int{1, 2},
 	}
 }
 
@@ -132,7 +134,7 @@ var dims = []dimension{
 		"Hierarchy node-group size of the current best configuration (1 = flat)."),
 		func(s *Space) *[]int { return &s.NodeGroups }, func(p *Params) *int { return &p.GPUsPerNode }),
 	count("prio", "", metrics.NewGauge("aiacc_autotune_best_priority_depth",
-		"Priority-scheduler class count of the current best configuration (1 = one class)."),
+		"Priority setting of the current best configuration (1 = one class, 2 = one class per priority)."),
 		func(s *Space) *[]int { return &s.Depths }, func(p *Params) *int { return &p.PriorityDepth }),
 }
 

@@ -26,6 +26,10 @@ func TestSimConfigSeesEveryField(t *testing.T) {
 	base := simBase(64)
 	space := DefaultSpace().ForSimulator(base.Topology)
 	points := space.Points()
+	// Ring at depths {1, 2} plus the tree at the topology's node group.
+	if len(points) != 7*8*5*(2+1) {
+		t.Errorf("simulator space has %d points, want 840", len(points))
+	}
 	in := make(map[Params]bool, len(points))
 	for _, p := range points {
 		in[p] = true
@@ -73,7 +77,7 @@ func TestSimConfigRejectsUnpricedTree(t *testing.T) {
 	base := simBase(64)
 	for _, p := range []Params{
 		{Streams: 4, GranularityBytes: 4 << 20, Algorithm: AlgoTree, SegmentBytes: 256 << 10, GPUsPerNode: 4, PriorityDepth: 1},
-		{Streams: 4, GranularityBytes: 4 << 20, Algorithm: AlgoTree, SegmentBytes: 256 << 10, GPUsPerNode: 8, PriorityDepth: 4},
+		{Streams: 4, GranularityBytes: 4 << 20, Algorithm: AlgoTree, SegmentBytes: 256 << 10, GPUsPerNode: 8, PriorityDepth: 2},
 	} {
 		if _, err := SimConfig(base, p); !errors.Is(err, cluster.ErrBadConfig) {
 			t.Errorf("SimConfig(%v) error = %v", p, err)

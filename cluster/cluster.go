@@ -134,13 +134,14 @@ type Engine struct {
 	// relative to a tuned NCCL socket stack (PyTorch-DDP's default TCP
 	// backend reaches ~2/3 of NCCL's per-connection rate). 0 means 1.
 	LinkEfficiency float64
-	// PriorityDepth is the priority-scheduler class count, mirroring
+	// PriorityDepth is the priority setting, mirroring
 	// engine.Config.PriorityDepth: 0 dispatches units in emission (FIFO)
-	// order; ≥1 packs and admits units in reverse-topological order
-	// (earliest forward layer first, quantized into this many classes);
-	// ≥2 additionally grants a strictly more urgent unit a preemptor slot
+	// order; 1 packs units in reverse-topological order (earliest forward
+	// layer first); 2 also makes each layer its own class, admitted in
+	// class order, and grants a strictly more urgent unit a preemptor slot
 	// past the stream cap, modeling byte-level preemption of in-flight
-	// transfers at segment boundaries. AIACC only.
+	// transfers at segment boundaries. Other values are ErrBadConfig. AIACC
+	// only.
 	PriorityDepth int
 }
 
@@ -292,7 +293,7 @@ func (c Config) validate() error {
 	if c.Engine.SegmentBytes < 0 {
 		return fmt.Errorf("%w: segment bytes %d", ErrBadConfig, c.Engine.SegmentBytes)
 	}
-	if c.Engine.PriorityDepth < 0 {
+	if c.Engine.PriorityDepth < 0 || c.Engine.PriorityDepth > 2 {
 		return fmt.Errorf("%w: priority depth %d", ErrBadConfig, c.Engine.PriorityDepth)
 	}
 	if c.ModelParallelShards < 0 || (c.ModelParallelShards > 1 && c.ModelParallelShards > c.Topology.GPUsPerNode) {

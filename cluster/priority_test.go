@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 
 	"aiacc/model"
@@ -19,19 +20,19 @@ func priorityConfig(gpus int, m model.Model, depth int) Config {
 // next forward's very first layer.
 func TestPrioritySchedImprovesCTRCriticalPath(t *testing.T) {
 	base := simOrFatal(t, priorityConfig(32, model.CTR(), 0))
-	prio := simOrFatal(t, priorityConfig(32, model.CTR(), 4))
+	prio := simOrFatal(t, priorityConfig(32, model.CTR(), 2))
 	if base.CriticalPath <= 0 || prio.CriticalPath <= 0 {
 		t.Fatalf("degenerate critical paths: base=%v prio=%v", base.CriticalPath, prio.CriticalPath)
 	}
 	if prio.CriticalPath >= base.CriticalPath {
-		t.Errorf("priority scheduling did not shorten the CTR critical path: depth0=%v depth4=%v",
+		t.Errorf("priority scheduling did not shorten the CTR critical path: depth0=%v depth2=%v",
 			base.CriticalPath, prio.CriticalPath)
 	}
 	// The scheduler reorders units, it does not add wire bytes: iteration
 	// time must stay within a few percent of the unscheduled run.
 	ratio := prio.IterTime.Seconds() / base.IterTime.Seconds()
 	if ratio > 1.05 || ratio < 0.80 {
-		t.Errorf("IterTime moved too much under scheduling: depth0=%v depth4=%v (ratio %.3f)",
+		t.Errorf("IterTime moved too much under scheduling: depth0=%v depth2=%v (ratio %.3f)",
 			base.IterTime, prio.IterTime, ratio)
 	}
 }
@@ -41,22 +42,22 @@ func TestPrioritySchedImprovesCTRCriticalPath(t *testing.T) {
 // so reordering buys little and must cost nothing.
 func TestPrioritySchedNeutralOnUniformProfile(t *testing.T) {
 	base := simOrFatal(t, priorityConfig(32, model.BERTLarge(), 0))
-	prio := simOrFatal(t, priorityConfig(32, model.BERTLarge(), 4))
+	prio := simOrFatal(t, priorityConfig(32, model.BERTLarge(), 2))
 	if prio.CriticalPath > base.CriticalPath*110/100 {
-		t.Errorf("priority scheduling hurt the uniform profile: depth0=%v depth4=%v",
+		t.Errorf("priority scheduling hurt the uniform profile: depth0=%v depth2=%v",
 			base.CriticalPath, prio.CriticalPath)
 	}
 	ratio := prio.IterTime.Seconds() / base.IterTime.Seconds()
 	if ratio > 1.05 || ratio < 0.95 {
-		t.Errorf("IterTime moved under scheduling on a uniform profile: depth0=%v depth4=%v",
+		t.Errorf("IterTime moved under scheduling on a uniform profile: depth0=%v depth2=%v",
 			base.IterTime, prio.IterTime)
 	}
 }
 
-// Depth must be monotone-safe: every depth in the tuning space simulates
-// cleanly and preserves the volume invariant (checked inside Simulate).
+// Every accepted depth simulates cleanly and preserves the volume invariant
+// (checked inside Simulate).
 func TestPriorityDepthSweep(t *testing.T) {
-	for _, depth := range []int{0, 1, 2, 4, 8} {
+	for _, depth := range []int{0, 1, 2} {
 		for _, m := range []model.Model{model.CTR(), model.ResNet50()} {
 			res := simOrFatal(t, priorityConfig(16, m, depth))
 			if res.CriticalPath <= 0 {
@@ -66,9 +67,11 @@ func TestPriorityDepthSweep(t *testing.T) {
 	}
 }
 
+// Only 0, 1 and 2 are priority settings.
 func TestPriorityDepthValidation(t *testing.T) {
-	cfg := priorityConfig(8, model.CTR(), -1)
-	if _, err := Simulate(cfg); err == nil {
-		t.Error("negative PriorityDepth must be rejected")
+	for _, depth := range []int{-1, 3} {
+		if _, err := Simulate(priorityConfig(8, model.CTR(), depth)); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("PriorityDepth %d: err = %v, want ErrBadConfig", depth, err)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"aiacc/internal/packing"
 	"aiacc/internal/sim"
 	"aiacc/model"
 	"aiacc/netmodel"
@@ -230,8 +229,8 @@ type span struct {
 	bytes int64
 }
 
-// simUnit is one packed communication unit: its payload spans and the
-// priority class derived from its most urgent span.
+// simUnit is one packed communication unit: its payload spans and its class,
+// the layer of its most urgent span under preemptive dispatch, else 0.
 type simUnit struct {
 	bytes int64
 	class int
@@ -242,6 +241,10 @@ type simUnit struct {
 func (w *worker) prioritized() bool {
 	return w.cfg.Engine.Kind == AIACC && w.cfg.Engine.PriorityDepth > 0
 }
+
+// preemptive reports whether each layer is its own class that may preempt
+// (PriorityDepth 2).
+func (w *worker) preemptive() bool { return w.cfg.Engine.PriorityDepth == 2 }
 
 // iteration is the per-iteration engine state machine.
 type iteration struct {
@@ -453,8 +456,8 @@ func (it *iteration) emitUnits(flush bool) {
 }
 
 // takeUnit removes the first `bytes` bytes of agreed backlog as one unit's
-// payload, splitting the boundary span; the unit's class comes from its most
-// urgent span.
+// payload, splitting the boundary span; under preemption the unit's class is
+// its most urgent span's layer.
 func (it *iteration) takeUnit(bytes int64) simUnit {
 	u := simUnit{bytes: bytes}
 	minLayer := int(^uint(0) >> 1)
@@ -475,7 +478,9 @@ func (it *iteration) takeUnit(bytes int64) simUnit {
 			it.agreedSpans = it.agreedSpans[1:]
 		}
 	}
-	u.class = packing.Class(minLayer, it.w.layers, it.w.cfg.Engine.PriorityDepth)
+	if it.w.preemptive() {
+		u.class = minLayer
+	}
 	it.agreedBacklog -= bytes
 	it.emittedBytes += bytes
 	return u
@@ -520,7 +525,7 @@ func (it *iteration) admit(u simUnit) bool {
 	if it.activeStreams < capNow {
 		return true
 	}
-	return it.w.cfg.Engine.PriorityDepth >= 2 &&
+	return it.w.preemptive() &&
 		it.activeStreams < capNow+1 && u.class < it.minActiveClass()
 }
 

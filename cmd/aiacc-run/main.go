@@ -54,7 +54,7 @@ func run() error {
 		streams     = flag.Int("streams", 4, "concurrent communication streams")
 		granularity = flag.Int64("granularity", 1<<20, "all-reduce unit size in bytes")
 		segBytes    = flag.Int64("segment-bytes", 0, "ring wire-pipelining segment size in bytes (0 = collective default)")
-		prioDepth   = flag.Int("priority-depth", 0, "priority class count, ring only; 0 and 1 both mean one class (FIFO per stream), >=2 enables preemption")
+		prioDepth   = flag.Int("priority-depth", 0, "priority setting, ring only: 0 and 1 mean one class (FIFO per stream), 2 one class per priority with preemption")
 		trans       = flag.String("transport", "mem", "transport: mem | tcp | shm (shared-memory rings; with -multiproc, true cross-process shared memory)")
 		opTimeout   = flag.Duration("op-timeout", 0, "bound every blocking transport send/recv; a stuck operation fails with a timeout instead of hanging (0 = unbounded)")
 		heartbeat   = flag.Duration("heartbeat", 0, "TCP liveness probe interval; a peer silent for 4 intervals is declared failed (0 = off)")

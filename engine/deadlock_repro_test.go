@@ -21,7 +21,7 @@ func TestReproYieldGateDeadlock(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Streams = 1
-	cfg.PriorityDepth = 3
+	cfg.PriorityDepth = 2          // three priorities: one class each
 	cfg.GranularityBytes = 4 << 20 // one unit per gradient
 	cfg.SegmentBytes = 4 << 10
 	cfg.MinSyncBytes = 1

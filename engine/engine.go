@@ -27,6 +27,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -129,20 +130,20 @@ type Config struct {
 	// MinSyncBytes is the bucket size that triggers a synchronization
 	// round; 0 means GranularityBytes.
 	MinSyncBytes int64
-	// PriorityDepth is the dispatcher's priority class count (DESIGN.md
-	// §10). The registered gradient priorities (RegisterWithPriority; reverse-
-	// topological for a model registered in layer order) are quantized into
-	// this many urgency classes, capped at the number of distinct priorities.
-	// 0 and 1 mean the same: one class, where each stream runs its units one
-	// at a time in Seq order (Algorithm 1's multi-stream pool). With ≥2
-	// classes a more urgent unit preempts a less urgent in-flight unit of its
-	// stream at the next wire-segment boundary. Scheduling never changes unit
-	// composition, only dispatch timing, so fp32 results are bit-identical
-	// across PriorityDepth settings. A sixth auto-tuner dimension. Ring only:
-	// the frame-tagging multiplexer wraps the flat communicator, and the
-	// two-level schedule runs over sub-communicators it cannot wrap, so
-	// Hierarchical runs one class and rejects PriorityDepth ≥ 2 as
-	// ErrBadConfig. Priority-ordered packing applies either way.
+	// PriorityDepth selects the dispatcher (DESIGN.md §10). 0 and 1 mean
+	// one class: each stream runs its units one at a time in Seq order
+	// (Algorithm 1's multi-stream pool). 2 gives each registered gradient
+	// priority (RegisterWithPriority; reverse-topological for a model
+	// registered in layer order) its own class: a unit preempts a less
+	// urgent in-flight unit of its stream at the next wire-segment boundary.
+	// Any other value is ErrBadConfig; coarser classes never beat one per
+	// priority in the depth sweep (EXPERIMENTS.md "One priority setting").
+	// Scheduling never changes unit composition, only dispatch timing, so
+	// fp32 results are bit-identical across settings. A sixth auto-tuner
+	// dimension. Ring only: the frame-tagging multiplexer wraps the flat
+	// communicator, and the two-level schedule runs over sub-communicators
+	// it cannot wrap, so Hierarchical runs one class and rejects
+	// PriorityDepth 2. Priority-ordered packing applies either way.
 	PriorityDepth int
 	// Algorithm selects ring or hierarchical all-reduce.
 	Algorithm Algorithm
@@ -206,9 +207,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: minSyncBytes %d", ErrBadConfig, c.MinSyncBytes)
 	case c.SegmentBytes < 0:
 		return fmt.Errorf("%w: segmentBytes %d", ErrBadConfig, c.SegmentBytes)
-	case c.PriorityDepth < 0:
-		return fmt.Errorf("%w: priorityDepth %d", ErrBadConfig, c.PriorityDepth)
-	case c.Algorithm == Hierarchical && c.PriorityDepth >= 2:
+	case c.PriorityDepth < 0 || c.PriorityDepth > 2:
+		return fmt.Errorf("%w: priorityDepth %d (0 and 1: one class; 2: one class per priority)",
+			ErrBadConfig, c.PriorityDepth)
+	case c.Algorithm == Hierarchical && c.PriorityDepth == 2:
 		return fmt.Errorf("%w: priorityDepth %d under the hierarchical algorithm, which runs one class",
 			ErrBadConfig, c.PriorityDepth)
 	}
@@ -265,15 +267,14 @@ type Engine struct {
 	met *engineMetrics
 
 	// Dispatcher state (sched.go, plex.go).
-	sched       []*streamSched // per data stream
-	plex        *plexTable     // nil with one class: units never interleave
-	classes     int            // effective urgency class count
-	maxPriority int            // highest registered gradient priority
-	schedMu     sync.Mutex
-	schedCond   *sync.Cond
-	schedOut    int   // dispatched units not yet retired
-	schedErr    error // first unit failure
-	schedStop   bool  // engine stopping: tail wait returns ErrClosed
+	sched     []*streamSched // per data stream
+	plex      *plexTable     // nil with one class: units never interleave
+	preempt   bool           // one class per priority: depth 2 and several priorities
+	schedMu   sync.Mutex
+	schedCond *sync.Cond
+	schedOut  int   // dispatched units not yet retired
+	schedErr  error // first unit failure
+	schedStop bool  // engine stopping: tail wait returns ErrClosed
 
 	started bool
 	failed  error
@@ -367,19 +368,16 @@ func (e *Engine) Start() error {
 	e.data = make(map[int][]float32, len(grads))
 	e.remaining = make(map[int]int, len(grads))
 	e.met = newEngineMetrics(e.comm.Rank(), e.cfg.Streams)
-	for _, g := range grads {
-		e.maxPriority = max(e.maxPriority, g.Priority)
-	}
-	e.classes = packing.Classes(e.maxPriority+1, e.cfg.PriorityDepth)
+	e.preempt = e.cfg.PriorityDepth == 2 &&
+		slices.ContainsFunc(grads, func(g gradsync.Gradient) bool { return g.Priority != grads[0].Priority })
 	e.schedCond = sync.NewCond(&e.schedMu)
 	e.sched = make([]*streamSched, e.cfg.Streams)
 	for s := range e.sched {
-		e.sched[s] = newStreamSched(e.classes)
+		e.sched[s] = newStreamSched()
 	}
-	if e.classes > 1 {
+	if e.preempt {
 		e.plex = newPlexTable(e.comm, e.cfg.Streams)
 	}
-	e.met.initSched(e.comm.Rank(), e.classes)
 	e.publishConfig()
 	e.started = true
 	go e.loop()

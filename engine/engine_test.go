@@ -328,6 +328,10 @@ func TestEngineValidation(t *testing.T) {
 		// The two-level schedule runs one class: no silent rewrite of a
 		// preemptive depth.
 		{Streams: 2, GranularityBytes: 1024, Algorithm: Hierarchical, GPUsPerNode: 1, PriorityDepth: 2, Coordinator: Decentralized, Codec: compress.FP32{}},
+		// 0, 1 and 2 are the only priority settings.
+		{Streams: 2, GranularityBytes: 1024, Algorithm: Ring, PriorityDepth: -1, Coordinator: Decentralized, Codec: compress.FP32{}},
+		{Streams: 2, GranularityBytes: 1024, Algorithm: Ring, PriorityDepth: 3, Coordinator: Decentralized, Codec: compress.FP32{}},
+		{Streams: 2, GranularityBytes: 1024, Algorithm: Ring, PriorityDepth: 8, Coordinator: Decentralized, Codec: compress.FP32{}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewEngine(comm, cfg); !errors.Is(err, ErrBadConfig) {

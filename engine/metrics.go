@@ -28,37 +28,18 @@ type engineMetrics struct {
 	bytes      *metrics.Counter
 	wireBytes  *metrics.Counter // codec-encoded unit bytes (what the wire carries)
 
-	// Dispatcher observability (see initSched). Queue gauges are per priority
-	// class.
-	classDepth  []*metrics.Gauge
-	classBytes  []*metrics.Gauge
+	// Dispatcher observability. Queue gauges are per stream: each is written
+	// under its stream's lock only.
+	queueDepth  []*metrics.Gauge
+	queueBytes  []*metrics.Gauge
 	preemptions *metrics.Counter
 	resumedSegs *metrics.Counter
 }
 
-// initSched creates the per-class scheduler metrics once the effective class
-// count is known (after registration).
-func (m *engineMetrics) initSched(rank, classes int) {
-	rankL := metrics.L("rank", strconv.Itoa(rank))
-	m.classDepth = make([]*metrics.Gauge, classes)
-	m.classBytes = make([]*metrics.Gauge, classes)
-	for c := 0; c < classes; c++ {
-		classL := metrics.L("class", strconv.Itoa(c))
-		m.classDepth[c] = metrics.NewGauge("aiacc_engine_sched_queue_depth",
-			"Units queued per priority class (class 0 = most urgent).", rankL, classL)
-		m.classBytes[c] = metrics.NewGauge("aiacc_engine_sched_queue_bytes",
-			"Pre-codec payload bytes queued per priority class.", rankL, classL)
-	}
-	m.preemptions = metrics.NewCounter("aiacc_engine_sched_preemptions_total",
-		"In-flight units parked at a segment boundary for a more urgent unit.", rankL)
-	m.resumedSegs = metrics.NewCounter("aiacc_engine_sched_resumed_segments_total",
-		"Wire segments completed by previously preempted units (no re-encode, no re-send).", rankL)
-}
-
-// observeQueue updates one priority class's queue gauges.
-func (m *engineMetrics) observeQueue(class, depth int, bytes int64) {
-	m.classDepth[class].Set(int64(depth))
-	m.classBytes[class].Set(bytes)
+// observeQueue updates one stream's queue gauges.
+func (m *engineMetrics) observeQueue(stream, depth int, bytes int64) {
+	m.queueDepth[stream].Set(int64(depth))
+	m.queueBytes[stream].Set(bytes)
 }
 
 func newEngineMetrics(rank, streams int) *engineMetrics {
@@ -88,11 +69,22 @@ func newEngineMetrics(rank, streams int) *engineMetrics {
 		wireBytes: metrics.NewCounter("aiacc_engine_unit_wire_bytes_total",
 			"Codec-encoded unit bytes handed to the collectives (post-codec; half of bytes_reduced under fp16).", rankL),
 		streamBusyNs: make([]*metrics.Counter, streams),
+		queueDepth:   make([]*metrics.Gauge, streams),
+		queueBytes:   make([]*metrics.Gauge, streams),
+		preemptions: metrics.NewCounter("aiacc_engine_sched_preemptions_total",
+			"In-flight units parked at a segment boundary for a more urgent unit.", rankL),
+		resumedSegs: metrics.NewCounter("aiacc_engine_sched_resumed_segments_total",
+			"Wire segments completed by previously preempted units (no re-encode, no re-send).", rankL),
 	}
 	for s := 0; s < streams; s++ {
+		streamL := metrics.L("stream", strconv.Itoa(s))
 		m.streamBusyNs[s] = metrics.NewCounter("aiacc_engine_stream_busy_ns_total",
 			"Cumulative time each stream spent running all-reduce units; divide by wall time for per-stream utilization.",
-			rankL, metrics.L("stream", strconv.Itoa(s)))
+			rankL, streamL)
+		m.queueDepth[s] = metrics.NewGauge("aiacc_engine_sched_queue_depth",
+			"Units queued on a stream behind its started units.", rankL, streamL)
+		m.queueBytes[s] = metrics.NewGauge("aiacc_engine_sched_queue_bytes",
+			"Pre-codec payload bytes queued on a stream behind its started units.", rankL, streamL)
 	}
 	return m
 }
@@ -108,7 +100,7 @@ func (e *Engine) publishConfig() {
 		Set(e.cfg.GranularityBytes)
 	metrics.NewGauge("aiacc_engine_segment_bytes", "Configured ring wire-pipelining segment size (0 = collective default).", rankL).
 		Set(e.cfg.SegmentBytes)
-	metrics.NewGauge("aiacc_engine_priority_depth", "Configured priority class count (0 and 1 both mean one class).", rankL).
+	metrics.NewGauge("aiacc_engine_priority_depth", "Configured priority setting: 0 and 1 one class, 2 one class per priority with preemption.", rankL).
 		Set(int64(e.cfg.PriorityDepth))
 }
 

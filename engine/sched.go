@@ -2,48 +2,50 @@
 //
 // Every unit runs on stream Seq mod Streams. Ranks pack identical units in
 // identical Seq order, so they agree which units share a stream without
-// communicating. Within a stream units are ordered by (class, Seq), where the
-// class quantizes the registered gradient priority (0 = most urgent). Only
-// dispatch *time* is rank-local, and the scheduler keeps every rank's ring
-// messages matched whatever the timing by holding one invariant:
+// communicating. Within a stream units are ordered by (Priority, Seq), 0 the
+// most urgent priority; without preemption dispatch clears every unit's
+// Priority, so the order is Seq order. Only dispatch *time* is rank-local,
+// and the scheduler keeps every rank's ring messages matched whatever the
+// timing by holding one invariant:
 //
 //	On every rank, the most urgent dispatched-and-unretired unit of a stream
 //	always has a goroutine that is not gated.
 //
-// All ranks agree on (class, Seq), so once every rank has dispatched the
-// globally most urgent unretired unit, it progresses everywhere. With
-// several classes dispatch never waits for a retirement (arrive only
-// appends; readiness rounds run on the sync stream), so induction over the
-// finite unit set gives liveness.
+// All ranks agree on (Priority, Seq), so once every rank has dispatched the
+// globally most urgent unretired unit, it progresses everywhere. Under
+// preemption dispatch never waits for a retirement (arrive only queues;
+// readiness rounds run on the sync stream), so induction over the finite
+// unit set gives liveness.
 //
-// The mechanism is exactly that invariant: per stream, the class queues and
-// a stack of started units, of which only the top transmits. An arrival
-// strictly more urgent than the top starts at once on its own goroutine —
-// at once, because the unit it displaces may be blocked in a receive from a
-// peer that is already running the newcomer. Any other arrival queues. When
-// the top retires, the head of the most urgent queue starts if the stack is
-// empty or the head is strictly more urgent than the new top; otherwise the
-// new top resumes. Started units are strictly more urgent bottom to top, and
-// units arrive in Seq order, so a queued unit of the top's class always has a
-// higher Seq: the top is the (class, Seq) minimum, and a stream runs at most
-// one goroutine per class.
+// The mechanism is exactly that invariant: per stream, one queue in
+// (Priority, Seq) order and a stack of started units, of which only the top
+// transmits. An arrival strictly more urgent than the top starts at once on
+// its own goroutine — at once, because the unit it displaces may be blocked
+// in a receive from a peer that is already running the newcomer. Any other
+// arrival queues. When the top retires, the queue head starts if the stack
+// is empty or the head is strictly more urgent than the new top; otherwise
+// the new top resumes. Started units are strictly more urgent bottom to top,
+// and units arrive in Seq order, so a queued unit of the top's priority
+// always has a higher Seq: the top is the (Priority, Seq) minimum, and a
+// stream runs at most one goroutine per distinct priority among its
+// in-flight units.
 //
-// With one class (PriorityDepth 0 or 1, and always under Hierarchical) the
-// stack holds at most one unit and the queue is FIFO in Seq order — Algorithm
-// 1's multi-stream pool — and units run on the plain communicator with no
-// frame tag and no yield hook. As in the pool, dispatch then waits while the
-// stream already queues streamBacklog units. With several classes, started
-// units interleave
-// over the stream's lanes through the frame tagger (plex.go); every unit but
-// the top parks at its next wire-segment boundary (collective.WithYield) and
-// later resumes from its completed segments, with nothing re-sent or
-// re-encoded.
+// With one class (PriorityDepth 0 or 1, one registered priority, and always
+// under Hierarchical) the stack holds at most one unit and the queue is FIFO
+// in Seq order — Algorithm 1's multi-stream pool — and units run on the plain
+// communicator with no frame tag and no yield hook. As in the pool, dispatch
+// then waits while the stream already queues streamBacklog units. Under
+// preemption (PriorityDepth 2), started units interleave over the stream's
+// lanes through the frame tagger (plex.go); every unit but the top parks at
+// its next wire-segment boundary (collective.WithYield) and later resumes
+// from its completed segments, with nothing re-sent or re-encoded.
 //
 // On failure or close every gate opens, and parked units run into their
 // poisoned lanes and unwind.
 package engine
 
 import (
+	"slices"
 	"sync"
 
 	"aiacc/internal/packing"
@@ -56,15 +58,9 @@ import (
 // rounds per iteration instead of 5.8, and the next-forward stall rose
 // about 12 %. The wait is safe with one class alone: every rank dispatches
 // in Seq order, so the oldest unretired unit is dispatched everywhere and
-// heads its stream's queue, while the unit a multi-class stream waits for
+// heads its stream's queue, while the unit a preemptive stream waits for
 // could need a peer whose own dispatch is waiting.
 const streamBacklog = 2
-
-// unitTask is one dispatched unit with its priority class.
-type unitTask struct {
-	u     packing.Unit
-	class int
-}
 
 // schedAction is the dispatch state machine's verdict on an event.
 type schedAction int
@@ -83,26 +79,31 @@ const (
 // machine — arrive / retire → start | resume | park — that callers serialize
 // under streamSched.mu; the model test drives it across simulated ranks.
 type schedStack struct {
-	queues [][]unitTask // by class; FIFO, which is Seq order
-	stack  []unitTask   // started and unretired; strictly more urgent bottom to top
+	queue []packing.Unit // queued, in (Priority, Seq) order
+	stack []packing.Unit // started and unretired; strictly more urgent bottom to top
 }
 
 // top returns the unit allowed to transmit.
-func (s *schedStack) top() (unitTask, bool) {
+func (s *schedStack) top() (packing.Unit, bool) {
 	if n := len(s.stack); n > 0 {
 		return s.stack[n-1], true
 	}
-	return unitTask{}, false
+	return packing.Unit{}, false
 }
 
 // arrive records a dispatched unit; units must arrive in Seq order. It
-// returns start when t became the top, park when it queued.
-func (s *schedStack) arrive(t unitTask) schedAction {
-	if top, ok := s.top(); !ok || t.class < top.class {
-		s.stack = append(s.stack, t)
+// returns start when u became the top, park when it queued.
+func (s *schedStack) arrive(u packing.Unit) schedAction {
+	if top, ok := s.top(); !ok || u.Priority < top.Priority {
+		s.stack = append(s.stack, u)
 		return start
 	}
-	s.queues[t.class] = append(s.queues[t.class], t)
+	// u has the highest Seq yet, so it goes behind every unit of its priority.
+	i := len(s.queue)
+	for i > 0 && s.queue[i-1].Priority > u.Priority {
+		i--
+	}
+	s.queue = slices.Insert(s.queue, i, u)
 	return park
 }
 
@@ -111,9 +112,9 @@ func (s *schedStack) arrive(t unitTask) schedAction {
 // seq need not be the top; the top then stays. When the top retires, retire
 // returns start with the queued unit that became the new top, resume when
 // the unit beneath runs again, or park when the stream is idle.
-func (s *schedStack) retire(seq int) (unitTask, schedAction) {
+func (s *schedStack) retire(seq int) (packing.Unit, schedAction) {
 	i := len(s.stack) - 1
-	for i >= 0 && s.stack[i].u.Seq != seq {
+	for i >= 0 && s.stack[i].Seq != seq {
 		i--
 	}
 	if i < 0 {
@@ -121,29 +122,23 @@ func (s *schedStack) retire(seq int) (unitTask, schedAction) {
 	}
 	wasTop := i == len(s.stack)-1
 	copy(s.stack[i:], s.stack[i+1:])
-	s.stack[len(s.stack)-1] = unitTask{}
+	s.stack[len(s.stack)-1] = packing.Unit{}
 	s.stack = s.stack[:len(s.stack)-1]
 	if !wasTop {
-		return unitTask{}, park
+		return packing.Unit{}, park
 	}
 	top, ok := s.top()
-	for c, q := range s.queues {
-		if len(q) == 0 {
-			continue
-		}
-		if ok && c >= top.class {
-			break
-		}
-		t := q[0]
-		q[0] = unitTask{}
-		s.queues[c] = q[1:]
-		s.stack = append(s.stack, t)
-		return t, start
+	if len(s.queue) > 0 && (!ok || s.queue[0].Priority < top.Priority) {
+		u := s.queue[0]
+		s.queue[0] = packing.Unit{}
+		s.queue = s.queue[1:]
+		s.stack = append(s.stack, u)
+		return u, start
 	}
 	if ok {
-		return unitTask{}, resume
+		return packing.Unit{}, resume
 	}
-	return unitTask{}, park
+	return packing.Unit{}, park
 }
 
 // streamSched is one stream's dispatcher: the state machine plus the gate
@@ -152,15 +147,12 @@ type streamSched struct {
 	mu   sync.Mutex
 	cond *sync.Cond // parked units wait for the top to change, dispatch for queue room
 	schedStack
-	qBytes []int64 // queued payload bytes per class
-	open   bool    // failure/close: all gates released
+	qBytes int64 // queued payload bytes
+	open   bool  // failure/close: all gates released
 }
 
-func newStreamSched(classes int) *streamSched {
-	st := &streamSched{
-		schedStack: schedStack{queues: make([][]unitTask, classes)},
-		qBytes:     make([]int64, classes),
-	}
+func newStreamSched() *streamSched {
+	st := &streamSched{}
 	st.cond = sync.NewCond(&st.mu)
 	return st
 }
@@ -168,25 +160,28 @@ func newStreamSched(classes int) *streamSched {
 // dispatch hands one unit to its stream's dispatcher; a unit that must start
 // gets its own goroutine. Only a full one-class queue makes it wait.
 func (e *Engine) dispatch(u packing.Unit) {
-	t := unitTask{u: u, class: packing.Class(u.Priority, e.maxPriority+1, e.cfg.PriorityDepth)}
-	st := e.sched[u.Seq%e.cfg.Streams]
+	if !e.preempt {
+		u.Priority = 0 // one class: packing has used the priority already
+	}
+	streamID := u.Seq % e.cfg.Streams
+	st := e.sched[streamID]
 
 	e.schedMu.Lock()
 	e.schedOut++
 	e.schedMu.Unlock()
 
 	st.mu.Lock()
-	for e.classes == 1 && len(st.queues[0]) >= streamBacklog && !st.open {
+	for !e.preempt && len(st.queue) >= streamBacklog && !st.open {
 		st.cond.Wait()
 	}
-	act := st.arrive(t)
+	act := st.arrive(u)
 	if act == park {
-		st.qBytes[t.class] += u.Bytes()
-		e.met.observeQueue(t.class, len(st.queues[t.class]), st.qBytes[t.class])
+		st.qBytes += u.Bytes()
+		e.met.observeQueue(streamID, len(st.queue), st.qBytes)
 	}
 	st.mu.Unlock()
 	if act == start {
-		go e.schedRun(st, t)
+		go e.schedRun(st, u)
 	}
 
 	e.mu.Lock()
@@ -198,16 +193,16 @@ func (e *Engine) dispatch(u packing.Unit) {
 	e.met.wireBytes.Add(u.WireBytes(e.cfg.Codec))
 }
 
-// schedRun is the goroutine of one stack entry: it runs t and, whenever t's
+// schedRun is the goroutine of one stack entry: it runs u and, whenever u's
 // retirement starts a queued unit, runs that unit next.
-func (e *Engine) schedRun(st *streamSched, t unitTask) {
+func (e *Engine) schedRun(st *streamSched, u packing.Unit) {
 	for {
-		err := e.runUnit(st, t)
+		err := e.runUnit(st, u)
 		st.mu.Lock()
-		next, act := st.retire(t.u.Seq)
+		next, act := st.retire(u.Seq)
 		if act == start {
-			st.qBytes[next.class] -= next.u.Bytes()
-			e.met.observeQueue(next.class, len(st.queues[next.class]), st.qBytes[next.class])
+			st.qBytes -= next.Bytes()
+			e.met.observeQueue(next.Seq%e.cfg.Streams, len(st.queue), st.qBytes)
 		}
 		if act != park {
 			// The top changed: a parked unit may resume, or a waiting
@@ -219,17 +214,17 @@ func (e *Engine) schedRun(st *streamSched, t unitTask) {
 		if act != start {
 			return
 		}
-		t = next
+		u = next
 	}
 }
 
-// runUnit runs one unit's all-reduce. With several classes its frames are
+// runUnit runs one unit's all-reduce. Under preemption its frames are
 // tagged through the multiplexer and a gate at every segment boundary parks
 // it while it is not the top of its stream's stack.
-func (e *Engine) runUnit(st *streamSched, t unitTask) error {
-	streamID := t.u.Seq % e.cfg.Streams
-	if e.classes == 1 {
-		return e.reduceUnit(streamID, t.u, e.comm, nil)
+func (e *Engine) runUnit(st *streamSched, u packing.Unit) error {
+	streamID := u.Seq % e.cfg.Streams
+	if !e.preempt {
+		return e.reduceUnit(streamID, u, e.comm, nil)
 	}
 	var (
 		preempted bool
@@ -239,7 +234,7 @@ func (e *Engine) runUnit(st *streamSched, t unitTask) error {
 	yield := func() {
 		st.mu.Lock()
 		for !st.open {
-			if top, _ := st.top(); top.u.Seq == t.u.Seq {
+			if top, _ := st.top(); top.Seq == u.Seq {
 				break
 			}
 			if !preempted {
@@ -253,7 +248,7 @@ func (e *Engine) runUnit(st *streamSched, t unitTask) error {
 		}
 		st.mu.Unlock()
 	}
-	err := e.reduceUnit(streamID, t.u, plexComm{t: e.plex, tag: uint32(t.u.Seq)}, yield)
+	err := e.reduceUnit(streamID, u, plexComm{t: e.plex, tag: uint32(u.Seq)}, yield)
 	if preempts > 0 {
 		e.met.preemptions.Add(preempts)
 		e.met.resumedSegs.Add(resumed)

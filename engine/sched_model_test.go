@@ -29,36 +29,30 @@ type modelRank struct {
 // reading of "only the top transmits": a ring step needs every rank to send
 // and receive it.
 type schedModel struct {
-	class []int // per unit (Seq = index)
-	ranks [2]modelRank
-	steps [modelUnits]int // per unit: steps completed, shared by both ranks
+	class   []int // per unit (Seq = index)
+	preempt bool  // several classes: dispatch never waits
+	ranks   [2]modelRank
+	steps   [modelUnits]int // per unit: steps completed, shared by both ranks
 }
 
 func newSchedModel(classes int, class []int) *schedModel {
-	m := &schedModel{class: class}
-	for r := range m.ranks {
-		m.ranks[r].s.queues = make([][]unitTask, classes)
-	}
-	return m
+	return &schedModel{class: class, preempt: classes > 1}
 }
 
 func (m *schedModel) clone() *schedModel {
 	c := *m
 	for r := range c.ranks {
 		s := &c.ranks[r].s
-		q := make([][]unitTask, len(s.queues))
-		for i := range q {
-			q[i] = append([]unitTask(nil), s.queues[i]...)
-		}
-		s.queues = q
-		s.stack = append([]unitTask(nil), s.stack...)
+		s.queue = append([]packing.Unit(nil), s.queue...)
+		s.stack = append([]packing.Unit(nil), s.stack...)
 	}
 	return &c
 }
 
 // key identifies a state for memoization. Per rank it packs the arrival
 // count, the stack bottom to top in fixed-width slots and the retired set;
-// the queues follow from those (every other arrived unit, FIFO per class).
+// the queue follows from those (every other arrived unit, in (class, Seq)
+// order).
 // Then the steps per unit: 62 bits in all.
 func (m *schedModel) key() uint64 {
 	var k uint64
@@ -68,7 +62,7 @@ func (m *schedModel) key() uint64 {
 		for i := 0; i < modelUnits; i++ {
 			k <<= 3
 			if i < len(rk.s.stack) {
-				k |= uint64(rk.s.stack[i].u.Seq)
+				k |= uint64(rk.s.stack[i].Seq)
 			}
 		}
 		for _, r := range rk.retired {
@@ -87,14 +81,14 @@ func (m *schedModel) key() uint64 {
 // topSeq is rank r's stack top, or -1.
 func (m *schedModel) topSeq(r int) int {
 	if t, ok := m.ranks[r].s.top(); ok {
-		return t.u.Seq
+		return t.Seq
 	}
 	return -1
 }
 
 func (m *schedModel) onStack(r, seq int) bool {
-	for _, t := range m.ranks[r].s.stack {
-		if t.u.Seq == seq {
+	for _, u := range m.ranks[r].s.stack {
+		if u.Seq == seq {
 			return true
 		}
 	}
@@ -123,7 +117,7 @@ func (m *schedModel) events(evs []modelEvent) []modelEvent {
 		s := &m.ranks[r].s
 		// A one-class dispatch waits while the queue is full, as the
 		// engine's does.
-		full := len(s.queues) == 1 && len(s.queues[0]) >= streamBacklog
+		full := !m.preempt && len(s.queue) >= streamBacklog
 		if seq := m.ranks[r].arrived; seq < len(m.class) && !full {
 			evs = append(evs, modelEvent{'a', r, seq})
 		}
@@ -143,7 +137,7 @@ func (m *schedModel) apply(ev modelEvent) {
 	switch ev.kind {
 	case 'a':
 		rk := &m.ranks[ev.rank]
-		if rk.s.arrive(unitTask{u: packing.Unit{Seq: ev.seq}, class: m.class[ev.seq]}) == start {
+		if rk.s.arrive(packing.Unit{Seq: ev.seq, Priority: m.class[ev.seq]}) == start {
 			rk.started[ev.seq]++
 		}
 		rk.arrived++
@@ -152,7 +146,7 @@ func (m *schedModel) apply(ev modelEvent) {
 		next, act := rk.s.retire(ev.seq)
 		rk.retired[ev.seq] = true
 		if act == start {
-			rk.started[next.u.Seq]++
+			rk.started[next.Seq]++
 		}
 	case 's':
 		m.steps[ev.seq]++
@@ -160,28 +154,26 @@ func (m *schedModel) apply(ev modelEvent) {
 }
 
 // check asserts the per-state invariants on each rank: every unit is in
-// exactly one place and started at most once, the stack is strictly more
-// urgent bottom to top, and its top is the (class, Seq) minimum of every
-// dispatched, unretired unit.
+// exactly one place and started at most once, the queue is in (class, Seq)
+// order, the stack is strictly more urgent bottom to top, and its top is the
+// (class, Seq) minimum of every dispatched, unretired unit.
 func (m *schedModel) check() error {
 	for r, rk := range m.ranks {
 		var where [modelUnits]int
-		for _, t := range rk.s.stack {
-			where[t.u.Seq]++
+		for _, u := range rk.s.stack {
+			where[u.Seq]++
 		}
 		top, ok := rk.s.top()
-		for c, q := range rk.s.queues {
-			for _, t := range q {
-				switch {
-				case t.class != c:
-					return fmt.Errorf("rank %d: u%d of class %d queued as class %d", r, t.u.Seq, t.class, c)
-				case !ok:
-					return fmt.Errorf("rank %d: u%d queued on an idle stream", r, t.u.Seq)
-				case t.class < top.class || t.class == top.class && t.u.Seq < top.u.Seq:
-					return fmt.Errorf("rank %d: queued u%d more urgent than top u%d", r, t.u.Seq, top.u.Seq)
-				}
-				where[t.u.Seq]++
+		for i, u := range rk.s.queue {
+			switch {
+			case i > 0 && !lessUrgent(u, rk.s.queue[i-1]):
+				return fmt.Errorf("rank %d: queue out of (class, Seq) order: %v", r, rk.s.queue)
+			case !ok:
+				return fmt.Errorf("rank %d: u%d queued on an idle stream", r, u.Seq)
+			case !lessUrgent(u, top):
+				return fmt.Errorf("rank %d: queued u%d more urgent than top u%d", r, u.Seq, top.Seq)
 			}
+			where[u.Seq]++
 		}
 		for seq := range m.class {
 			if rk.retired[seq] {
@@ -199,12 +191,17 @@ func (m *schedModel) check() error {
 			}
 		}
 		for i := 1; i < len(rk.s.stack); i++ {
-			if rk.s.stack[i].class >= rk.s.stack[i-1].class {
+			if rk.s.stack[i].Priority >= rk.s.stack[i-1].Priority {
 				return fmt.Errorf("rank %d: stack not strictly more urgent upward: %v", r, rk.s.stack)
 			}
 		}
 	}
 	return nil
+}
+
+// lessUrgent reports whether a follows b in (class, Seq) order.
+func lessUrgent(a, b packing.Unit) bool {
+	return a.Priority > b.Priority || a.Priority == b.Priority && a.Seq > b.Seq
 }
 
 // done reports whether every unit retired exactly once on both ranks.

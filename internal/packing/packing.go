@@ -243,20 +243,3 @@ func FragmentsPerGradient(units []Unit) map[int]int {
 	}
 	return out
 }
-
-// Classes returns how many priority classes a scheduler of the given depth
-// runs over levels distinct priorities (forward layers): the depth, capped at
-// levels because more classes than priorities cannot discriminate, and at
-// least one.
-func Classes(levels, depth int) int { return max(1, min(depth, levels)) }
-
-// Class quantizes a priority in [0, levels) into one of Classes(levels,
-// depth) classes, 0 the most urgent. The live engine and the cluster
-// simulator share it, so both order units the same way.
-func Class(priority, levels, depth int) int {
-	classes := Classes(levels, depth)
-	if classes == 1 {
-		return 0
-	}
-	return min(priority*classes/levels, classes-1)
-}

@@ -10,6 +10,7 @@
 // visible to untagged builds. Run the virtual-time tests with `make vtime`.
 // A bubble must close everything it opened (networks, engines,
 // communicators) before it returns. DESIGN.md §8 states the limits: memnet
-// only, no CPU-bound answers, and a lock held across a channel operation
-// shows up as a bubble deadlock.
+// only, no CPU-bound answers, a lock held across a channel operation shows
+// up as a bubble deadlock, and a run repeats to the nanosecond only on one P
+// (Test sets GOMAXPROCS to 1), and even then not on every shape.
 package vtime

@@ -136,12 +136,12 @@ func LiveSpace() autotune.Space {
 		Algorithms:    []string{autotune.AlgoRing, autotune.AlgoTree},
 		Segments:      []int64{64 << 10, 128 << 10, 512 << 10},
 		NodeGroups:    []int{1, 2, 4},
-		Depths:        []int{1, 2, 4},
+		Depths:        []int{1, 2},
 	}
 }
 
 // ApplyParams maps tuned parameters onto an engine configuration. A tree
-// point with a preemptive PriorityDepth fails NewEngine; Space never has one.
+// point with PriorityDepth 2 fails NewEngine; Space never has one.
 func ApplyParams(base engine.Config, p autotune.Params) engine.Config {
 	cfg := base
 	cfg.Streams = p.Streams

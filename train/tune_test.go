@@ -153,21 +153,21 @@ func effectiveKey(cfg engine.Config) tunedKey {
 // once, and lose none that the plain Cartesian product of their declared
 // values reached.
 func TestSpaceDistinct(t *testing.T) {
-	if got := autotune.DefaultSpace().Size(); got != 1680 {
-		t.Errorf("DefaultSpace().Size() = %d, want 1680", got)
+	if got := autotune.DefaultSpace().Size(); got != 1400 {
+		t.Errorf("DefaultSpace().Size() = %d, want 1400", got)
 	}
-	if got := LiveSpace().Size(); got != 180 {
-		t.Errorf("LiveSpace().Size() = %d, want 180", got)
+	if got := LiveSpace().Size(); got != 144 {
+		t.Errorf("LiveSpace().Size() = %d, want 144", got)
 	}
 	base := engine.DefaultConfig()
 	for _, tc := range []struct {
 		name  string
 		space autotune.Space
-		// depths as the product was declared before 0 and 1 were merged
+		// every accepted depth, 0 and 1 not merged
 		oldDepths []int
 	}{
-		{"default", autotune.DefaultSpace(), []int{0, 1, 4, 8}},
-		{"live", LiveSpace(), []int{0, 2, 4}},
+		{"default", autotune.DefaultSpace(), []int{0, 1, 2}},
+		{"live", LiveSpace(), []int{0, 1, 2}},
 	} {
 		for _, world := range []int{4, 8} {
 			space := tc.space.ForWorld(world)
