@@ -11,8 +11,11 @@
 // representative node's NIC and one worker's timeline reproduces cluster
 // behaviour exactly while letting a 256-GPU × 300-iteration experiment run
 // in microseconds. The communication policies simulated here are the same
-// ones the live engine (package core) executes for real; the simulator adds
-// only the hardware model (GPU FLOPs, link bandwidth/latency curves).
+// ones the live engine (package engine) executes for real: every unit is
+// formed by packing.Pack over gradients registered as a live rank registers
+// them, one call per agreed readiness round (or one static plan for engines
+// that do not negotiate). The simulator adds only the hardware model (GPU
+// FLOPs, link bandwidth/latency curves).
 package cluster
 
 import (
@@ -135,13 +138,14 @@ type Engine struct {
 	// backend reaches ~2/3 of NCCL's per-connection rate). 0 means 1.
 	LinkEfficiency float64
 	// PriorityDepth is the priority setting, mirroring
-	// engine.Config.PriorityDepth: 0 dispatches units in emission (FIFO)
-	// order; 1 packs units in reverse-topological order (earliest forward
-	// layer first); 2 also makes each layer its own class, admitted in
-	// class order, and grants a strictly more urgent unit a preemptor slot
-	// past the stream cap, modeling byte-level preemption of in-flight
-	// transfers at segment boundaries. Other values are ErrBadConfig. AIACC
-	// only.
+	// engine.Config.PriorityDepth. Units are always packing.Pack's, in
+	// reverse-topological (priority, id) order. 0 and 1 are the same
+	// one-class setting: units are dispatched in the order they are
+	// packed. 2 makes each unit's Priority (its most urgent gradient's
+	// forward layer) its class, admitted in class order, and grants a
+	// strictly more urgent unit a preemptor slot past the stream cap,
+	// modeling byte-level preemption of in-flight transfers at segment
+	// boundaries. Other values are ErrBadConfig.
 	PriorityDepth int
 }
 
@@ -352,7 +356,10 @@ func Simulate(cfg Config) (Result, error) {
 		cal.FrameworkOverhead = 1
 	}
 
-	w := newWorker(cfg, cal)
+	w, err := newWorker(cfg, cal)
+	if err != nil {
+		return Result{}, err
+	}
 	var (
 		total      time.Duration
 		rounds     int

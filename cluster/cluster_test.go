@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 
+	"aiacc/internal/gradsync"
+	"aiacc/internal/packing"
 	"aiacc/model"
 	"aiacc/netmodel"
 )
@@ -80,6 +82,12 @@ func TestValidation(t *testing.T) {
 	cfg.Engine.SegmentBytes = -1
 	if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("segment bytes error = %v", err)
+	}
+	// A granularity below one element, which packing.NewPacker rejects.
+	cfg = aiaccConfig(8, rn50)
+	cfg.Engine.GranularityBytes = 3
+	if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("sub-element granularity error = %v", err)
 	}
 }
 
@@ -420,6 +428,42 @@ func TestEngineKindStrings(t *testing.T) {
 	}
 	if Ring.String() != "ring" || Hierarchical.String() != "hierarchical" {
 		t.Error("algorithm strings wrong")
+	}
+}
+
+// Engines without runtime negotiation run one static plan: their units per
+// iteration are exactly the units of one packing.Pack over every gradient,
+// registered as a live rank registers them.
+func TestStaticPlanUnitsArePack(t *testing.T) {
+	for _, m := range []model.Model{model.ResNet50(), model.VGG16(), model.BERTLarge()} {
+		for _, kind := range []EngineKind{PyTorchDDP, BytePS} {
+			cfg := baselineConfig(16, m, kind)
+			reg := gradsync.NewRegistry()
+			for _, p := range m.Params() {
+				if err := reg.RegisterWithPriority(p.Name, p.Elems, p.Layer); err != nil {
+					t.Fatal(err)
+				}
+			}
+			grads, err := reg.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]int, len(grads))
+			for i := range ids {
+				ids[i] = i
+			}
+			p, err := packing.NewPacker(cfg.Engine.GranularityBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			units, err := p.Pack(reg.ByID, ids, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := simOrFatal(t, cfg); res.Units != len(units) {
+				t.Errorf("%s %s@16: %d units per iteration, Pack forms %d", m.Name, kind, res.Units, len(units))
+			}
+		}
 	}
 }
 

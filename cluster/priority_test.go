@@ -16,8 +16,8 @@ func priorityConfig(gpus int, m model.Model, depth int) Config {
 
 // The priority scheduler must shorten the next-forward critical path on the
 // CTR model, whose first layer (the embedding table) dominates gradient
-// volume: unscheduled FIFO packing delivers the embedding last, stalling the
-// next forward's very first layer.
+// volume: with one class the embedding's units queue behind earlier ones,
+// stalling the next forward's very first layer.
 func TestPrioritySchedImprovesCTRCriticalPath(t *testing.T) {
 	base := simOrFatal(t, priorityConfig(32, model.CTR(), 0))
 	prio := simOrFatal(t, priorityConfig(32, model.CTR(), 2))
@@ -55,14 +55,37 @@ func TestPrioritySchedNeutralOnUniformProfile(t *testing.T) {
 }
 
 // Every accepted depth simulates cleanly and preserves the volume invariant
-// (checked inside Simulate).
+// (checked inside Simulate), and depths 0 and 1 are the same one-class
+// setting: their Results are identical.
 func TestPriorityDepthSweep(t *testing.T) {
-	for _, depth := range []int{0, 1, 2} {
-		for _, m := range []model.Model{model.CTR(), model.ResNet50()} {
-			res := simOrFatal(t, priorityConfig(16, m, depth))
-			if res.CriticalPath <= 0 {
-				t.Errorf("%s depth=%d: CriticalPath=%v", m.Name, depth, res.CriticalPath)
+	cases := []struct {
+		m           model.Model
+		gpus        int
+		streams     int   // 0 keeps the AIACC default
+		granularity int64 // 0 keeps the AIACC default
+	}{
+		{m: model.CTR(), gpus: 16},
+		{m: model.ResNet50(), gpus: 16},
+		{m: model.VGG16(), gpus: 16, streams: 1, granularity: 1 << 20},
+		{m: model.VGG16(), gpus: 64, streams: 1, granularity: 1 << 20},
+	}
+	for _, c := range cases {
+		var byDepth [3]Result
+		for depth := range byDepth {
+			cfg := priorityConfig(c.gpus, c.m, depth)
+			if c.streams > 0 {
+				cfg.Engine.Streams = c.streams
 			}
+			if c.granularity > 0 {
+				cfg.Engine.GranularityBytes = c.granularity
+			}
+			byDepth[depth] = simOrFatal(t, cfg)
+			if byDepth[depth].CriticalPath <= 0 {
+				t.Errorf("%s@%d depth=%d: CriticalPath=%v", c.m.Name, c.gpus, depth, byDepth[depth].CriticalPath)
+			}
+		}
+		if byDepth[0] != byDepth[1] {
+			t.Errorf("%s@%d: depth 0 and 1 differ:\n%+v\n%+v", c.m.Name, c.gpus, byDepth[0], byDepth[1])
 		}
 	}
 }

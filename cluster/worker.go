@@ -2,9 +2,10 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"aiacc/internal/gradsync"
+	"aiacc/internal/packing"
 	"aiacc/internal/sim"
 	"aiacc/model"
 	"aiacc/netmodel"
@@ -26,9 +27,18 @@ type worker struct {
 	computeTime time.Duration
 	updateTime  time.Duration
 	schedule    []model.GradEvent
-	paramBytes  []int64 // per flat param, after model-parallel sharding
-	paramLayer  []int   // per flat param, forward layer index
 	totalBytes  int64
+
+	// Unit layout, as on a live rank: gradients registered by name with
+	// their forward layer as priority, packed by packing.Pack.
+	reg     *gradsync.Registry
+	grads   []gradsync.Gradient // by id, after model-parallel sharding
+	paramID []int               // flat param index -> gradient id
+	packer  *packing.Packer
+	// plan holds, for engines without runtime negotiation, the units of one
+	// static Pack over every gradient, keyed by the id of the last gradient
+	// each carries in production order; nil for negotiating engines.
+	plan [][]packing.Unit
 
 	// Per forward layer (priority scheduling and critical-path pricing).
 	layers     int
@@ -48,7 +58,7 @@ type iterStats struct {
 	critical   time.Duration
 }
 
-func newWorker(cfg Config, cal Calibration) *worker {
+func newWorker(cfg Config, cal Calibration) (*worker, error) {
 	s := sim.New()
 	top := cfg.Topology
 	link := top.Intra
@@ -71,21 +81,8 @@ func newWorker(cfg Config, cal Calibration) *worker {
 	w.fwdTime = time.Duration(flops / effFLOPS * overhead * float64(time.Second))
 	w.bwdTime = 2 * w.fwdTime
 	w.computeTime = w.fwdTime + w.bwdTime
-
-	params := cfg.Model.Params()
-	w.paramBytes = make([]int64, len(params))
-	w.paramLayer = make([]int, len(params))
-	w.layers = len(cfg.Model.Layers)
-	w.layerBytes = make([]int64, w.layers)
-	for i, p := range params {
-		b := int64(p.Elems) * 4 / int64(shards)
-		if b < 4 {
-			b = 4
-		}
-		w.paramBytes[i] = b
-		w.paramLayer[i] = p.Layer
-		w.layerBytes[p.Layer] += b
-		w.totalBytes += b
+	if err := w.layout(shards); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 	// Per-layer forward compute share, for the next-forward critical path.
 	w.fwdShare = make([]time.Duration, w.layers)
@@ -98,10 +95,72 @@ func newWorker(cfg Config, cal Calibration) *worker {
 			w.fwdShare[l] = time.Duration(float64(w.fwdTime) * float64(layer.FwdFLOPs) / float64(totalFLOPs))
 		}
 	}
-	w.schedule = cfg.Model.BackwardSchedule()
 	w.updateTime = cal.UpdateBase +
 		time.Duration(float64(w.totalBytes)/cal.UpdateBytesPerSec*float64(time.Second))
-	return w
+	return w, nil
+}
+
+// layout registers every gradient as a live rank does (name-sorted ids,
+// forward layer as priority, elements split across model-parallel shards),
+// sums the per-layer volumes and makes the packer, plus the static plan for
+// engines that do not negotiate.
+func (w *worker) layout(shards int) error {
+	params := w.cfg.Model.Params()
+	w.reg = gradsync.NewRegistry()
+	for _, p := range params {
+		if err := w.reg.RegisterWithPriority(p.Name, max(p.Elems/shards, 1), p.Layer); err != nil {
+			return err
+		}
+	}
+	grads, err := w.reg.Finalize()
+	if err != nil {
+		return err
+	}
+	w.grads = grads
+	w.paramID = make([]int, len(params))
+	for i, p := range params {
+		g, err := w.reg.ByName(p.Name)
+		if err != nil {
+			return err
+		}
+		w.paramID[i] = g.ID
+	}
+	w.layers = len(w.cfg.Model.Layers)
+	w.layerBytes = make([]int64, w.layers)
+	for _, g := range grads {
+		w.layerBytes[g.Priority] += g.Bytes()
+		w.totalBytes += g.Bytes()
+	}
+	w.schedule = w.cfg.Model.BackwardSchedule()
+	if w.packer, err = packing.NewPacker(w.cfg.Engine.GranularityBytes); err != nil {
+		return err
+	}
+	if k := w.cfg.Engine.Kind; k == AIACC || k == Horovod {
+		return nil // negotiating engines pack each agreed round
+	}
+	ids := make([]int, len(grads))
+	for i := range ids {
+		ids[i] = i
+	}
+	units, err := w.packer.Pack(w.reg.ByID, ids, 0)
+	if err != nil {
+		return err
+	}
+	order := make([]int, len(grads)) // gradient id -> position in production order
+	for k, ev := range w.schedule {
+		order[w.paramID[ev.Param]] = k
+	}
+	w.plan = make([][]packing.Unit, len(grads))
+	for _, u := range units {
+		last := u.Fragments[0].GradID
+		for _, f := range u.Fragments[1:] {
+			if order[f.GradID] > order[last] {
+				last = f.GradID
+			}
+		}
+		w.plan[last] = append(w.plan[last], u)
+	}
+	return nil
 }
 
 // world returns the data-parallel world size (GPUs / model-parallel shards
@@ -221,29 +280,8 @@ func (w *worker) hop(l netmodel.Link) time.Duration {
 	return w.cal.RingHopLatency
 }
 
-// span is a contiguous run of one forward layer's gradient bytes, tracked
-// from production through agreement and packing so unit completions can be
-// attributed back to layers.
-type span struct {
-	layer int
-	bytes int64
-}
-
-// simUnit is one packed communication unit: its payload spans and its class,
-// the layer of its most urgent span under preemptive dispatch, else 0.
-type simUnit struct {
-	bytes int64
-	class int
-	spans []span
-}
-
-// prioritized reports whether the engine schedules units by priority.
-func (w *worker) prioritized() bool {
-	return w.cfg.Engine.Kind == AIACC && w.cfg.Engine.PriorityDepth > 0
-}
-
-// preemptive reports whether each layer is its own class that may preempt
-// (PriorityDepth 2).
+// preemptive reports whether each unit's Priority is its class and may
+// preempt (PriorityDepth 2).
 func (w *worker) preemptive() bool { return w.cfg.Engine.PriorityDepth == 2 }
 
 // iteration is the per-iteration engine state machine.
@@ -252,20 +290,17 @@ type iteration struct {
 
 	bwdEnd time.Duration
 
-	producedBytes   int64  // locally produced, not yet agreed
-	producedSpans   []span // same bytes with layer attribution
-	producedTensors int    // produced tensors awaiting agreement (per round)
-	totalProduced   int    // produced tensors this iteration (never reset)
-	allProduced     bool
-	roundInFlight   bool
-
-	agreedBacklog int64  // agreed but not yet emitted as units
-	agreedSpans   []span // backlog with layer attribution, emission order
-	agreedAll     bool   // every gradient has been agreed
-	emittedBytes  int64
+	producedBytes int64 // locally produced, not yet in a round
+	producedIDs   []int // the same gradients, in production order
+	totalProduced int   // produced tensors this iteration (never reset)
+	allProduced   bool
+	roundInFlight bool
+	agreedAll     bool // every gradient has been agreed
+	seq           int  // Seq of the next packed unit
 	completeBytes int64
+	err           error // first packing error, ends the iteration
 
-	unitQueue     []simUnit
+	unitQueue     []packing.Unit
 	activeStreams int
 	activeClasses []int // class multiset of in-flight units
 
@@ -305,6 +340,9 @@ func (w *worker) runIteration() (time.Duration, iterStats, error) {
 	_ = w.s.At(it.bwdEnd, func() { it.startUnits() })
 
 	w.s.Run()
+	if it.err != nil {
+		return 0, it.stats, it.err
+	}
 
 	// Invariant: every gradient byte must have been agreed, emitted and
 	// communicated — a violation is an engine-model bug, not a tunable.
@@ -331,27 +369,21 @@ func (w *worker) runIteration() (time.Duration, iterStats, error) {
 // produce handles one gradient tensor becoming available locally.
 func (it *iteration) produce(param int) {
 	w := it.w
-	it.producedBytes += w.paramBytes[param]
-	it.producedSpans = append(it.producedSpans, span{layer: w.paramLayer[param], bytes: w.paramBytes[param]})
-	it.producedTensors++
+	id := w.paramID[param]
 	it.totalProduced++
-	if it.totalProduced == len(w.paramBytes) {
-		it.allProduced = true
-	}
-	switch w.cfg.Engine.Kind {
-	case PyTorchDDP, BytePS, MXNetPS:
-		// No runtime negotiation: buckets fire as they fill.
-		it.agreedBacklog += it.producedBytes
-		it.agreedSpans = append(it.agreedSpans, it.producedSpans...)
-		it.producedBytes = 0
-		it.producedSpans = nil
-		if it.allProduced {
-			it.agreedAll = true
+	it.allProduced = it.totalProduced == len(w.grads)
+	if w.plan != nil {
+		// No runtime negotiation: planned buckets fire as they fill.
+		it.agreedAll = it.allProduced
+		for _, u := range w.plan[id] {
+			it.enqueue(u)
 		}
-		it.emitUnits(it.allProduced)
-	default:
-		it.maybeStartRound()
+		it.startUnits()
+		return
 	}
+	it.producedBytes += w.grads[id].Bytes()
+	it.producedIDs = append(it.producedIDs, id)
+	it.maybeStartRound()
 }
 
 // maybeStartRound begins a readiness agreement round if warranted: the
@@ -376,19 +408,10 @@ func (it *iteration) maybeStartRound() {
 	it.roundInFlight = true
 	it.stats.syncRounds++
 
-	roundBytes := it.producedBytes
-	roundSpans := it.producedSpans
-	roundTensors := it.producedTensors
+	roundIDs := it.producedIDs
 	roundAll := it.allProduced
 	it.producedBytes = 0
-	it.producedSpans = nil
-	it.producedTensors = 0
-	if w.prioritized() {
-		// Reverse-topological packing: within the agreed batch, the layer
-		// the next forward needs first goes first (canonical (priority, id)
-		// order of internal/packing).
-		sort.SliceStable(roundSpans, func(i, j int) bool { return roundSpans[i].layer < roundSpans[j].layer })
-	}
+	it.producedIDs = nil
 
 	now := w.s.Now()
 	var doneAt time.Duration
@@ -409,7 +432,7 @@ func (it *iteration) maybeStartRound() {
 		// worker, plus per-ready-tensor bookkeeping — the bottleneck the
 		// paper measures beyond ~128 GPUs.
 		cost := time.Duration(2*w.world())*w.cal.MasterPerMessage +
-			time.Duration(roundTensors)*time.Duration(w.world())*w.cal.MasterPerTensor
+			time.Duration(len(roundIDs))*time.Duration(w.world())*w.cal.MasterPerTensor
 		begin := now
 		if w.cfg.Engine.Kind == Horovod {
 			// Wait for the next negotiation cycle tick.
@@ -429,76 +452,39 @@ func (it *iteration) maybeStartRound() {
 	}
 	w.s.After(doneAt-now, func() {
 		it.roundInFlight = false
-		it.agreedBacklog += roundBytes
-		it.agreedSpans = append(it.agreedSpans, roundSpans...)
 		if roundAll {
 			it.agreedAll = true
 		}
-		eager := w.cfg.Engine.Kind == Horovod
-		it.emitUnits(eager || it.agreedAll)
+		// The round's units are queued at once, packed as a live rank packs
+		// its agreed ids.
+		units, err := w.packer.Pack(w.reg.ByID, roundIDs, it.seq)
+		if err != nil {
+			it.err = err
+			return
+		}
+		it.seq += len(units)
+		for _, u := range units {
+			it.enqueue(u)
+		}
+		it.startUnits()
 		// More gradients may have arrived during the round.
 		it.maybeStartRound()
 	})
 }
 
-// emitUnits converts agreed backlog into communication units. Packed
-// engines emit only full-granularity units until the final flush; eager
-// engines (Horovod's per-cycle fusion) emit everything available.
-func (it *iteration) emitUnits(flush bool) {
-	g := it.w.cfg.Engine.GranularityBytes
-	for it.agreedBacklog >= g {
-		it.enqueue(it.takeUnit(g))
-	}
-	if flush && it.agreedBacklog > 0 {
-		it.enqueue(it.takeUnit(it.agreedBacklog))
-	}
-	it.startUnits()
-}
-
-// takeUnit removes the first `bytes` bytes of agreed backlog as one unit's
-// payload, splitting the boundary span; under preemption the unit's class is
-// its most urgent span's layer.
-func (it *iteration) takeUnit(bytes int64) simUnit {
-	u := simUnit{bytes: bytes}
-	minLayer := int(^uint(0) >> 1)
-	remaining := bytes
-	for remaining > 0 {
-		s := &it.agreedSpans[0]
-		take := s.bytes
-		if take > remaining {
-			take = remaining
-		}
-		u.spans = append(u.spans, span{layer: s.layer, bytes: take})
-		if s.layer < minLayer {
-			minLayer = s.layer
-		}
-		s.bytes -= take
-		remaining -= take
-		if s.bytes == 0 {
-			it.agreedSpans = it.agreedSpans[1:]
-		}
-	}
-	if it.w.preemptive() {
-		u.class = minLayer
-	}
-	it.agreedBacklog -= bytes
-	it.emittedBytes += bytes
-	return u
-}
-
-// enqueue adds a unit to the dispatch queue: FIFO normally, class-ordered
-// (stable within a class) under priority scheduling.
-func (it *iteration) enqueue(u simUnit) {
+// enqueue adds a unit to the dispatch queue in class order, stable within a
+// class. Without preemption every unit is class 0 (the engine clears
+// Priority at dispatch), so the queue is FIFO.
+func (it *iteration) enqueue(u packing.Unit) {
 	it.stats.units++
-	if !it.w.prioritized() {
-		it.unitQueue = append(it.unitQueue, u)
-		return
+	if !it.w.preemptive() {
+		u.Priority = 0
 	}
 	i := len(it.unitQueue)
-	for i > 0 && it.unitQueue[i-1].class > u.class {
+	for i > 0 && it.unitQueue[i-1].Priority > u.Priority {
 		i--
 	}
-	it.unitQueue = append(it.unitQueue, simUnit{})
+	it.unitQueue = append(it.unitQueue, packing.Unit{})
 	copy(it.unitQueue[i+1:], it.unitQueue[i:])
 	it.unitQueue[i] = u
 }
@@ -520,13 +506,13 @@ func (it *iteration) minActiveClass() int {
 // in-flight one, granting it the preemptor slot (the live dispatcher pushes
 // such a unit onto its stream's stack of started units and parks the one
 // beneath; the shared-NIC model approximates the parked transfer).
-func (it *iteration) admit(u simUnit) bool {
+func (it *iteration) admit(u packing.Unit) bool {
 	capNow := it.w.streamCap(it.w.s.Now(), it.bwdEnd)
 	if it.activeStreams < capNow {
 		return true
 	}
 	return it.w.preemptive() &&
-		it.activeStreams < capNow+1 && u.class < it.minActiveClass()
+		it.activeStreams < capNow+1 && u.Priority < it.minActiveClass()
 }
 
 // startUnits admits queued units to streams up to the current concurrency
@@ -535,11 +521,11 @@ func (it *iteration) startUnits() {
 	w := it.w
 	for len(it.unitQueue) > 0 && it.admit(it.unitQueue[0]) {
 		u := it.unitQueue[0]
-		it.unitQueue[0] = simUnit{}
+		it.unitQueue[0] = packing.Unit{}
 		it.unitQueue = it.unitQueue[1:]
-		bytes := u.bytes
+		bytes := u.Bytes()
 		it.activeStreams++
-		it.activeClasses = append(it.activeClasses, u.class)
+		it.activeClasses = append(it.activeClasses, u.Priority)
 		latency, nicVol, serial := w.unitTiming(bytes)
 		// Every unit pays a fixed dispatch cost (communication kernel
 		// launch, gather/scatter packing) on its stream, plus the exposed
@@ -564,21 +550,22 @@ func (it *iteration) startUnits() {
 	}
 }
 
-func (it *iteration) completeUnit(u simUnit) {
+func (it *iteration) completeUnit(u packing.Unit) {
 	it.activeStreams--
 	for i, c := range it.activeClasses {
-		if c == u.class {
+		if c == u.Priority {
 			it.activeClasses[i] = it.activeClasses[len(it.activeClasses)-1]
 			it.activeClasses = it.activeClasses[:len(it.activeClasses)-1]
 			break
 		}
 	}
-	it.completeBytes += u.bytes
+	it.completeBytes += u.Bytes()
 	now := it.w.s.Now()
-	for _, s := range u.spans {
-		it.layerLeft[s.layer] -= s.bytes
-		if it.layerLeft[s.layer] <= 0 && it.layerDone[s.layer] < now {
-			it.layerDone[s.layer] = now
+	for _, f := range u.Fragments {
+		l := it.w.grads[f.GradID].Priority
+		it.layerLeft[l] -= int64(f.Elems) * 4
+		if it.layerLeft[l] <= 0 && it.layerDone[l] < now {
+			it.layerDone[l] = now
 		}
 	}
 	if now > it.lastCommDone {

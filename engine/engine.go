@@ -1,4 +1,4 @@
-// Package core implements the AIACC-Training gradient communication engine
+// Package engine implements the AIACC-Training gradient communication engine
 // (§V, Fig. 6): the live, byte-moving counterpart of the paper's per-GPU MPI
 // communication process.
 //
@@ -333,7 +333,8 @@ func (e *Engine) Register(name string, elems int) error {
 // RegisterWithPriority is Register with a scheduling priority: the
 // parameter's forward layer index (lower = the next forward pass needs its
 // gradient sooner). Priorities order unit packing reverse-topologically and,
-// with Config.PriorityDepth > 0, drive the per-stream priority scheduler.
+// with Config.PriorityDepth 2, make each unit's priority its class in the
+// per-stream preemptive scheduler.
 // All workers must register identical priorities (they come from the shared
 // model, so they do).
 func (e *Engine) RegisterWithPriority(name string, elems, priority int) error {

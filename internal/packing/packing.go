@@ -95,26 +95,13 @@ type Packer struct {
 // NewPacker returns a packer with the given granularity in *bytes* of fp32
 // payload (the auto-tuner's natural parameter). Internally the packer works
 // in elements: granularityBytes/4, so a 4 MiB granularity packs 1 Mi-element
-// units. GranularityElems/GranularityBytes expose both views.
+// units.
 func NewPacker(granularityBytes int64) (*Packer, error) {
 	if granularityBytes < 4 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrBadGranularity, granularityBytes)
 	}
 	return &Packer{granularity: int(granularityBytes / 4)}, nil
 }
-
-// Granularity returns the unit size in elements.
-//
-// Deprecated: the name is ambiguous about units (the constructor takes
-// bytes); use GranularityElems or GranularityBytes.
-func (p *Packer) Granularity() int { return p.granularity }
-
-// GranularityElems returns the unit size in float32 elements.
-func (p *Packer) GranularityElems() int { return p.granularity }
-
-// GranularityBytes returns the unit size in pre-codec fp32 bytes — the value
-// the packer was constructed with, rounded down to a whole element.
-func (p *Packer) GranularityBytes() int64 { return int64(p.granularity) * 4 }
 
 // Pack forms units from the given gradients (must be indexable by the ids in
 // readyIDs) in canonical (priority, id) ascending order, numbering them
@@ -229,17 +216,4 @@ func Scatter(u Unit, lookup func(id int) ([]float32, error), buf []float32) erro
 		pos += f.Elems
 	}
 	return nil
-}
-
-// FragmentsPerGradient returns how many fragments each gradient id
-// contributes across the units — used by completion tracking to know when a
-// gradient is fully reduced.
-func FragmentsPerGradient(units []Unit) map[int]int {
-	out := make(map[int]int)
-	for _, u := range units {
-		for _, f := range u.Fragments {
-			out[f.GradID]++
-		}
-	}
-	return out
 }

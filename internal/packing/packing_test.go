@@ -38,8 +38,12 @@ func TestNewPackerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Granularity() != 1024 {
-		t.Errorf("Granularity = %d elements, want 1024", p.Granularity())
+	units, err := p.Pack(fixedGrads(2048), allIDs(1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) != 2 || units[0].Elems != 1024 || units[1].Elems != 1024 {
+		t.Errorf("2048 elements at 4096 bytes: units %+v, want two of 1024 elements", units)
 	}
 }
 
@@ -102,9 +106,14 @@ func TestPackMixedSplitAndMerge(t *testing.T) {
 	if units[0].Elems != 8 || units[1].Elems != 8 || units[2].Elems != 3 {
 		t.Errorf("unit sizes = %d,%d,%d", units[0].Elems, units[1].Elems, units[2].Elems)
 	}
-	frags := FragmentsPerGradient(units)
+	frags := make(map[int]int)
+	for _, u := range units {
+		for _, f := range u.Fragments {
+			frags[f.GradID]++
+		}
+	}
 	if frags[0] != 1 || frags[1] != 3 || frags[2] != 1 {
-		t.Errorf("FragmentsPerGradient = %v", frags)
+		t.Errorf("fragments per gradient = %v", frags)
 	}
 }
 
@@ -224,8 +233,8 @@ func TestPackInvariants(t *testing.T) {
 			if u.Seq != start+i {
 				t.Fatalf("trial %d: unit %d seq = %d, want %d", trial, i, u.Seq, start+i)
 			}
-			if u.Elems > p.Granularity() {
-				t.Fatalf("trial %d: unit %d has %d elems > granularity %d", trial, i, u.Elems, p.Granularity())
+			if int64(u.Elems) > gran/4 {
+				t.Fatalf("trial %d: unit %d has %d elems > granularity %d", trial, i, u.Elems, gran/4)
 			}
 			sum := 0
 			for _, f := range u.Fragments {

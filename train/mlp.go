@@ -1,5 +1,5 @@
 // Package train drives live distributed training on top of the AIACC engine
-// (package core): it owns the parameter tensors, produces gradients (either
+// (package engine): it owns the parameter tensors, produces gradients (either
 // from a real from-scratch multi-layer perceptron with backpropagation, or
 // synthetically for the large zoo models), pushes them to the engine during
 // the backward pass and applies the optimizer once aggregation completes.
