@@ -14,8 +14,11 @@
 // ones the live engine (package engine) executes for real: every unit is
 // formed by packing.Pack over gradients registered as a live rank registers
 // them, one call per agreed readiness round (or one static plan for engines
-// that do not negotiate). The simulator adds only the hardware model (GPU
-// FLOPs, link bandwidth/latency curves).
+// that do not negotiate), and runs on stream Seq mod Streams, whose
+// packing.Stream decides when it starts, as the engine's dispatcher does.
+// The simulator adds only the hardware model: GPU FLOPs, the GPU's cap on
+// concurrent communication streams, host contention and link
+// bandwidth/latency curves.
 package cluster
 
 import (
@@ -140,12 +143,12 @@ type Engine struct {
 	// PriorityDepth is the priority setting, mirroring
 	// engine.Config.PriorityDepth. Units are always packing.Pack's, in
 	// reverse-topological (priority, id) order. 0 and 1 are the same
-	// one-class setting: units are dispatched in the order they are
-	// packed. 2 makes each unit's Priority (its most urgent gradient's
-	// forward layer) its class, admitted in class order, and grants a
-	// strictly more urgent unit a preemptor slot past the stream cap,
-	// modeling byte-level preemption of in-flight transfers at segment
-	// boundaries. Other values are ErrBadConfig.
+	// one-class setting: each stream runs its units in arrival order. 2
+	// makes each unit's Priority (its most urgent gradient's forward layer)
+	// its class: a unit strictly more urgent than its stream's running unit
+	// starts at once, and the one it displaces keeps its share of the NIC
+	// (DESIGN.md §10). Depth 2 is AIACC's ring only, as in the engine;
+	// other values and settings are ErrBadConfig.
 	PriorityDepth int
 }
 
@@ -200,8 +203,9 @@ type Calibration struct {
 	// BusyBandwidthScale is the fraction of NIC throughput achievable while
 	// the GPU/CPU are busy with compute: TCP transfers stage through the
 	// host, contending with kernels and input pipelines (§III's "frequent
-	// GPU stalls"). Transfers launched after backward drains run at full
-	// rate.
+	// GPU stalls"). On multi-node topologies it scales the NIC's rate from
+	// the start of each iteration until backward drains; from then on
+	// every transfer runs at full rate.
 	BusyBandwidthScale float64
 	// UnitOverhead is the fixed per-unit dispatch cost (communication
 	// kernel launch plus gather/scatter packing) charged to the unit's
@@ -299,6 +303,11 @@ func (c Config) validate() error {
 	}
 	if c.Engine.PriorityDepth < 0 || c.Engine.PriorityDepth > 2 {
 		return fmt.Errorf("%w: priority depth %d", ErrBadConfig, c.Engine.PriorityDepth)
+	}
+	if c.Engine.PriorityDepth == 2 && (c.Engine.Kind != AIACC || c.Engine.Algorithm == Hierarchical) {
+		// As engine.Config.validate: only AIACC's ring preempts.
+		return fmt.Errorf("%w: priority depth 2 outside AIACC's ring (engine %v, algorithm %v)",
+			ErrBadConfig, c.Engine.Kind, c.Engine.Algorithm)
 	}
 	if c.ModelParallelShards < 0 || (c.ModelParallelShards > 1 && c.ModelParallelShards > c.Topology.GPUsPerNode) {
 		return fmt.Errorf("%w: model parallel shards %d", ErrBadConfig, c.ModelParallelShards)

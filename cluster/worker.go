@@ -300,9 +300,9 @@ type iteration struct {
 	completeBytes int64
 	err           error // first packing error, ends the iteration
 
-	unitQueue     []packing.Unit
-	activeStreams int
-	activeClasses []int // class multiset of in-flight units
+	streams  []packing.Stream // the engine's dispatch state machine, per stream
+	slotWait []packing.Unit   // started units waiting for a GPU stream slot, in start order
+	slots    int              // started units holding a GPU stream slot
 
 	layerLeft []int64         // gradient bytes not yet communicated, per layer
 	layerDone []time.Duration // completion time of each layer's last byte
@@ -319,6 +319,7 @@ func (w *worker) runIteration() (time.Duration, iterStats, error) {
 		w: w, bwdEnd: start + w.computeTime, lastCommDone: start + w.computeTime,
 		layerLeft: append([]int64(nil), w.layerBytes...),
 		layerDone: make([]time.Duration, w.layers),
+		streams:   make([]packing.Stream, w.cfg.Engine.Streams),
 	}
 
 	n := w.world()
@@ -329,6 +330,13 @@ func (w *worker) runIteration() (time.Duration, iterStats, error) {
 		return w.s.Now(), it.stats, nil
 	}
 
+	// Transfers while compute still occupies the host run at a reduced
+	// rate (host staging contention), until backward drains.
+	scale := w.cal.BusyBandwidthScale
+	busy := w.cfg.Topology.Nodes > 1 && scale > 0 && scale < 1
+	if busy {
+		w.nic.SetScale(scale)
+	}
 	// Schedule gradient production events along the backward pass.
 	bwdStart := start + w.fwdTime
 	for _, ev := range w.schedule {
@@ -336,8 +344,14 @@ func (w *worker) runIteration() (time.Duration, iterStats, error) {
 		at := bwdStart + time.Duration(ev.Frac*float64(w.bwdTime))
 		_ = w.s.At(at, func() { it.produce(ev.Param) })
 	}
-	// The stream cap rises when backward drains.
-	_ = w.s.At(it.bwdEnd, func() { it.startUnits() })
+	// When backward drains the host runs the NIC at full rate again and the
+	// stream cap rises.
+	_ = w.s.At(it.bwdEnd, func() {
+		if busy {
+			w.nic.SetScale(1)
+		}
+		it.fillSlots()
+	})
 
 	w.s.Run()
 	if it.err != nil {
@@ -348,8 +362,8 @@ func (w *worker) runIteration() (time.Duration, iterStats, error) {
 	// communicated — a violation is an engine-model bug, not a tunable.
 	if it.completeBytes != w.totalBytes || !it.agreedAll {
 		return 0, it.stats, fmt.Errorf(
-			"cluster: iteration incomplete: %d of %d bytes communicated (agreedAll=%v, queue=%d, active=%d)",
-			it.completeBytes, w.totalBytes, it.agreedAll, len(it.unitQueue), it.activeStreams)
+			"cluster: iteration incomplete: %d of %d bytes communicated (agreedAll=%v, waiting=%d, slots=%d)",
+			it.completeBytes, w.totalBytes, it.agreedAll, len(it.slotWait), it.slots)
 	}
 
 	end := it.bwdEnd
@@ -376,9 +390,9 @@ func (it *iteration) produce(param int) {
 		// No runtime negotiation: planned buckets fire as they fill.
 		it.agreedAll = it.allProduced
 		for _, u := range w.plan[id] {
-			it.enqueue(u)
+			it.dispatch(u)
 		}
-		it.startUnits()
+		it.fillSlots()
 		return
 	}
 	it.producedBytes += w.grads[id].Bytes()
@@ -464,82 +478,43 @@ func (it *iteration) maybeStartRound() {
 		}
 		it.seq += len(units)
 		for _, u := range units {
-			it.enqueue(u)
+			it.dispatch(u)
 		}
-		it.startUnits()
+		it.fillSlots()
 		// More gradients may have arrived during the round.
 		it.maybeStartRound()
 	})
 }
 
-// enqueue adds a unit to the dispatch queue in class order, stable within a
-// class. Without preemption every unit is class 0 (the engine clears
-// Priority at dispatch), so the queue is FIFO.
-func (it *iteration) enqueue(u packing.Unit) {
+// dispatch hands a unit to stream Seq mod Streams, as engine.dispatch
+// does; a unit its stream starts waits for a GPU stream slot.
+func (it *iteration) dispatch(u packing.Unit) {
 	it.stats.units++
 	if !it.w.preemptive() {
-		u.Priority = 0
+		u.Priority = 0 // one class: packing has used the priority already
 	}
-	i := len(it.unitQueue)
-	for i > 0 && it.unitQueue[i-1].Priority > u.Priority {
-		i--
+	if it.streams[u.Seq%len(it.streams)].Arrive(u) == packing.Start {
+		it.slotWait = append(it.slotWait, u)
 	}
-	it.unitQueue = append(it.unitQueue, packing.Unit{})
-	copy(it.unitQueue[i+1:], it.unitQueue[i:])
-	it.unitQueue[i] = u
 }
 
-// minActiveClass returns the most urgent in-flight class, or a sentinel
-// above every class when idle.
-func (it *iteration) minActiveClass() int {
-	m := int(^uint(0) >> 1)
-	for _, c := range it.activeClasses {
-		if c < m {
-			m = c
-		}
-	}
-	return m
-}
-
-// admit reports whether the queue head may start now: a stream slot is
-// free, or — preemptive mode — the unit is strictly more urgent than every
-// in-flight one, granting it the preemptor slot (the live dispatcher pushes
-// such a unit onto its stream's stack of started units and parks the one
-// beneath; the shared-NIC model approximates the parked transfer).
-func (it *iteration) admit(u packing.Unit) bool {
-	capNow := it.w.streamCap(it.w.s.Now(), it.bwdEnd)
-	if it.activeStreams < capNow {
-		return true
-	}
-	return it.w.preemptive() &&
-		it.activeStreams < capNow+1 && u.Priority < it.minActiveClass()
-}
-
-// startUnits admits queued units to streams up to the current concurrency
-// cap (plus the preemptor slot in preemptive priority mode).
-func (it *iteration) startUnits() {
+// fillSlots gives waiting units a GPU stream slot, in start order, up to the
+// current stream cap, and launches their transfers. Every unit holding a
+// slot shares the NIC, a unit its stream would park included (DESIGN.md
+// §10).
+func (it *iteration) fillSlots() {
 	w := it.w
-	for len(it.unitQueue) > 0 && it.admit(it.unitQueue[0]) {
-		u := it.unitQueue[0]
-		it.unitQueue[0] = packing.Unit{}
-		it.unitQueue = it.unitQueue[1:]
+	for len(it.slotWait) > 0 && it.slots < w.streamCap(w.s.Now(), it.bwdEnd) {
+		u := it.slotWait[0]
+		it.slotWait[0] = packing.Unit{}
+		it.slotWait = it.slotWait[1:]
+		it.slots++
 		bytes := u.Bytes()
-		it.activeStreams++
-		it.activeClasses = append(it.activeClasses, u.Priority)
 		latency, nicVol, serial := w.unitTiming(bytes)
 		// Every unit pays a fixed dispatch cost (communication kernel
 		// launch, gather/scatter packing) on its stream, plus the exposed
 		// share of any gradient-compression codec pass.
 		serial += w.cal.UnitOverhead + w.codecExposure(bytes)
-		// Transfers launched while compute still occupies the host run at a
-		// reduced effective rate (host staging contention); model as an
-		// inflated volume.
-		if w.s.Now() < it.bwdEnd && w.cfg.Topology.Nodes > 1 {
-			scale := w.cal.BusyBandwidthScale
-			if scale > 0 && scale < 1 {
-				nicVol = int64(float64(nicVol) / scale)
-			}
-		}
 		w.s.After(latency+serial, func() {
 			if nicVol <= 0 {
 				it.completeUnit(u)
@@ -551,13 +526,9 @@ func (it *iteration) startUnits() {
 }
 
 func (it *iteration) completeUnit(u packing.Unit) {
-	it.activeStreams--
-	for i, c := range it.activeClasses {
-		if c == u.Priority {
-			it.activeClasses[i] = it.activeClasses[len(it.activeClasses)-1]
-			it.activeClasses = it.activeClasses[:len(it.activeClasses)-1]
-			break
-		}
+	it.slots--
+	if next, act := it.streams[u.Seq%len(it.streams)].Retire(u.Seq); act == packing.Start {
+		it.slotWait = append(it.slotWait, next)
 	}
 	it.completeBytes += u.Bytes()
 	now := it.w.s.Now()
@@ -571,7 +542,7 @@ func (it *iteration) completeUnit(u packing.Unit) {
 	if now > it.lastCommDone {
 		it.lastCommDone = now
 	}
-	it.startUnits()
+	it.fillSlots()
 }
 
 // criticalPath prices the schedule the next forward pass actually sees: a

@@ -39,47 +39,21 @@ func run() error {
 	s := bench.NewSuite()
 	s.TuneBudget = *budget
 
-	type entry struct {
-		id  string
-		run func() (bench.Table, error)
-	}
-	entries := []entry{
-		{id: "table1", run: s.TableI},
-		{id: "fig2", run: s.Fig2},
-		{id: "streamutil", run: s.StreamUtil},
-		{id: "fig9", run: s.Fig9},
-		{id: "fig10", run: s.Fig10},
-		{id: "fig11", run: s.Fig11},
-		{id: "fig12", run: s.Fig12},
-		{id: "fig13", run: s.Fig13},
-		{id: "fig14", run: s.Fig14},
-		{id: "fig15", run: s.Fig15},
-		{id: "production", run: s.Production},
-		{id: "dawnbench", run: s.DAWNBench},
-		{id: "autotune", run: s.AutoTuneStudy},
-		{id: "ablation-sync", run: s.AblationSync},
-		{id: "ablation-streams", run: s.AblationStreams},
-		{id: "ablation-granularity", run: s.AblationGranularity},
-		{id: "ablation-algorithm", run: s.AblationAlgorithm},
-		{id: "ablation-congestion", run: s.AblationCongestion},
-		{id: "ablation-fp16", run: s.AblationCompression},
-	}
-
 	if *list {
-		for _, e := range entries {
-			fmt.Println(e.id)
+		for _, e := range bench.Experiments {
+			fmt.Println(e.ID)
 		}
 		return nil
 	}
 
 	ran := false
-	for _, e := range entries {
-		if *experiment != "all" && e.id != *experiment {
+	for _, e := range bench.Experiments {
+		if *experiment != "all" && e.ID != *experiment {
 			continue
 		}
-		t, err := e.run()
+		t, err := e.Run(s)
 		if err != nil {
-			return fmt.Errorf("experiment %s: %w", e.id, err)
+			return fmt.Errorf("experiment %s: %w", e.ID, err)
 		}
 		if *format == "csv" {
 			fmt.Printf("# %s: %s\n", t.ID, t.Title)

@@ -13,22 +13,20 @@
 //
 // All ranks agree on (Priority, Seq), so once every rank has dispatched the
 // globally most urgent unretired unit, it progresses everywhere. Under
-// preemption dispatch never waits for a retirement (arrive only queues;
+// preemption dispatch never waits for a retirement (Arrive only queues;
 // readiness rounds run on the sync stream), so induction over the finite
 // unit set gives liveness.
 //
-// The mechanism is exactly that invariant: per stream, one queue in
+// The mechanism is exactly that invariant, and it is packing.Stream, the
+// state machine the cluster simulator runs too: per stream, one queue in
 // (Priority, Seq) order and a stack of started units, of which only the top
 // transmits. An arrival strictly more urgent than the top starts at once on
 // its own goroutine — at once, because the unit it displaces may be blocked
-// in a receive from a peer that is already running the newcomer. Any other
-// arrival queues. When the top retires, the queue head starts if the stack
-// is empty or the head is strictly more urgent than the new top; otherwise
-// the new top resumes. Started units are strictly more urgent bottom to top,
-// and units arrive in Seq order, so a queued unit of the top's priority
-// always has a higher Seq: the top is the (Priority, Seq) minimum, and a
-// stream runs at most one goroutine per distinct priority among its
-// in-flight units.
+// in a receive from a peer that is already running the newcomer. Started
+// units are strictly more urgent bottom to top, and units arrive in Seq
+// order, so a queued unit of the top's priority always has a higher Seq:
+// the top is the (Priority, Seq) minimum, and a stream runs at most one
+// goroutine per distinct priority among its in-flight units.
 //
 // With one class (PriorityDepth 0 or 1, one registered priority, and always
 // under Hierarchical) the stack holds at most one unit and the queue is FIFO
@@ -45,7 +43,6 @@
 package engine
 
 import (
-	"slices"
 	"sync"
 
 	"aiacc/internal/packing"
@@ -62,91 +59,13 @@ import (
 // could need a peer whose own dispatch is waiting.
 const streamBacklog = 2
 
-// schedAction is the dispatch state machine's verdict on an event.
-type schedAction int
-
-const (
-	// park: nothing new runs — the arrival queued, a parked unit retired
-	// without changing the top, or the stream went idle.
-	park schedAction = iota
-	// start: a unit became the stack top and needs a goroutine.
-	start
-	// resume: the top retired and the parked unit beneath it runs again.
-	resume
-)
-
-// schedStack is one stream's dispatch decision state. It is a pure state
-// machine — arrive / retire → start | resume | park — that callers serialize
-// under streamSched.mu; the model test drives it across simulated ranks.
-type schedStack struct {
-	queue []packing.Unit // queued, in (Priority, Seq) order
-	stack []packing.Unit // started and unretired; strictly more urgent bottom to top
-}
-
-// top returns the unit allowed to transmit.
-func (s *schedStack) top() (packing.Unit, bool) {
-	if n := len(s.stack); n > 0 {
-		return s.stack[n-1], true
-	}
-	return packing.Unit{}, false
-}
-
-// arrive records a dispatched unit; units must arrive in Seq order. It
-// returns start when u became the top, park when it queued.
-func (s *schedStack) arrive(u packing.Unit) schedAction {
-	if top, ok := s.top(); !ok || u.Priority < top.Priority {
-		s.stack = append(s.stack, u)
-		return start
-	}
-	// u has the highest Seq yet, so it goes behind every unit of its priority.
-	i := len(s.queue)
-	for i > 0 && s.queue[i-1].Priority > u.Priority {
-		i--
-	}
-	s.queue = slices.Insert(s.queue, i, u)
-	return park
-}
-
-// retire removes a finished started unit. A parked unit may finish without
-// reaching another gate (its last segments were already on the wire), so
-// seq need not be the top; the top then stays. When the top retires, retire
-// returns start with the queued unit that became the new top, resume when
-// the unit beneath runs again, or park when the stream is idle.
-func (s *schedStack) retire(seq int) (packing.Unit, schedAction) {
-	i := len(s.stack) - 1
-	for i >= 0 && s.stack[i].Seq != seq {
-		i--
-	}
-	if i < 0 {
-		panic("engine: retiring a unit that never started")
-	}
-	wasTop := i == len(s.stack)-1
-	copy(s.stack[i:], s.stack[i+1:])
-	s.stack[len(s.stack)-1] = packing.Unit{}
-	s.stack = s.stack[:len(s.stack)-1]
-	if !wasTop {
-		return packing.Unit{}, park
-	}
-	top, ok := s.top()
-	if len(s.queue) > 0 && (!ok || s.queue[0].Priority < top.Priority) {
-		u := s.queue[0]
-		s.queue[0] = packing.Unit{}
-		s.queue = s.queue[1:]
-		s.stack = append(s.stack, u)
-		return u, start
-	}
-	if ok {
-		return packing.Unit{}, resume
-	}
-	return packing.Unit{}, park
-}
-
-// streamSched is one stream's dispatcher: the state machine plus the gate
-// that parks every started unit but the top.
+// streamSched is one stream's dispatcher: the shared state machine, which
+// streamSched.mu serializes, plus the gate that parks every started unit but
+// the top.
 type streamSched struct {
 	mu   sync.Mutex
 	cond *sync.Cond // parked units wait for the top to change, dispatch for queue room
-	schedStack
+	packing.Stream
 	qBytes int64 // queued payload bytes
 	open   bool  // failure/close: all gates released
 }
@@ -171,16 +90,16 @@ func (e *Engine) dispatch(u packing.Unit) {
 	e.schedMu.Unlock()
 
 	st.mu.Lock()
-	for !e.preempt && len(st.queue) >= streamBacklog && !st.open {
+	for !e.preempt && st.Queued() >= streamBacklog && !st.open {
 		st.cond.Wait()
 	}
-	act := st.arrive(u)
-	if act == park {
+	act := st.Arrive(u)
+	if act == packing.Park {
 		st.qBytes += u.Bytes()
-		e.met.observeQueue(streamID, len(st.queue), st.qBytes)
+		e.met.observeQueue(streamID, st.Queued(), st.qBytes)
 	}
 	st.mu.Unlock()
-	if act == start {
+	if act == packing.Start {
 		go e.schedRun(st, u)
 	}
 
@@ -199,19 +118,19 @@ func (e *Engine) schedRun(st *streamSched, u packing.Unit) {
 	for {
 		err := e.runUnit(st, u)
 		st.mu.Lock()
-		next, act := st.retire(u.Seq)
-		if act == start {
+		next, act := st.Retire(u.Seq)
+		if act == packing.Start {
 			st.qBytes -= next.Bytes()
-			e.met.observeQueue(next.Seq%e.cfg.Streams, len(st.queue), st.qBytes)
+			e.met.observeQueue(next.Seq%e.cfg.Streams, st.Queued(), st.qBytes)
 		}
-		if act != park {
+		if act != packing.Park {
 			// The top changed: a parked unit may resume, or a waiting
 			// one-class dispatch may have queue room.
 			st.cond.Broadcast()
 		}
 		st.mu.Unlock()
 		e.unitDone(err)
-		if act != start {
+		if act != packing.Start {
 			return
 		}
 		u = next
@@ -234,7 +153,7 @@ func (e *Engine) runUnit(st *streamSched, u packing.Unit) error {
 	yield := func() {
 		st.mu.Lock()
 		for !st.open {
-			if top, _ := st.top(); top.Seq == u.Seq {
+			if top, _ := st.Top(); top.Seq == u.Seq {
 				break
 			}
 			if !preempted {

@@ -209,21 +209,44 @@ func (s *Suite) AblationCompression() (Table, error) {
 	return t, nil
 }
 
-// All runs every experiment in paper order followed by the ablations.
+// Experiment is one table of the evaluation: its id, which is the ID of the
+// Table it renders, and the Suite method that renders it.
+type Experiment struct {
+	ID  string
+	Run func(*Suite) (Table, error)
+}
+
+// Experiments lists every experiment, in paper order followed by the
+// ablations. All and aiacc-bench's -experiment and -list walk it.
+var Experiments = []Experiment{
+	{"table1", (*Suite).TableI},
+	{"fig2", (*Suite).Fig2},
+	{"streamutil", (*Suite).StreamUtil},
+	{"fig9", (*Suite).Fig9},
+	{"fig10", (*Suite).Fig10},
+	{"fig11", (*Suite).Fig11},
+	{"fig12", (*Suite).Fig12},
+	{"fig13", (*Suite).Fig13},
+	{"fig14", (*Suite).Fig14},
+	{"fig15", (*Suite).Fig15},
+	{"production", (*Suite).Production},
+	{"dawnbench", (*Suite).DAWNBench},
+	{"autotune", (*Suite).AutoTuneStudy},
+	{"ablation-sync", (*Suite).AblationSync},
+	{"ablation-streams", (*Suite).AblationStreams},
+	{"ablation-granularity", (*Suite).AblationGranularity},
+	{"ablation-algorithm", (*Suite).AblationAlgorithm},
+	{"ablation-congestion", (*Suite).AblationCongestion},
+	{"ablation-fp16", (*Suite).AblationCompression},
+}
+
+// All runs every experiment in Experiments order.
 func (s *Suite) All() ([]Table, error) {
-	type exp func() (Table, error)
-	exps := []exp{
-		s.TableI, s.Fig2, s.StreamUtil,
-		s.Fig9, s.Fig10, s.Fig11, s.Fig12, s.Fig13, s.Fig14, s.Fig15,
-		s.Production, s.DAWNBench, s.AutoTuneStudy,
-		s.AblationSync, s.AblationStreams, s.AblationGranularity,
-		s.AblationAlgorithm, s.AblationCongestion, s.AblationCompression,
-	}
-	tables := make([]Table, 0, len(exps))
-	for _, e := range exps {
-		t, err := e()
+	tables := make([]Table, 0, len(Experiments))
+	for _, e := range Experiments {
+		t, err := e.Run(s)
 		if err != nil {
-			return tables, fmt.Errorf("experiment %s: %w", t.ID, err)
+			return tables, fmt.Errorf("experiment %s: %w", e.ID, err)
 		}
 		tables = append(tables, t)
 	}

@@ -41,7 +41,10 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 		t.Fatalf("got %d tables, want 19", len(tables))
 	}
 	seen := map[string]bool{}
-	for _, tb := range tables {
+	for i, tb := range tables {
+		if id := Experiments[i].ID; tb.ID != id {
+			t.Errorf("experiment %q renders table %q", id, tb.ID)
+		}
 		if tb.ID == "" || tb.Title == "" {
 			t.Errorf("table missing identity: %+v", tb)
 		}

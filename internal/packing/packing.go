@@ -21,6 +21,10 @@
 // scheduler is enabled: scheduling changes *when* units are dispatched, never
 // which elements share a unit, so fp32 results stay bit-identical across
 // scheduler settings (ring reduction order is fixed by unit layout).
+//
+// The package also holds Stream, the per-stream state machine that decides
+// when a packed unit starts; the live engine and the cluster simulator both
+// dispatch through it.
 package packing
 
 import (

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"time"
 
 	"aiacc/netmodel"
@@ -13,10 +14,11 @@ import (
 // bandwidth behaviour — one stream gets ≤30% of a TCP link, several streams
 // together approach line rate — inside the virtual clock.
 type SharedLink struct {
-	sim  *Simulator
-	link netmodel.Link
+	sim   *Simulator
+	link  netmodel.Link
+	scale float64 // SetScale's rate factor
 
-	active     map[*transfer]struct{}
+	active     []*transfer // in start order, so ties complete in start order
 	lastUpdate time.Duration
 	generation int64
 
@@ -33,7 +35,15 @@ type transfer struct {
 
 // NewSharedLink returns a shared link over the given physical model.
 func NewSharedLink(s *Simulator, link netmodel.Link) *SharedLink {
-	return &SharedLink{sim: s, link: link, active: make(map[*transfer]struct{}), lastUpdate: s.Now()}
+	return &SharedLink{sim: s, link: link, scale: 1, lastUpdate: s.Now()}
+}
+
+// SetScale multiplies the link's total rate by scale (> 0) from now on, for
+// a host that cannot feed the NIC at line rate; 1 restores the full rate.
+func (l *SharedLink) SetScale(scale float64) {
+	l.settle()
+	l.scale = scale
+	l.reschedule()
 }
 
 // Link returns the physical link model.
@@ -52,7 +62,7 @@ func (l *SharedLink) Start(bytes int64, done func()) {
 	}
 	l.settle()
 	t := &transfer{remaining: float64(bytes), done: done}
-	l.active[t] = struct{}{}
+	l.active = append(l.active, t)
 	l.reschedule()
 }
 
@@ -62,7 +72,7 @@ func (l *SharedLink) perStreamRate() float64 {
 	if n == 0 {
 		return 0
 	}
-	return l.link.BytesPerSecond(n) / float64(n)
+	return l.scale * l.link.BytesPerSecond(n) / float64(n)
 }
 
 // settle advances all active transfers to the current virtual time at the
@@ -76,7 +86,7 @@ func (l *SharedLink) settle() {
 	}
 	rate := l.perStreamRate()
 	moved := rate * dt.Seconds()
-	for t := range l.active {
+	for _, t := range l.active {
 		t.remaining -= moved
 		if t.remaining < 0 {
 			t.remaining = 0
@@ -98,7 +108,7 @@ func (l *SharedLink) reschedule() {
 	}
 	rate := l.perStreamRate()
 	var first *transfer
-	for t := range l.active {
+	for _, t := range l.active {
 		if first == nil || t.remaining < first.remaining {
 			first = t
 		}
@@ -112,16 +122,16 @@ func (l *SharedLink) reschedule() {
 			return // a newer arrival rescheduled us
 		}
 		l.settle()
-		// Complete every transfer that has drained (ties complete together).
+		// Complete every transfer that has drained (ties complete together,
+		// in start order).
 		var finished []*transfer
-		for t := range l.active {
+		l.active = slices.DeleteFunc(l.active, func(t *transfer) bool {
 			if t.remaining <= 1e-6 {
 				finished = append(finished, t)
+				return true
 			}
-		}
-		for _, t := range finished {
-			delete(l.active, t)
-		}
+			return false
+		})
 		l.reschedule()
 		for _, t := range finished {
 			t.done()

@@ -44,9 +44,6 @@ func New() *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }
 
-// Executed returns the number of events executed so far.
-func (s *Simulator) Executed() int64 { return s.events }
-
 // At schedules fn at absolute virtual time t.
 func (s *Simulator) At(t time.Duration, fn func()) error {
 	if t < s.now {

@@ -157,21 +157,47 @@ func TestSharedLinkSingleTransfer(t *testing.T) {
 }
 
 func TestSharedLinkEqualSharing(t *testing.T) {
-	// Two equal transfers on a full-efficiency link share the rate, so both
-	// take twice as long as one alone.
+	// Eight equal transfers on a full-efficiency link share the rate, so all
+	// take eight times as long as one alone, and they complete together in
+	// the order they started.
+	const n = 8
 	s := New()
 	l := NewSharedLink(s, unitLink())
 	var at []time.Duration
-	l.Start(1e9, func() { at = append(at, s.Now()) })
-	l.Start(1e9, func() { at = append(at, s.Now()) })
+	var order []int
+	for i := 0; i < n; i++ {
+		l.Start(1e9, func() {
+			at = append(at, s.Now())
+			order = append(order, i)
+		})
+	}
 	s.Run()
-	if len(at) != 2 {
+	if len(at) != n {
 		t.Fatalf("completions = %d", len(at))
 	}
-	for _, d := range at {
-		if math.Abs(d.Seconds()-2) > 1e-6 {
-			t.Errorf("completion at %v, want 2s", d)
+	for i, d := range at {
+		if math.Abs(d.Seconds()-n) > 1e-6 {
+			t.Errorf("completion at %v, want %ds", d, n)
 		}
+		if order[i] != i {
+			t.Errorf("completion order %v, want start order", order)
+			break
+		}
+	}
+}
+
+func TestSharedLinkSetScale(t *testing.T) {
+	// 1 GB at 1 GB/s, halved for the first second: 0.5 GB moves in that
+	// second and the rest at full rate, done at 1.5s.
+	s := New()
+	l := NewSharedLink(s, unitLink())
+	var doneAt time.Duration
+	l.SetScale(0.5)
+	l.Start(1e9, func() { doneAt = s.Now() })
+	s.After(time.Second, func() { l.SetScale(1) })
+	s.Run()
+	if math.Abs(doneAt.Seconds()-1.5) > 1e-6 {
+		t.Errorf("done at %v, want 1.5s", doneAt)
 	}
 }
 

@@ -22,10 +22,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return writePrometheus(w, r.Snapshot())
 }
 
-// WritePrometheusSnapshot renders a previously captured snapshot; useful for
-// diffing before/after states without re-reading live series.
-func WritePrometheusSnapshot(w io.Writer, s Snapshot) error { return writePrometheus(w, s) }
-
 func writePrometheus(w io.Writer, snap Snapshot) error {
 	bw := &errWriter{w: w}
 	for _, f := range snap.Families {
@@ -109,9 +105,6 @@ func (e *errWriter) printf(format string, args ...any) {
 func (r *Registry) WriteJSON(w io.Writer) error {
 	return writeJSON(w, r.Snapshot())
 }
-
-// WriteJSONSnapshot renders a previously captured snapshot as JSON.
-func WriteJSONSnapshot(w io.Writer, s Snapshot) error { return writeJSON(w, s) }
 
 func writeJSON(w io.Writer, snap Snapshot) error {
 	type jsonFamily struct {

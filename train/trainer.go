@@ -121,9 +121,6 @@ func NewTrainerWithEngine(eng CommEngine, producer Producer, opt optimizer.Optim
 // Engine returns the underlying communication engine.
 func (t *Trainer) Engine() CommEngine { return t.engine }
 
-// StepCount returns the number of completed steps.
-func (t *Trainer) StepCount() int { return t.step }
-
 // StepResult reports one training iteration.
 type StepResult struct {
 	// Step is the 1-based iteration number.

@@ -92,9 +92,6 @@ func NewPlan(seed int64) *Plan {
 	}
 }
 
-// Seed returns the plan's seed, for logging a reproduction recipe.
-func (p *Plan) Seed() int64 { return p.seed }
-
 // CrashRank schedules rank to die permanently after its afterSends-th
 // successful send attempt (1-based; 0 means "on the first send"). The crash
 // closes the rank's underlying endpoint, so peers observe connection death,
