@@ -23,6 +23,7 @@ import (
 	"slices"
 	"strings"
 
+	"aiacc/engine"
 	"aiacc/metrics"
 )
 
@@ -50,11 +51,32 @@ type Params struct {
 	// group of the two-level schedule. 1 means flat (every rank its own
 	// node), which is the ring; ring points of a Space carry 1.
 	GPUsPerNode int
-	// PriorityDepth is the priority setting (engine.Config.PriorityDepth):
+	// PriorityDepth is the priority setting (engine.Policy.PriorityDepth):
 	// 0 and 1 both mean one class, 2 gives each priority its own class and
 	// preempts in-flight units at segment boundaries. Ring only: the tree
 	// runs one class, so tree points of a Space carry 1.
 	PriorityDepth int
+}
+
+// Apply returns base with p's dimensions set: the one mapping from a point to
+// the communication policy, for the live engine (engine.Config's Policy) and
+// the simulator (cluster.Engine's) alike. MinSyncBytes goes back to 0, so the
+// sync trigger follows the new granularity; a tree point takes p's node
+// group when it names one.
+func (p Params) Apply(base engine.Policy) engine.Policy {
+	base.Streams = p.Streams
+	base.GranularityBytes = p.GranularityBytes
+	base.SegmentBytes = p.SegmentBytes
+	base.MinSyncBytes = 0
+	base.PriorityDepth = p.PriorityDepth
+	base.Algorithm = engine.Ring
+	if p.Algorithm == AlgoTree {
+		base.Algorithm = engine.Hierarchical
+		if p.GPUsPerNode > 0 {
+			base.GPUsPerNode = p.GPUsPerNode
+		}
+	}
+	return base
 }
 
 // String implements fmt.Stringer.

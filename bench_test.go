@@ -26,16 +26,12 @@ import (
 
 // simConfig builds a deployment on the paper's platform.
 func simConfig(m model.Model, gpus int, kind cluster.EngineKind) cluster.Config {
-	cfg := cluster.Config{
+	return cluster.Config{
 		Topology: netmodel.V100Cluster(gpus),
 		GPU:      cluster.V100(),
 		Model:    m,
 		Engine:   cluster.EngineDefaults(kind),
 	}
-	if kind == cluster.AIACC {
-		cfg.Decentralized = true
-	}
-	return cfg
 }
 
 // benchSim runs one simulated deployment b.N times and reports throughput.

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"time"
 
+	"aiacc/engine"
 	"aiacc/internal/sim"
 	"aiacc/model"
 	"aiacc/netmodel"
@@ -97,59 +98,21 @@ func (k EngineKind) String() string {
 	}
 }
 
-// Algorithm selects the all-reduce structure for all-reduce engines.
-type Algorithm int
-
-// All-reduce algorithms (§V-B).
-const (
-	// Ring is the flat ring across all workers.
-	Ring Algorithm = iota + 1
-	// Hierarchical reduces intra-node, rings across node leaders, then
-	// broadcasts intra-node (the paper's "tree" all-reduce).
-	Hierarchical
-)
-
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	if a == Hierarchical {
-		return "hierarchical"
-	}
-	return "ring"
-}
-
-// Engine configures the simulated communication engine.
+// Engine configures the simulated communication engine: the live engine's
+// communication policy plus the three simulator-only fields. The policy
+// fields mean what they mean to engine.Config. The all-reduce baselines run
+// one flat ring under their own readiness protocol and the PS engines none,
+// so they carry Ring and Master and ignore them.
 type Engine struct {
+	engine.Policy
 	// Kind selects the engine architecture.
 	Kind EngineKind
-	// Streams is the number of concurrent communication streams (ignored
-	// by single-stream baselines).
-	Streams int
-	// GranularityBytes is the all-reduce unit / fusion buffer / bucket
-	// size.
-	GranularityBytes int64
-	// Algorithm selects ring or hierarchical all-reduce (AIACC only).
-	Algorithm Algorithm
 	// WireBytesPerElem is 4 for fp32, 2 for fp16 compression.
 	WireBytesPerElem int
-	// SegmentBytes is the ring wire-pipelining segment size: chunks are
-	// split into segments so the codec pass overlaps the in-flight
-	// transfer (collective.WithSegmentBytes). 0 disables the pipelining
-	// model (whole-chunk codec exposure).
-	SegmentBytes int64
 	// LinkEfficiency scales the engine's achieved per-stream bandwidth
 	// relative to a tuned NCCL socket stack (PyTorch-DDP's default TCP
 	// backend reaches ~2/3 of NCCL's per-connection rate). 0 means 1.
 	LinkEfficiency float64
-	// PriorityDepth is the priority setting, mirroring
-	// engine.Config.PriorityDepth. Units are always packing.Pack's, in
-	// reverse-topological (priority, id) order. 0 and 1 are the same
-	// one-class setting: each stream runs its units in arrival order. 2
-	// makes each unit's Priority (its most urgent gradient's forward layer)
-	// its class: a unit strictly more urgent than its stream's running unit
-	// starts at once, and the one it displaces keeps its share of the NIC
-	// (DESIGN.md §10). Depth 2 is AIACC's ring only, as in the engine;
-	// other values and settings are ErrBadConfig.
-	PriorityDepth int
 }
 
 // effLink returns LinkEfficiency with the zero value defaulted to 1.
@@ -161,20 +124,31 @@ func (e Engine) effLink() float64 {
 }
 
 // EngineDefaults returns the published default configuration of each engine.
+// A baseline's segment is its whole unit, so its codec pass (when compressed)
+// is priced whole-chunk.
 func EngineDefaults(kind EngineKind) Engine {
+	baseline := func(streams int, granularity int64, eff float64) Engine {
+		return Engine{
+			Policy: engine.Policy{Streams: streams, GranularityBytes: granularity, SegmentBytes: granularity,
+				Algorithm: engine.Ring, Coordinator: engine.Master},
+			Kind: kind, WireBytesPerElem: 4, LinkEfficiency: eff,
+		}
+	}
 	switch kind {
 	case Horovod:
-		return Engine{Kind: Horovod, Streams: 1, GranularityBytes: 64 << 20, Algorithm: Ring, WireBytesPerElem: 4}
+		return baseline(1, 64<<20, 0)
 	case PyTorchDDP:
-		return Engine{Kind: PyTorchDDP, Streams: 1, GranularityBytes: 25 << 20, Algorithm: Ring,
-			WireBytesPerElem: 4, LinkEfficiency: 0.65}
+		return baseline(1, 25<<20, 0.65)
 	case BytePS:
-		return Engine{Kind: BytePS, Streams: 4, GranularityBytes: 4 << 20, WireBytesPerElem: 4}
+		return baseline(4, 4<<20, 0)
 	case MXNetPS:
-		return Engine{Kind: MXNetPS, Streams: 1, GranularityBytes: 4 << 20, WireBytesPerElem: 4}
+		return baseline(1, 4<<20, 0)
 	default:
-		return Engine{Kind: AIACC, Streams: 8, GranularityBytes: 8 << 20, Algorithm: Ring,
-			WireBytesPerElem: 4, SegmentBytes: 256 << 10}
+		return Engine{
+			Policy: engine.Policy{Streams: 8, GranularityBytes: 8 << 20, SegmentBytes: 256 << 10,
+				Algorithm: engine.Ring, GPUsPerNode: 8, Coordinator: engine.Decentralized},
+			Kind: AIACC, WireBytesPerElem: 4,
+		}
 	}
 }
 
@@ -263,10 +237,6 @@ type Config struct {
 	BatchPerGPU int
 	// Engine is the communication engine under test.
 	Engine Engine
-	// Decentralized selects AIACC's decentralized readiness agreement; when
-	// false an AIACC engine uses the master baseline (ablation).
-	// Non-AIACC all-reduce engines always use their own protocol.
-	Decentralized bool
 	// ModelParallelShards > 1 splits the model across that many GPUs of the
 	// same node (hybrid data+model parallelism, Fig. 13).
 	ModelParallelShards int
@@ -292,22 +262,19 @@ func (c Config) validate() error {
 	if c.Engine.Kind < AIACC || c.Engine.Kind > MXNetPS {
 		return fmt.Errorf("%w: engine kind %d", ErrBadConfig, int(c.Engine.Kind))
 	}
-	if c.Engine.Streams <= 0 || c.Engine.GranularityBytes <= 0 {
-		return fmt.Errorf("%w: engine %+v", ErrBadConfig, c.Engine)
+	if err := c.Engine.Policy.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	if c.Engine.WireBytesPerElem != 2 && c.Engine.WireBytesPerElem != 4 {
 		return fmt.Errorf("%w: wire bytes per elem %d", ErrBadConfig, c.Engine.WireBytesPerElem)
 	}
-	if c.Engine.SegmentBytes < 0 {
-		return fmt.Errorf("%w: segment bytes %d", ErrBadConfig, c.Engine.SegmentBytes)
+	if c.Engine.PriorityDepth == 2 && c.Engine.Kind != AIACC {
+		return fmt.Errorf("%w: priority depth 2 outside AIACC (engine %v)", ErrBadConfig, c.Engine.Kind)
 	}
-	if c.Engine.PriorityDepth < 0 || c.Engine.PriorityDepth > 2 {
-		return fmt.Errorf("%w: priority depth %d", ErrBadConfig, c.Engine.PriorityDepth)
-	}
-	if c.Engine.PriorityDepth == 2 && (c.Engine.Kind != AIACC || c.Engine.Algorithm == Hierarchical) {
-		// As engine.Config.validate: only AIACC's ring preempts.
-		return fmt.Errorf("%w: priority depth 2 outside AIACC's ring (engine %v, algorithm %v)",
-			ErrBadConfig, c.Engine.Kind, c.Engine.Algorithm)
+	if c.Engine.Algorithm == engine.Hierarchical && c.Engine.GPUsPerNode != c.Topology.GPUsPerNode {
+		// The two-level schedule is priced at the topology's node boundary.
+		return fmt.Errorf("%w: hierarchical node group %d on %d GPUs per node",
+			ErrBadConfig, c.Engine.GPUsPerNode, c.Topology.GPUsPerNode)
 	}
 	if c.ModelParallelShards < 0 || (c.ModelParallelShards > 1 && c.ModelParallelShards > c.Topology.GPUsPerNode) {
 		return fmt.Errorf("%w: model parallel shards %d", ErrBadConfig, c.ModelParallelShards)
@@ -331,8 +298,11 @@ type Result struct {
 	SyncRounds int
 	// Units is the number of communication units per iteration.
 	Units int
-	// NICUtilization is the mean fraction of NIC line rate achieved while
-	// the NIC was busy.
+	// NICUtilization is the mean fraction of the NIC rate available at each
+	// instant that the transfers reach while the NIC is busy
+	// (sim.LinkStats.MeanUtilization). It excludes BusyBandwidthScale: while
+	// backward runs, the fraction of line rate achieved is that scale times
+	// this.
 	NICUtilization float64
 	// NICBusy is the NIC busy time per iteration.
 	NICBusy time.Duration

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"aiacc/engine"
 	"aiacc/internal/gradsync"
 	"aiacc/internal/packing"
 	"aiacc/model"
@@ -26,11 +27,10 @@ func simOrFatal(t *testing.T, cfg Config) Result {
 // aiaccConfig returns an AIACC deployment on the paper's platform.
 func aiaccConfig(gpus int, m model.Model) Config {
 	return Config{
-		Topology:      netmodel.V100Cluster(gpus),
-		GPU:           V100(),
-		Model:         m,
-		Engine:        EngineDefaults(AIACC),
-		Decentralized: true,
+		Topology: netmodel.V100Cluster(gpus),
+		GPU:      V100(),
+		Model:    m,
+		Engine:   EngineDefaults(AIACC),
 	}
 }
 
@@ -51,14 +51,17 @@ func scalingEfficiency(t *testing.T, gpus int, mk func(int) Config) float64 {
 	return multi.Throughput / (float64(gpus) * single.PerGPU)
 }
 
+// The simulator's own checks: hardware, model and engine kind. The policy's
+// rules are TestPolicyValidation's.
 func TestValidation(t *testing.T) {
 	rn50 := model.ResNet50()
+	badKind := EngineDefaults(AIACC)
+	badKind.Kind = 99
 	bad := []Config{
 		{}, // empty
-		{Topology: netmodel.V100Cluster(8), Model: rn50, Engine: EngineDefaults(AIACC)},                                                               // no GPU
-		{Topology: netmodel.V100Cluster(8), GPU: V100(), Model: rn50},                                                                                 // no engine
-		{Topology: netmodel.V100Cluster(8), GPU: V100(), Model: rn50, Engine: Engine{Kind: AIACC, Streams: 0}},                                        // zero streams
-		{Topology: netmodel.V100Cluster(8), GPU: V100(), Model: rn50, Engine: Engine{Kind: 99, Streams: 1, GranularityBytes: 1, WireBytesPerElem: 4}}, // bad kind
+		{Topology: netmodel.V100Cluster(8), Model: rn50, Engine: EngineDefaults(AIACC)}, // no GPU
+		{Topology: netmodel.V100Cluster(8), GPU: V100(), Model: rn50},                   // no engine
+		{Topology: netmodel.V100Cluster(8), GPU: V100(), Model: rn50, Engine: badKind},  // bad kind
 	}
 	for i, cfg := range bad {
 		if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {
@@ -77,24 +80,20 @@ func TestValidation(t *testing.T) {
 	if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("shards error = %v", err)
 	}
-	// Negative segment size.
-	cfg = aiaccConfig(8, rn50)
-	cfg.Engine.SegmentBytes = -1
+	// The two-level schedule is priced only at the topology's node boundary.
+	cfg = aiaccConfig(32, rn50)
+	cfg.Engine.Algorithm = engine.Hierarchical
+	cfg.Engine.GPUsPerNode = 4
 	if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("segment bytes error = %v", err)
-	}
-	// A granularity below one element, which packing.NewPacker rejects.
-	cfg = aiaccConfig(8, rn50)
-	cfg.Engine.GranularityBytes = 3
-	if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("sub-element granularity error = %v", err)
+		t.Errorf("node group error = %v", err)
 	}
 }
 
-// Wire-pipelining the fp16 codec must shorten iterations: without segments
-// the full encode+decode pass sits on each unit's critical path; with them
-// only the pipeline-fill share remains (DESIGN.md §6). fp32 runs carry no
-// codec pass, so the segment size must not change their timing.
+// Wire-pipelining the fp16 codec must shorten iterations: with a segment of
+// a whole unit the full encode+decode pass sits on each unit's critical
+// path; with smaller ones only the pipeline-fill share remains (DESIGN.md
+// §6). fp32 runs carry no codec pass, so the segment size must not change
+// their timing.
 func TestSegmentPipeliningHidesCodec(t *testing.T) {
 	rn50 := model.ResNet50()
 	fp16 := func(seg int64) Config {
@@ -103,7 +102,8 @@ func TestSegmentPipeliningHidesCodec(t *testing.T) {
 		cfg.Engine.SegmentBytes = seg
 		return cfg
 	}
-	whole := simOrFatal(t, fp16(0))
+	unit := EngineDefaults(AIACC).GranularityBytes
+	whole := simOrFatal(t, fp16(unit))
 	seg := simOrFatal(t, fp16(256<<10))
 	if seg.IterTime >= whole.IterTime {
 		t.Errorf("segmented fp16 iter %v, want < whole-chunk %v", seg.IterTime, whole.IterTime)
@@ -113,7 +113,7 @@ func TestSegmentPipeliningHidesCodec(t *testing.T) {
 		cfg.Engine.SegmentBytes = seg
 		return cfg
 	}
-	if a, b := simOrFatal(t, fp32(0)), simOrFatal(t, fp32(256<<10)); a.IterTime != b.IterTime {
+	if a, b := simOrFatal(t, fp32(unit)), simOrFatal(t, fp32(256<<10)); a.IterTime != b.IterTime {
 		t.Errorf("fp32 timing must ignore segments: %v vs %v", a.IterTime, b.IterTime)
 	}
 }
@@ -249,7 +249,7 @@ func TestDecentralizedAblation(t *testing.T) {
 	base := aiaccConfig(128, model.CTR())
 	dec := simOrFatal(t, base)
 	mas := base
-	mas.Decentralized = false
+	mas.Engine.Coordinator = engine.Master
 	masRes := simOrFatal(t, mas)
 	if dec.Throughput <= masRes.Throughput {
 		t.Errorf("decentralized (%.0f) must beat master (%.0f) on CTR@128",
@@ -290,7 +290,7 @@ func TestFP16Compression(t *testing.T) {
 func TestHierarchicalViable(t *testing.T) {
 	cfg := aiaccConfig(64, model.ResNet50())
 	ring := simOrFatal(t, cfg)
-	cfg.Engine.Algorithm = Hierarchical
+	cfg.Engine.Algorithm = engine.Hierarchical
 	hier := simOrFatal(t, cfg)
 	ratio := hier.Throughput / ring.Throughput
 	if ratio < 0.5 || ratio > 2 {
@@ -304,19 +304,19 @@ func TestHierarchicalViable(t *testing.T) {
 // flat ring's hops cross the slow loopback path, while the hierarchy moves
 // the intra share onto shm and puts strictly less volume on the TCP tier.
 func TestHierarchicalWinsOnTwoTierLoopback(t *testing.T) {
-	mk := func(algo Algorithm) Config {
+	mk := func(algo engine.Algorithm) Config {
 		cfg := Config{
-			Topology:      netmodel.TwoTierLoopback(2, 4),
-			GPU:           V100(),
-			Model:         model.VGG16(),
-			Engine:        EngineDefaults(AIACC),
-			Decentralized: true,
+			Topology: netmodel.TwoTierLoopback(2, 4),
+			GPU:      V100(),
+			Model:    model.VGG16(),
+			Engine:   EngineDefaults(AIACC),
 		}
 		cfg.Engine.Algorithm = algo
+		cfg.Engine.GPUsPerNode = cfg.Topology.GPUsPerNode
 		return cfg
 	}
-	ring := simOrFatal(t, mk(Ring))
-	hier := simOrFatal(t, mk(Hierarchical))
+	ring := simOrFatal(t, mk(engine.Ring))
+	hier := simOrFatal(t, mk(engine.Hierarchical))
 	if hier.IterTime >= ring.IterTime {
 		t.Errorf("two-level %v not faster than flat ring %v on 2-host x 4-rank loopback",
 			hier.IterTime, ring.IterTime)
@@ -328,20 +328,20 @@ func TestHierarchicalWinsOnTwoTierLoopback(t *testing.T) {
 // phase launches and its pipeline cannot fill. This is the "when" the
 // autotuner's topology dimension discriminates.
 func TestFlatRingWinsLatencyDominated(t *testing.T) {
-	mk := func(algo Algorithm) Config {
+	mk := func(algo engine.Algorithm) Config {
 		cfg := Config{
-			Topology:      netmodel.TwoTierLoopback(2, 4),
-			GPU:           V100(),
-			Model:         model.TinyMLP(),
-			Engine:        EngineDefaults(AIACC),
-			Decentralized: true,
+			Topology: netmodel.TwoTierLoopback(2, 4),
+			GPU:      V100(),
+			Model:    model.TinyMLP(),
+			Engine:   EngineDefaults(AIACC),
 		}
 		cfg.Engine.Algorithm = algo
+		cfg.Engine.GPUsPerNode = cfg.Topology.GPUsPerNode
 		cfg.Engine.GranularityBytes = 4 << 10 // tiny units: all latency
 		return cfg
 	}
-	ring := simOrFatal(t, mk(Ring))
-	hier := simOrFatal(t, mk(Hierarchical))
+	ring := simOrFatal(t, mk(engine.Ring))
+	hier := simOrFatal(t, mk(engine.Hierarchical))
 	if ring.IterTime >= hier.IterTime {
 		t.Errorf("flat ring %v not faster than two-level %v in latency-dominated regime",
 			ring.IterTime, hier.IterTime)
@@ -425,9 +425,6 @@ func TestEngineKindStrings(t *testing.T) {
 		PyTorchDDP.String() != "pytorch-ddp" || BytePS.String() != "byteps" ||
 		MXNetPS.String() != "mxnet-ps" {
 		t.Error("engine kind strings wrong")
-	}
-	if Ring.String() != "ring" || Hierarchical.String() != "hierarchical" {
-		t.Error("algorithm strings wrong")
 	}
 }
 

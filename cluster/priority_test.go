@@ -90,25 +90,15 @@ func TestPriorityDepthSweep(t *testing.T) {
 	}
 }
 
-// Only 0, 1 and 2 are priority settings, and, as in engine.Config.validate,
-// only AIACC's ring runs depth 2: the baselines and the hierarchical
-// algorithm have no preemption to price.
+// Only AIACC runs depth 2: the baselines have no preemption to price. The
+// settings themselves, and depth 2 under the hierarchical algorithm, are
+// engine.Policy's rules (TestPolicyValidation).
 func TestPriorityDepthValidation(t *testing.T) {
-	for _, depth := range []int{-1, 3} {
-		if _, err := Simulate(priorityConfig(8, model.CTR(), depth)); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("PriorityDepth %d: err = %v, want ErrBadConfig", depth, err)
-		}
-	}
 	for _, kind := range []EngineKind{Horovod, PyTorchDDP, BytePS, MXNetPS} {
 		cfg := baselineConfig(32, model.BERTLarge(), kind)
 		cfg.Engine.PriorityDepth = 2
 		if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%v at PriorityDepth 2: err = %v, want ErrBadConfig", kind, err)
 		}
-	}
-	cfg := priorityConfig(32, model.BERTLarge(), 2)
-	cfg.Engine.Algorithm = Hierarchical
-	if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("Hierarchical at PriorityDepth 2: err = %v, want ErrBadConfig", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"aiacc/engine"
 	"aiacc/model"
 	"aiacc/netmodel"
 )
@@ -27,9 +28,12 @@ func randomConfig(rng *rand.Rand) Config {
 	cfg.Engine.Streams = 1 + rng.Intn(24)
 	cfg.Engine.GranularityBytes = int64(1) << uint(16+rng.Intn(11))
 	if cfg.Engine.Kind == AIACC {
-		cfg.Decentralized = rng.Intn(2) == 0
+		if rng.Intn(2) != 0 {
+			cfg.Engine.Coordinator = engine.Master
+		}
 		if rng.Intn(2) == 0 {
-			cfg.Engine.Algorithm = Hierarchical
+			cfg.Engine.Algorithm = engine.Hierarchical
+			cfg.Engine.GPUsPerNode = cfg.Topology.GPUsPerNode
 		}
 	}
 	if rng.Intn(3) == 0 {
@@ -54,12 +58,14 @@ func TestRandomConfigInvariants(t *testing.T) {
 			t.Fatalf("trial %d: non-positive throughput %+v", trial, res)
 		}
 		// Per-GPU throughput can never exceed the single-GPU bound.
+		one := cfg.Engine
+		one.GPUsPerNode = 1 // the single GPU's node
 		single, err := Simulate(Config{
 			Topology:    netmodel.V100Cluster(1),
 			GPU:         cfg.GPU,
 			Model:       cfg.Model,
 			BatchPerGPU: cfg.BatchPerGPU,
-			Engine:      cfg.Engine,
+			Engine:      one,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -78,11 +84,10 @@ func TestBandwidthMonotonicity(t *testing.T) {
 	prev := 0.0
 	for _, gbps := range []float64{5, 10, 20, 30, 60, 100} {
 		cfg := Config{
-			Topology:      netmodel.V100Cluster(32),
-			GPU:           V100(),
-			Model:         model.VGG16(),
-			Engine:        EngineDefaults(AIACC),
-			Decentralized: true,
+			Topology: netmodel.V100Cluster(32),
+			GPU:      V100(),
+			Model:    model.VGG16(),
+			Engine:   EngineDefaults(AIACC),
 		}
 		cfg.Topology.Inter.CapacityGbps = gbps
 		res, err := Simulate(cfg)
@@ -101,11 +106,10 @@ func TestComputeMonotonicity(t *testing.T) {
 	prev := 0.0
 	for _, flops := range []float64{3e12, 6e12, 9e12, 15e12} {
 		cfg := Config{
-			Topology:      netmodel.V100Cluster(16),
-			GPU:           GPU{Name: "x", FLOPS: flops, StreamsBusy: 8, StreamsIdle: 24},
-			Model:         model.ResNet50(),
-			Engine:        EngineDefaults(AIACC),
-			Decentralized: true,
+			Topology: netmodel.V100Cluster(16),
+			GPU:      GPU{Name: "x", FLOPS: flops, StreamsBusy: 8, StreamsIdle: 24},
+			Model:    model.ResNet50(),
+			Engine:   EngineDefaults(AIACC),
 		}
 		res, err := Simulate(cfg)
 		if err != nil {
@@ -148,12 +152,11 @@ func TestBatchMonotonicity(t *testing.T) {
 	prev := 0.0
 	for _, batch := range []int{1, 2, 4, 8, 16, 32} {
 		cfg := Config{
-			Topology:      netmodel.V100Cluster(16),
-			GPU:           V100(),
-			Model:         model.BERTLarge(),
-			BatchPerGPU:   batch,
-			Engine:        EngineDefaults(AIACC),
-			Decentralized: true,
+			Topology:    netmodel.V100Cluster(16),
+			GPU:         V100(),
+			Model:       model.BERTLarge(),
+			BatchPerGPU: batch,
+			Engine:      EngineDefaults(AIACC),
 		}
 		res, err := Simulate(cfg)
 		if err != nil {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"aiacc/collective"
+	"aiacc/engine"
 	"aiacc/internal/gradsync"
 	"aiacc/internal/packing"
 	"aiacc/internal/sim"
@@ -199,7 +201,8 @@ func (w *worker) wireBytes(b int64) int64 {
 
 // codecExposure returns the serial codec cost on a unit's critical path.
 // Compressing engines pay an encode+decode pass over the fp32 payload; with
-// wire-pipelining segments (Engine.SegmentBytes) only the pipeline-fill
+// wire-pipelining segments (Engine.SegmentBytes, 0 meaning
+// collective.DefaultSegmentBytes as in the engine) only the pipeline-fill
 // segment's codec share stays exposed — the rest overlaps the in-flight
 // transfer — at a fixed per-segment framing cost (DESIGN.md §6).
 func (w *worker) codecExposure(bytes int64) time.Duration {
@@ -207,7 +210,11 @@ func (w *worker) codecExposure(bytes int64) time.Duration {
 		return 0
 	}
 	full := time.Duration(float64(bytes) / w.cal.CodecBytesPerSec * float64(time.Second))
-	segs := netmodel.Segments(bytes, w.cfg.Engine.SegmentBytes)
+	seg := w.cfg.Engine.SegmentBytes
+	if seg == 0 {
+		seg = collective.DefaultSegmentBytes
+	}
+	segs := netmodel.Segments(bytes, seg)
 	if segs <= 1 {
 		return full
 	}
@@ -238,7 +245,7 @@ func (w *worker) unitTiming(bytes int64) (latency time.Duration, nicVolume int64
 		return 2 * top.Inter.BaseLatency, vol, 0
 	default:
 	}
-	if w.cfg.Engine.Algorithm == Hierarchical && nodes > 1 {
+	if w.cfg.Engine.Algorithm == engine.Hierarchical && nodes > 1 {
 		// Two-level schedule: intra-node reduce-scatter, per-member shard
 		// rings across nodes (every member drives its own cross-node ring —
 		// no leader funnel), intra-node all-gather. The g shard rings
@@ -401,8 +408,8 @@ func (it *iteration) produce(param int) {
 }
 
 // maybeStartRound begins a readiness agreement round if warranted: the
-// unagreed bucket reached the minimum granularity, or backward has finished
-// and gradients remain unagreed.
+// unagreed bucket reached the policy's SyncBytes, as engine.runIteration's
+// does, or backward has finished and gradients remain unagreed.
 func (it *iteration) maybeStartRound() {
 	w := it.w
 	if it.roundInFlight || it.agreedAll {
@@ -411,7 +418,7 @@ func (it *iteration) maybeStartRound() {
 	if it.producedBytes == 0 {
 		return
 	}
-	trigger := it.producedBytes >= w.cfg.Engine.GranularityBytes || it.allProduced
+	trigger := it.producedBytes >= w.cfg.Engine.SyncBytes() || it.allProduced
 	if w.cfg.Engine.Kind == Horovod {
 		// Horovod negotiates on a fixed cycle regardless of volume.
 		trigger = true
@@ -429,8 +436,7 @@ func (it *iteration) maybeStartRound() {
 
 	now := w.s.Now()
 	var doneAt time.Duration
-	decentralized := w.cfg.Engine.Kind == AIACC && w.cfg.Decentralized
-	if decentralized {
+	if w.cfg.Engine.Kind == AIACC && w.cfg.Engine.Coordinator == engine.Decentralized {
 		// Pipelined min/AND ring over the bit vector: O(n) hop latency,
 		// constant per-node cost, no serial bottleneck beyond the sync
 		// stream itself.

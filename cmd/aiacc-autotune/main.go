@@ -46,11 +46,10 @@ func run() error {
 	fmt.Printf("tuning %s on %d GPUs (budget %d iterations)\n", m.Name, *gpus, *budget)
 
 	base := cluster.Config{
-		Topology:      netmodel.V100Cluster(*gpus),
-		GPU:           cluster.V100(),
-		Model:         m,
-		Engine:        cluster.EngineDefaults(cluster.AIACC),
-		Decentralized: true,
+		Topology: netmodel.V100Cluster(*gpus),
+		GPU:      cluster.V100(),
+		Model:    m,
+		Engine:   cluster.EngineDefaults(cluster.AIACC),
 	}
 	space := autotune.DefaultSpace().ForSimulator(base.Topology)
 	meta, err := autotune.NewMeta(autotune.DefaultEnsemble(space, *seed))
@@ -79,10 +78,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	tuned, err := autotune.SimConfig(base, best)
-	if err != nil {
-		return err
-	}
+	tuned := base
+	tuned.Engine.Policy = best.Apply(base.Engine.Policy)
 	bestRes, err := cluster.Simulate(tuned)
 	if err != nil {
 		return err

@@ -94,7 +94,6 @@ func run() error {
 	cfg.GranularityBytes = *granularity
 	cfg.SegmentBytes = *segBytes
 	cfg.PriorityDepth = *prioDepth
-	cfg.MinSyncBytes = *granularity
 	cfg.GPUsPerNode = *perNode
 	cfg.DetectNaN = *nanCheck
 	switch *coordinator {
@@ -294,7 +293,7 @@ func worker(rank int, ep transport.Endpoint, cfg engine.Config, engineKind strin
 			fmt.Printf("warm-up tuning (%d iterations, %d candidates): chose %v at %.2fms/iter\n",
 				res.StepsDone, res.Trials, res.Best, res.BestCost*1e3)
 		}
-		cfg = train.ApplyParams(cfg, res.Best)
+		cfg.Policy = res.Best.Apply(cfg.Policy)
 	}
 	var tr *train.Trainer
 	if engineKind == "ps" {

@@ -67,90 +67,12 @@ func (e *NaNError) Error() string {
 	return fmt.Sprintf("engine: gradient %q has a non-finite value at element %d", e.Name, e.Index)
 }
 
-// Algorithm selects the all-reduce algorithm.
-type Algorithm int
-
-// Supported all-reduce algorithms (§V-B).
-const (
-	// Ring is the flat bandwidth-optimal ring across all workers.
-	Ring Algorithm = iota + 1
-	// Hierarchical reduces within each node, rings across node leaders,
-	// then broadcasts within nodes — the paper's "tree" all-reduce.
-	Hierarchical
-)
-
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	switch a {
-	case Ring:
-		return "ring"
-	case Hierarchical:
-		return "hierarchical"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
-// CoordinatorKind selects the gradient-readiness agreement protocol.
-type CoordinatorKind int
-
-// Supported coordinators.
-const (
-	// Decentralized is AIACC's min/AND ring all-reduce agreement.
-	Decentralized CoordinatorKind = iota + 1
-	// Master is the Horovod-style rank-0 coordinator baseline.
-	Master
-)
-
-// String implements fmt.Stringer.
-func (k CoordinatorKind) String() string {
-	switch k {
-	case Decentralized:
-		return "decentralized"
-	case Master:
-		return "master"
-	default:
-		return fmt.Sprintf("CoordinatorKind(%d)", int(k))
-	}
-}
-
 // Config tunes the engine. The zero value is invalid; start from
-// DefaultConfig. Streams and GranularityBytes are the two hyper-parameters
-// the auto-tuner (package autotune) searches over.
+// DefaultConfig. The embedded Policy holds the communication policy, which
+// the cluster simulator runs too and the auto-tuner searches over; the other
+// fields are live-only.
 type Config struct {
-	// Streams is the number of concurrent communication streams.
-	Streams int
-	// GranularityBytes is the all-reduce unit size.
-	GranularityBytes int64
-	// SegmentBytes is the ring all-reduce wire-pipelining segment size (fp32
-	// data bytes per wire frame); 0 means collective.DefaultSegmentBytes.
-	// Like Streams and GranularityBytes it is a dimension of the auto-tuner's
-	// search space.
-	SegmentBytes int64
-	// MinSyncBytes is the bucket size that triggers a synchronization
-	// round; 0 means GranularityBytes.
-	MinSyncBytes int64
-	// PriorityDepth selects the dispatcher (DESIGN.md §10). 0 and 1 mean
-	// one class: each stream runs its units one at a time in Seq order
-	// (Algorithm 1's multi-stream pool). 2 gives each registered gradient
-	// priority (RegisterWithPriority; reverse-topological for a model
-	// registered in layer order) its own class: a unit preempts a less
-	// urgent in-flight unit of its stream at the next wire-segment boundary.
-	// Any other value is ErrBadConfig; coarser classes never beat one per
-	// priority in the depth sweep (EXPERIMENTS.md "One priority setting").
-	// Scheduling never changes unit composition, only dispatch timing, so
-	// fp32 results are bit-identical across settings. A sixth auto-tuner
-	// dimension. Ring only: the frame-tagging multiplexer wraps the flat
-	// communicator, and the two-level schedule runs over sub-communicators
-	// it cannot wrap, so Hierarchical runs one class and rejects
-	// PriorityDepth 2. Priority-ordered packing applies either way.
-	PriorityDepth int
-	// Algorithm selects ring or hierarchical all-reduce.
-	Algorithm Algorithm
-	// GPUsPerNode configures the hierarchical algorithm's node grouping.
-	GPUsPerNode int
-	// Coordinator selects the readiness agreement protocol.
-	Coordinator CoordinatorKind
+	Policy
 	// Codec is the wire codec (fp32 or fp16 compression). Under fp16 the
 	// reduce-scatter hops carry partial sums, so inputs must keep
 	// (n-1)·max|x| below 65504; with Average the all-gather carries the mean.
@@ -179,40 +101,26 @@ type Config struct {
 // streams, 4 MiB units, flat ring, decentralized sync, fp32 wire, averaging.
 func DefaultConfig() Config {
 	return Config{
-		Streams:          4,
-		GranularityBytes: 4 << 20,
-		Algorithm:        Ring,
-		GPUsPerNode:      8,
-		Coordinator:      Decentralized,
-		Codec:            compress.FP32{},
-		Average:          true,
+		Policy: Policy{
+			Streams:          4,
+			GranularityBytes: 4 << 20,
+			Algorithm:        Ring,
+			GPUsPerNode:      8,
+			Coordinator:      Decentralized,
+		},
+		Codec:   compress.FP32{},
+		Average: true,
 	}
 }
 
-func (c Config) validate() error {
-	switch {
-	case c.Streams <= 0:
-		return fmt.Errorf("%w: streams %d", ErrBadConfig, c.Streams)
-	case c.GranularityBytes < 4:
-		return fmt.Errorf("%w: granularity %d bytes", ErrBadConfig, c.GranularityBytes)
-	case c.Algorithm != Ring && c.Algorithm != Hierarchical:
-		return fmt.Errorf("%w: algorithm %d", ErrBadConfig, int(c.Algorithm))
-	case c.Algorithm == Hierarchical && c.GPUsPerNode <= 0:
-		return fmt.Errorf("%w: gpusPerNode %d", ErrBadConfig, c.GPUsPerNode)
-	case c.Coordinator != Decentralized && c.Coordinator != Master:
-		return fmt.Errorf("%w: coordinator %d", ErrBadConfig, int(c.Coordinator))
-	case c.Codec == nil:
+// Validate checks the policy and the live-only fields; every error wraps
+// ErrBadConfig.
+func (c Config) Validate() error {
+	if err := c.Policy.Validate(); err != nil {
+		return err
+	}
+	if c.Codec == nil {
 		return fmt.Errorf("%w: nil codec", ErrBadConfig)
-	case c.MinSyncBytes < 0:
-		return fmt.Errorf("%w: minSyncBytes %d", ErrBadConfig, c.MinSyncBytes)
-	case c.SegmentBytes < 0:
-		return fmt.Errorf("%w: segmentBytes %d", ErrBadConfig, c.SegmentBytes)
-	case c.PriorityDepth < 0 || c.PriorityDepth > 2:
-		return fmt.Errorf("%w: priorityDepth %d (0 and 1: one class; 2: one class per priority)",
-			ErrBadConfig, c.PriorityDepth)
-	case c.Algorithm == Hierarchical && c.PriorityDepth == 2:
-		return fmt.Errorf("%w: priorityDepth %d under the hierarchical algorithm, which runs one class",
-			ErrBadConfig, c.PriorityDepth)
 	}
 	return nil
 }
@@ -283,7 +191,7 @@ type Engine struct {
 // NewEngine creates an engine over the communicator. The communicator's
 // transport must provide at least cfg.RequiredStreams() streams.
 func NewEngine(comm *mpi.Comm, cfg Config) (*Engine, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if comm.Streams() < cfg.RequiredStreams() {
@@ -296,9 +204,7 @@ func NewEngine(comm *mpi.Comm, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("%w: world size %d is not divisible by gpusPerNode %d",
 			ErrBadConfig, comm.Size(), cfg.GPUsPerNode)
 	}
-	if cfg.MinSyncBytes == 0 {
-		cfg.MinSyncBytes = cfg.GranularityBytes
-	}
+	cfg.MinSyncBytes = cfg.SyncBytes()
 	return &Engine{
 		comm:     comm,
 		cfg:      cfg,

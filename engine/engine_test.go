@@ -317,29 +317,21 @@ func TestEngineValidation(t *testing.T) {
 	ep, _ := net.Endpoint(0)
 	comm := mpi.NewWorld(ep)
 
-	bad := []Config{
-		{},
-		{Streams: 0, GranularityBytes: 1024, Algorithm: Ring, Coordinator: Decentralized, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 0, Algorithm: Ring, Coordinator: Decentralized, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 1024, Algorithm: 0, Coordinator: Decentralized, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 1024, Algorithm: Hierarchical, GPUsPerNode: 0, Coordinator: Decentralized, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 1024, Algorithm: Ring, Coordinator: 0, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 1024, Algorithm: Ring, Coordinator: Decentralized},
-		// The two-level schedule runs one class: no silent rewrite of a
-		// preemptive depth.
-		{Streams: 2, GranularityBytes: 1024, Algorithm: Hierarchical, GPUsPerNode: 1, PriorityDepth: 2, Coordinator: Decentralized, Codec: compress.FP32{}},
-		// 0, 1 and 2 are the only priority settings.
-		{Streams: 2, GranularityBytes: 1024, Algorithm: Ring, PriorityDepth: -1, Coordinator: Decentralized, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 1024, Algorithm: Ring, PriorityDepth: 3, Coordinator: Decentralized, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 1024, Algorithm: Ring, PriorityDepth: 8, Coordinator: Decentralized, Codec: compress.FP32{}},
+	// The policy's rules are tabled once for the engine and the simulator
+	// alike (cluster's TestPolicyValidation); these are the live-only ones.
+	cfg := DefaultConfig()
+	cfg.Codec = nil
+	if _, err := NewEngine(comm, cfg); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("nil codec error = %v", err)
 	}
-	for i, cfg := range bad {
-		if _, err := NewEngine(comm, cfg); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("bad config %d: error = %v, want ErrBadConfig", i, err)
-		}
+	// A world of one cannot form nodes of eight.
+	cfg = DefaultConfig()
+	cfg.Algorithm = Hierarchical
+	if _, err := NewEngine(comm, cfg); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("node group error = %v", err)
 	}
 	// Too few transport streams.
-	cfg := DefaultConfig()
+	cfg = DefaultConfig()
 	cfg.Streams = 10
 	if _, err := NewEngine(comm, cfg); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("stream shortfall error = %v", err)

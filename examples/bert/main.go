@@ -140,15 +140,11 @@ func batchStudy() error {
 }
 
 func simulateBERT(kind cluster.EngineKind, batch int) (cluster.Result, error) {
-	cfg := cluster.Config{
+	return cluster.Simulate(cluster.Config{
 		Topology:    netmodel.V100Cluster(16),
 		GPU:         cluster.V100(),
 		Model:       model.BERTLarge(),
 		BatchPerGPU: batch,
 		Engine:      cluster.EngineDefaults(kind),
-	}
-	if kind == cluster.AIACC {
-		cfg.Decentralized = true
-	}
-	return cluster.Simulate(cfg)
+	})
 }

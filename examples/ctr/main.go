@@ -139,7 +139,6 @@ func simPart() error {
 			Engine:   cluster.EngineDefaults(kind),
 		}
 		if kind == cluster.AIACC {
-			cfg.Decentralized = true
 			cfg.Engine.Streams = 16
 			cfg.Engine.WireBytesPerElem = 2 // production uses compression
 		}

@@ -77,10 +77,8 @@ func tune(base cluster.Config) (autotune.Params, cluster.Result, error) {
 	if err != nil {
 		return p, cluster.Result{}, err
 	}
-	cfg, err := autotune.SimConfig(base, p)
-	if err != nil {
-		return p, cluster.Result{}, err
-	}
+	cfg := base
+	cfg.Engine.Policy = p.Apply(base.Engine.Policy)
 	res, err := cluster.Simulate(cfg)
 	return p, res, err
 }
@@ -88,10 +86,9 @@ func tune(base cluster.Config) (autotune.Params, cluster.Result, error) {
 // deployment is the engine's default configuration on gpus V100s.
 func deployment(m model.Model, gpus int, kind cluster.EngineKind) cluster.Config {
 	return cluster.Config{
-		Topology:      netmodel.V100Cluster(gpus),
-		GPU:           cluster.V100(),
-		Model:         m,
-		Engine:        cluster.EngineDefaults(kind),
-		Decentralized: kind == cluster.AIACC,
+		Topology: netmodel.V100Cluster(gpus),
+		GPU:      cluster.V100(),
+		Model:    m,
+		Engine:   cluster.EngineDefaults(kind),
 	}
 }

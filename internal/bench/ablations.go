@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"aiacc/cluster"
+	"aiacc/engine"
 	"aiacc/internal/stats"
 	"aiacc/model"
 )
@@ -34,7 +35,7 @@ func (s *Suite) AblationSync() (Table, error) {
 			return t, err
 		}
 		mas := dec
-		mas.Decentralized = false
+		mas.Engine.Coordinator = engine.Master
 		masRes, err := simulate(mas)
 		if err != nil {
 			return t, err
@@ -118,7 +119,7 @@ func (s *Suite) AblationAlgorithm() (Table, error) {
 			return t, err
 		}
 		hier := ring
-		hier.Engine.Algorithm = cluster.Hierarchical
+		hier.Engine.Algorithm = engine.Hierarchical
 		hierRes, err := simulate(hier)
 		if err != nil {
 			return t, err
@@ -146,7 +147,7 @@ func (s *Suite) AblationCongestion() (Table, error) {
 		},
 	}
 	for _, frac := range []float64{1.0, 0.5, 0.25, 0.125} {
-		mk := func(algo cluster.Algorithm) (cluster.Result, error) {
+		mk := func(algo engine.Algorithm) (cluster.Result, error) {
 			cfg := baseConfig(model.ResNet50(), 64, cluster.AIACC)
 			// Congestion both steals bandwidth and explodes queueing delay:
 			// per-hop latency grows quadratically as the link saturates.
@@ -157,11 +158,11 @@ func (s *Suite) AblationCongestion() (Table, error) {
 			cfg.Engine.Algorithm = algo
 			return simulate(cfg)
 		}
-		ring, err := mk(cluster.Ring)
+		ring, err := mk(engine.Ring)
 		if err != nil {
 			return t, err
 		}
-		hier, err := mk(cluster.Hierarchical)
+		hier, err := mk(engine.Hierarchical)
 		if err != nil {
 			return t, err
 		}

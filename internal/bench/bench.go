@@ -102,16 +102,12 @@ func NewSuite() *Suite {
 
 // baseConfig returns a deployment on the paper's V100 platform.
 func baseConfig(m model.Model, gpus int, kind cluster.EngineKind) cluster.Config {
-	cfg := cluster.Config{
+	return cluster.Config{
 		Topology: netmodel.V100Cluster(gpus),
 		GPU:      cluster.V100(),
 		Model:    m,
 		Engine:   cluster.EngineDefaults(kind),
 	}
-	if kind == cluster.AIACC {
-		cfg.Decentralized = true
-	}
-	return cfg
 }
 
 // simulate wraps cluster.Simulate.
@@ -151,8 +147,9 @@ func (s *Suite) tunedConfig(m model.Model, gpus int) (cluster.Config, autotune.P
 	if err != nil {
 		return cluster.Config{}, p, err
 	}
-	cfg, err := autotune.SimConfig(baseConfig(m, gpus, cluster.AIACC), p)
-	return cfg, p, err
+	cfg := baseConfig(m, gpus, cluster.AIACC)
+	cfg.Engine.Policy = p.Apply(cfg.Engine.Policy)
+	return cfg, p, nil
 }
 
 func fmtTput(v float64) string { return fmt.Sprintf("%.0f", v) }

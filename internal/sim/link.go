@@ -25,7 +25,7 @@ type SharedLink struct {
 	// Stats.
 	bytesMoved   float64
 	busyTime     time.Duration
-	weightedUtil float64 // ∫ U(n) dt over busy time
+	weightedUtil float64 // ∫ U(n) dt over busy time, without scale
 }
 
 type transfer struct {
@@ -146,7 +146,9 @@ type LinkStats struct {
 	// BusyTime is the virtual time with at least one active transfer.
 	BusyTime time.Duration
 	// MeanUtilization is the time-averaged U(n) over busy time: the
-	// fraction of line rate actually achieved.
+	// fraction of the rate available at each instant that the transfers
+	// reach. It excludes SetScale's factor, so while the link is scaled the
+	// fraction of line rate achieved is scale·U(n), not U(n).
 	MeanUtilization float64
 }
 

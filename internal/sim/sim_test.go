@@ -201,6 +201,33 @@ func TestSharedLinkSetScale(t *testing.T) {
 	}
 }
 
+// MeanUtilization is U(n), the fraction of the rate available at each
+// instant: SetScale lowers that rate, not the share of it the transfers
+// reach, so a run at scale 0.6 reads the same utilization, only longer.
+func TestSharedLinkUtilizationExcludesScale(t *testing.T) {
+	tcp := netmodel.TCP30Gbps()
+	run := func(scale float64) LinkStats {
+		s := New()
+		l := NewSharedLink(s, tcp)
+		l.SetScale(scale)
+		for range 3 {
+			l.Start(100<<20, func() {})
+		}
+		s.Run()
+		return l.Stats()
+	}
+	full, scaled := run(1), run(0.6)
+	if want := tcp.Utilization(3); math.Abs(full.MeanUtilization-want) > 1e-9 {
+		t.Errorf("MeanUtilization = %v, want U(3) = %v", full.MeanUtilization, want)
+	}
+	if math.Abs(scaled.MeanUtilization-full.MeanUtilization) > 1e-9 {
+		t.Errorf("MeanUtilization at scale 0.6 = %v, at 1 = %v", scaled.MeanUtilization, full.MeanUtilization)
+	}
+	if scaled.BusyTime <= full.BusyTime {
+		t.Errorf("busy %v at scale 0.6, %v at 1", scaled.BusyTime, full.BusyTime)
+	}
+}
+
 func TestSharedLinkLateArrivalSlowsFirst(t *testing.T) {
 	// Transfer A (2 GB) runs alone for 1s (1 GB done), then B (500 MB)
 	// arrives. Shared rate 0.5 GB/s each: B finishes at t=2s, then A's last

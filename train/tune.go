@@ -45,7 +45,7 @@ type TuneResult struct {
 // divide the world size (autotune.Space.ForWorld). The communicator must
 // provide enough transport streams for the largest stream count in the
 // space (plus the sync stream). Returns the chosen parameters; the caller
-// then builds its production Trainer with them (see ApplyParams).
+// then builds its production Trainer with them (autotune.Params.Apply).
 func TuneLive(comm *mpi.Comm, base engine.Config, space autotune.Space, budget int,
 	producer Producer, opt OptimizerFactory, seed int64) (TuneResult, error) {
 	var out TuneResult
@@ -102,7 +102,9 @@ type OptimizerFactory func() optimizer.Optimizer
 // the globally averaged seconds per iteration.
 func evalCandidate(comm *mpi.Comm, base engine.Config, p autotune.Params, iters int,
 	producer Producer, opt OptimizerFactory) (float64, error) {
-	tr, err := NewTrainer(comm, ApplyParams(base, p), producer, opt())
+	cfg := base
+	cfg.Policy = p.Apply(base.Policy)
+	tr, err := NewTrainer(comm, cfg, producer, opt())
 	if err != nil {
 		return 0, fmt.Errorf("candidate %v: %w", p, err)
 	}
@@ -138,24 +140,4 @@ func LiveSpace() autotune.Space {
 		NodeGroups:    []int{1, 2, 4},
 		Depths:        []int{1, 2},
 	}
-}
-
-// ApplyParams maps tuned parameters onto an engine configuration. A tree
-// point with PriorityDepth 2 fails NewEngine; Space never has one.
-func ApplyParams(base engine.Config, p autotune.Params) engine.Config {
-	cfg := base
-	cfg.Streams = p.Streams
-	cfg.GranularityBytes = p.GranularityBytes
-	cfg.SegmentBytes = p.SegmentBytes
-	cfg.MinSyncBytes = 0 // re-derive from the new granularity
-	cfg.PriorityDepth = p.PriorityDepth
-	if p.Algorithm == autotune.AlgoTree {
-		cfg.Algorithm = engine.Hierarchical
-		if p.GPUsPerNode > 0 {
-			cfg.GPUsPerNode = p.GPUsPerNode
-		}
-	} else {
-		cfg.Algorithm = engine.Ring
-	}
-	return cfg
 }

@@ -160,6 +160,11 @@ func TestSpaceDistinct(t *testing.T) {
 		t.Errorf("LiveSpace().Size() = %d, want 144", got)
 	}
 	base := engine.DefaultConfig()
+	apply := func(p autotune.Params) engine.Config {
+		cfg := base
+		cfg.Policy = p.Apply(base.Policy)
+		return cfg
+	}
 	for _, tc := range []struct {
 		name  string
 		space autotune.Space
@@ -179,7 +184,7 @@ func TestSpaceDistinct(t *testing.T) {
 			comm := mpi.NewWorld(ep)
 			got := make(map[tunedKey]autotune.Params)
 			for _, p := range space.Points() {
-				cfg := ApplyParams(base, p)
+				cfg := apply(p)
 				if _, err := engine.NewEngine(comm, cfg); err != nil {
 					t.Errorf("%s@%d: point %v does not run: %v", tc.name, world, p, err)
 				}
@@ -199,7 +204,7 @@ func TestSpaceDistinct(t *testing.T) {
 						for _, seg := range s.Segments {
 							for _, ng := range s.NodeGroups {
 								for _, d := range tc.oldDepths {
-									cfg := ApplyParams(base, autotune.Params{Streams: st, GranularityBytes: g,
+									cfg := apply(autotune.Params{Streams: st, GranularityBytes: g,
 										Algorithm: alg, SegmentBytes: seg, GPUsPerNode: ng, PriorityDepth: d})
 									if cfg.Algorithm == engine.Hierarchical && world%cfg.GPUsPerNode != 0 {
 										continue // cannot form the nodes
@@ -223,18 +228,31 @@ func TestSpaceDistinct(t *testing.T) {
 	}
 }
 
+// Params.Apply maps a tuned point onto a live engine configuration: the
+// point's fields are taken, MinSyncBytes resets to follow the new
+// granularity, and every point of the live space passes Config.Validate.
 func TestApplyParams(t *testing.T) {
 	base := engine.DefaultConfig()
 	base.MinSyncBytes = 123
-	got := ApplyParams(base, autotune.Params{Streams: 7, GranularityBytes: 1 << 20, Algorithm: autotune.AlgoTree})
+	apply := func(p autotune.Params) engine.Config {
+		cfg := base
+		cfg.Policy = p.Apply(base.Policy)
+		return cfg
+	}
+	got := apply(autotune.Params{Streams: 7, GranularityBytes: 1 << 20, Algorithm: autotune.AlgoTree})
 	if got.Streams != 7 || got.GranularityBytes != 1<<20 || got.Algorithm != engine.Hierarchical {
-		t.Errorf("ApplyParams = %+v", got)
+		t.Errorf("Apply = %+v", got.Policy)
 	}
 	if got.MinSyncBytes != 0 {
 		t.Error("MinSyncBytes must reset with the new granularity")
 	}
-	got = ApplyParams(base, autotune.Params{Streams: 2, GranularityBytes: 4096, Algorithm: autotune.AlgoRing})
+	got = apply(autotune.Params{Streams: 2, GranularityBytes: 4096, Algorithm: autotune.AlgoRing})
 	if got.Algorithm != engine.Ring {
 		t.Error("ring not applied")
+	}
+	for _, p := range LiveSpace().ForWorld(4).Points() {
+		if err := apply(p).Validate(); err != nil {
+			t.Errorf("live point %v: %v", p, err)
+		}
 	}
 }
