@@ -240,52 +240,66 @@ func BenchmarkAutoTune(b *testing.B) {
 // (`-cpuprofile`) and to show allocs/op for the collective layer and for a
 // whole engine iteration.
 
-// BenchmarkRingAllReduceShm runs the 4-rank fp32 ring all-reduce over the
-// shared-memory transport. One persistent goroutine per rank loops b.N
-// iterations — the ring is self-synchronizing (every step's receive depends
-// on the peer's send, with FIFO matching per pair), so iteration i+1 cannot
-// overtake iteration i and the harness adds no per-iteration allocations,
-// making allocs/op reflect the collective layer's own steady state.
+// BenchmarkRingAllReduceShm runs the 4-rank ring all-reduce over the
+// shared-memory transport, under the fp32 and the fp16 codec. One persistent
+// goroutine per rank loops b.N iterations — the ring is self-synchronizing
+// (every step's receive depends on the peer's send, with FIFO matching per
+// pair), so iteration i+1 cannot overtake iteration i and the harness adds
+// no per-iteration allocations, making allocs/op reflect the collective
+// layer's own steady state. Under fp16 every frame is at most half the
+// default ring, so the ring encodes into reserved slots and reduces from
+// lent frames (transport.Lender); fp32 frames of the largest size stream
+// through the ring by copy.
 func BenchmarkRingAllReduceShm(b *testing.B) {
-	for _, elems := range []int{1 << 14, 1 << 16, 1 << 18} {
-		b.Run(fmt.Sprintf("4ranks/%delems", elems), func(b *testing.B) {
-			net, err := shmnet.New(4, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() { _ = net.Close() }()
-			comms := make([]*mpi.Comm, 4)
-			datas := make([][]float32, 4)
-			for r := 0; r < 4; r++ {
-				ep, err := net.Endpoint(r)
-				if err != nil {
-					b.Fatal(err)
-				}
-				comms[r] = mpi.NewWorld(ep)
-				datas[r] = make([]float32, elems)
-				for i := range datas[r] {
-					datas[r][i] = 0.001 + float32(i%1000)*0.001
-				}
-			}
-			b.SetBytes(int64(elems) * 4)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					for i := 0; i < b.N; i++ {
-						if err := collective.RingAllReduceCodec(comms[r], 0, datas[r], tensor.OpSum, compress.FP32{}); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(r)
-			}
-			wg.Wait()
-		})
+	for _, codec := range []compress.Codec{compress.FP32{}, compress.FP16{}} {
+		for _, elems := range []int{1 << 14, 1 << 16, 1 << 18} {
+			b.Run(fmt.Sprintf("codec=%s/4ranks/%delems", codec.Name(), elems), func(b *testing.B) {
+				benchRingAllReduceShm(b, codec, elems)
+			})
+		}
 	}
+}
+
+func benchRingAllReduceShm(b *testing.B, codec compress.Codec, elems int) {
+	net, err := shmnet.New(4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = net.Close() }()
+	comms := make([]*mpi.Comm, 4)
+	datas := make([][]float32, 4)
+	for r := 0; r < 4; r++ {
+		ep, err := net.Endpoint(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		comms[r] = mpi.NewWorld(ep)
+		defer comms[r].Close()
+		datas[r] = make([]float32, elems)
+		for i := range datas[r] {
+			datas[r][i] = 0.001 + float32(i%1000)*0.001
+		}
+	}
+	b.SetBytes(int64(elems) * 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < b.N; i++ {
+				// Scaled by 1/4, so fp16 values stay bounded over b.N
+				// iterations.
+				if err := collective.RingAllReduceCodec(comms[r], 0, datas[r], tensor.OpSum, codec,
+					collective.WithScale(0.25)); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
 }
 
 // BenchmarkEngineIterationTCP measures one full live engine iteration (sync

@@ -271,6 +271,12 @@ func (c Config) validate() error {
 	if c.Engine.PriorityDepth == 2 && c.Engine.Kind != AIACC {
 		return fmt.Errorf("%w: priority depth 2 outside AIACC (engine %v)", ErrBadConfig, c.Engine.Kind)
 	}
+	if c.Engine.Kind != AIACC && (c.Engine.Algorithm != engine.Ring || c.Engine.Coordinator != engine.Master) {
+		// The baselines are priced as a flat ring under a master coordinator;
+		// anything else would be simulated as a schedule they do not have.
+		return fmt.Errorf("%w: %v algorithm and %v coordinator outside AIACC (engine %v)",
+			ErrBadConfig, c.Engine.Algorithm, c.Engine.Coordinator, c.Engine.Kind)
+	}
 	if c.Engine.Algorithm == engine.Hierarchical && c.Engine.GPUsPerNode != c.Topology.GPUsPerNode {
 		// The two-level schedule is priced at the topology's node boundary.
 		return fmt.Errorf("%w: hierarchical node group %d on %d GPUs per node",

@@ -87,6 +87,21 @@ func TestValidation(t *testing.T) {
 	if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("node group error = %v", err)
 	}
+	// The baselines run the flat ring under a master coordinator: the tree
+	// and the decentralized protocol are AIACC's.
+	for _, kind := range []EngineKind{Horovod, PyTorchDDP, BytePS, MXNetPS} {
+		cfg = baselineConfig(32, rn50, kind)
+		cfg.Engine.Algorithm = engine.Hierarchical
+		cfg.Engine.GPUsPerNode = cfg.Topology.GPUsPerNode
+		if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%v under the hierarchical algorithm: error = %v, want ErrBadConfig", kind, err)
+		}
+		cfg = baselineConfig(32, rn50, kind)
+		cfg.Engine.Coordinator = engine.Decentralized
+		if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%v under the decentralized coordinator: error = %v, want ErrBadConfig", kind, err)
+		}
+	}
 }
 
 // Wire-pipelining the fp16 codec must shorten iterations: with a segment of

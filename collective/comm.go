@@ -1,6 +1,9 @@
 package collective
 
-import "aiacc/internal/sendpool"
+import (
+	"aiacc/internal/sendpool"
+	"aiacc/transport"
+)
 
 // Comm is the communicator surface the ring collectives run over. *mpi.Comm
 // implements it directly; the engine's priority scheduler implements it with
@@ -28,4 +31,12 @@ type Comm interface {
 	Abort(to, stream, origin int) error
 	// Senders returns the pool the operation borrows its sender from.
 	Senders() *sendpool.Pool
+}
+
+// lendingComm is the optional Comm capability of in-place frames: *mpi.Comm
+// has it, returning nil when its endpoint lacks transport.Lender. The ring
+// checks for it once per operation; a Comm without it, such as the engine's
+// tagging multiplexer, runs on Send and Recv alone.
+type lendingComm interface {
+	Lender() transport.Lender
 }

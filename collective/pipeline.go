@@ -8,6 +8,7 @@ import (
 	"aiacc/internal/sendpool"
 	"aiacc/internal/wire"
 	"aiacc/tensor"
+	"aiacc/transport"
 )
 
 // DefaultSegmentBytes is the wire-pipelining segment size (in fp32 data
@@ -176,6 +177,23 @@ func (r *segRing) wait() error {
 	return err
 }
 
+// idle reports whether no send is in flight, first collecting without
+// blocking the results of the sends that have completed. The first failed
+// one is returned as wait returns it.
+func (r *segRing) idle() (bool, error) {
+	for r.out > 0 {
+		done, err := r.pipe.TryWait()
+		if !done {
+			return false, nil
+		}
+		r.out--
+		if err != nil {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
 // drain waits out every outstanding send and returns the first error.
 func (r *segRing) drain() error {
 	var first error
@@ -209,10 +227,11 @@ type ringPipeline struct {
 	segBytes   int64
 	maxChunk   int // largest per-rank chunk, for slot sizing
 	r          segRing
-	scratch    []float32 // one segment of decode scratch (unfused reduce ops only)
-	timed      bool      // this op records the sampled metrics (segTimed)
-	yield      func()    // segment-boundary preemption hook (may be nil)
-	scale      float32   // factor for the owned chunk (0: none)
+	scratch    []float32        // one segment of decode scratch (unfused reduce ops only)
+	timed      bool             // this op records the sampled metrics (segTimed)
+	yield      func()           // segment-boundary preemption hook (may be nil)
+	scale      float32          // factor for the owned chunk (0: none)
+	lend       transport.Lender // c's in-place frames, nil when it has none
 }
 
 // pause invokes the preemption hook, if any, at a segment boundary.
@@ -235,6 +254,10 @@ func (p *ringPipeline) init(c Comm, stream, dataLen int, codec compress.Codec, o
 	p.codec, p.segBytes, p.maxChunk = codec, o.segBytes, maxChunk
 	p.yield, p.scale = o.yield, o.scale
 	p.r = beginSeg(p.c, int(codec.WireBytes(p.segElems())))
+	p.lend = nil
+	if lc, ok := c.(lendingComm); ok {
+		p.lend = lc.Lender()
+	}
 	p.timed = segTimed()
 	mSegCount.Set(int64(numSegments(maxChunk, o.segBytes)))
 }
@@ -316,35 +339,96 @@ func (p *ringPipeline) allGather(data []float32) error {
 }
 
 // recv blocks for the next payload from the upstream neighbour, charging the
-// blocked time to the wire-wait counter.
-func (p *ringPipeline) recv() ([]byte, error) {
+// blocked time to the wire-wait counter. With borrow set the payload is
+// lent in place when the transport can (lent reports it); either way the
+// caller ends its use with done before the next recv.
+func (p *ringPipeline) recv(borrow bool) (payload []byte, lent bool, err error) {
 	t0 := segStart(p.timed)
-	payload, err := p.c.Recv(p.prev, p.stream)
+	if borrow && p.lend != nil {
+		payload, err = p.lend.Lend(p.prev, p.stream)
+		lent = err == nil
+	} else {
+		payload, err = p.c.Recv(p.prev, p.stream)
+	}
 	wireObs(t0)
-	return payload, err
+	return payload, lent, err
 }
 
-// encodeSend encodes segment i of the chunk into an owned buffer and hands
-// it to the wire. When requant is set (lossy codec in the all-gather), the
-// codec's quantization is folded back into the local copy too, so every rank
-// — the chunk's origin included — ends the operation with bit-identical
-// data.
+// done ends the use of a received payload: a lent one goes back to the
+// transport, an owned one onto the free stack.
+func (p *ringPipeline) done(payload []byte, lent bool) error {
+	if lent {
+		return p.lend.Release(p.prev, p.stream)
+	}
+	p.r.giveBuf(payload)
+	return nil
+}
+
+// encodeSend encodes segment i of the chunk and hands it to the wire. When
+// requant is set (lossy codec in the all-gather), the codec's quantization
+// is folded back into the local copy too, so every rank — the chunk's origin
+// included — ends the operation with bit-identical data.
+//
+// With no send in flight on the pipe, so that a frame written now cannot
+// overtake one queued there, the segment is encoded straight into a ring
+// slot the transport reserves; otherwise, or when it has none, into an
+// owned buffer that the pipe sends.
 func (p *ringPipeline) encodeSend(chunk []float32, segs, i int, requant bool) error {
 	lo, hi := chunkBounds(len(chunk), segs, i)
+	src := chunk[lo:hi]
+	if p.lend != nil {
+		idle, err := p.r.idle()
+		if err != nil {
+			return err
+		}
+		if idle {
+			if sent, err := p.encodeReserved(src, requant); sent || err != nil {
+				return err
+			}
+		}
+	}
 	buf := p.r.takeBuf()
 	t0 := segStart(p.timed)
-	buf = p.codec.EncodeTo(buf, chunk[lo:hi])
+	buf = p.codec.EncodeTo(buf, src)
 	segObs(mSegEncodeNs, t0)
 	if p.timed {
 		mChunkBytes.Observe(int64(len(buf)))
 	}
 	if requant {
-		if err := p.codec.Decode(chunk[lo:hi], buf); err != nil {
+		if err := p.codec.Decode(src, buf); err != nil {
 			p.r.giveBuf(buf)
 			return err
 		}
 	}
 	return p.r.send(p.c, p.next, p.stream, buf)
+}
+
+// encodeReserved encodes src into a reserved slot of the next frame, reads
+// the requantization back from the slot, and commits it. It reports false,
+// with nothing sent, when the transport has no slot now or the encoding
+// does not match the reserved length.
+func (p *ringPipeline) encodeReserved(src []float32, requant bool) (bool, error) {
+	n := int(p.codec.WireBytes(len(src)))
+	slot, err := p.lend.Reserve(p.next, p.stream, n)
+	if slot == nil || err != nil {
+		return false, err
+	}
+	t0 := segStart(p.timed)
+	buf := p.codec.EncodeTo(slot[:0], src)
+	segObs(mSegEncodeNs, t0)
+	if len(buf) != n {
+		return false, p.lend.Commit(p.next, p.stream, false)
+	}
+	if p.timed {
+		mChunkBytes.Observe(int64(n))
+	}
+	if requant {
+		if err := p.codec.Decode(src, buf); err != nil {
+			_ = p.lend.Commit(p.next, p.stream, false)
+			return false, err
+		}
+	}
+	return true, p.lend.Commit(p.next, p.stream, true)
 }
 
 // reduceStep runs one reduce-scatter ring step: the send chunk's segments
@@ -368,7 +452,7 @@ func (p *ringPipeline) reduceStep(data []float32, sLo, sHi, rLo, rHi int, op ten
 	}
 	for i := 0; i < recvSegs; i++ {
 		p.pause()
-		payload, err := p.recv()
+		payload, lent, err := p.recv(true)
 		if err != nil {
 			return err
 		}
@@ -376,7 +460,7 @@ func (p *ringPipeline) reduceStep(data []float32, sLo, sHi, rLo, rHi int, op ten
 		// the decode+reduce below then overlaps its transfer.
 		if i+1 < sendSegs {
 			if err := p.encodeSend(send, sendSegs, i+1, false); err != nil {
-				p.r.giveBuf(payload)
+				_ = p.done(payload, lent)
 				return err
 			}
 		}
@@ -396,7 +480,9 @@ func (p *ringPipeline) reduceStep(data []float32, sLo, sHi, rLo, rHi int, op ten
 			wire.ScaleFloat32s(dst, scale)
 		}
 		segObs(mSegReduceNs, t0)
-		p.r.giveBuf(payload)
+		if derr := p.done(payload, lent); err == nil {
+			err = derr
+		}
 		if err != nil {
 			return err
 		}
@@ -436,27 +522,27 @@ func (p *ringPipeline) gatherStep(data []float32, sLo, sHi, rLo, rHi int, forwar
 	}
 	for i := 0; i < recvSegs; i++ {
 		p.pause()
-		payload, err := p.recv()
+		payload, lent, err := p.recv(!keep)
 		if err != nil {
 			return err
 		}
 		if i+1 < sendSegs {
 			if err := dispatch(i + 1); err != nil {
-				p.r.giveBuf(payload)
+				_ = p.done(payload, lent)
 				return err
 			}
 		}
 		lo, hi := chunkBounds(rHi-rLo, recvSegs, i)
 		t0 := segStart(p.timed)
 		if err := p.codec.Decode(data[rLo+lo:rLo+hi], payload); err != nil {
-			p.r.giveBuf(payload)
+			_ = p.done(payload, lent)
 			return err
 		}
 		segObs(mSegDecodeNs, t0)
 		if keep {
 			next[i] = payload
-		} else {
-			p.r.giveBuf(payload)
+		} else if err := p.done(payload, lent); err != nil {
+			return err
 		}
 	}
 	for j := recvSegs + 1; j < sendSegs; j++ {

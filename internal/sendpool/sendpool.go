@@ -65,6 +65,17 @@ func (p *Pipe) Send(s Sender, to, stream int, data []byte) {
 // error. Results arrive in Send order.
 func (p *Pipe) Wait() error { return <-p.err }
 
+// TryWait is Wait without blocking: it reports false, and no error, when
+// the oldest outstanding send has not completed yet.
+func (p *Pipe) TryWait() (bool, error) {
+	select {
+	case err := <-p.err:
+		return true, err
+	default:
+		return false, nil
+	}
+}
+
 // Pool is a free list of idle pipes. Its size is the peak number of
 // operations that ran at once on its communicators; it has no cap. The zero
 // value is ready to use. A Pool is safe for concurrent use.

@@ -52,6 +52,36 @@ func TestWaitReturnsSendError(t *testing.T) {
 	}
 }
 
+// TestTryWait: TryWait reports an outstanding send as not done without
+// blocking, and a completed one with its error, in Send order.
+func TestTryWait(t *testing.T) {
+	var pl Pool
+	defer pl.Close()
+	a := pl.Get()
+	defer pl.Put(a, 0)
+	if done, err := a.TryWait(); done || err != nil {
+		t.Fatalf("TryWait with nothing sent = %v, %v", done, err)
+	}
+	want := errors.New("boom")
+	s := &slowSender{fakeSender: fakeSender{err: want}, gate: make(chan struct{})}
+	a.Send(s, 0, 0, []byte("x"))
+	if done, _ := a.TryWait(); done {
+		t.Fatal("TryWait reported a blocked send done")
+	}
+	close(s.gate)
+	for {
+		done, err := a.TryWait()
+		if !done {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		if !errors.Is(err, want) {
+			t.Fatalf("TryWait error = %v, want %v", err, want)
+		}
+		return
+	}
+}
+
 func TestGetReusesPut(t *testing.T) {
 	var pl Pool
 	defer pl.Close()

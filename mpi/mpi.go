@@ -114,6 +114,51 @@ func (c *Comm) Abort(to, stream, globalOrigin int) error {
 	return transport.Abort(c.ep, g, stream, globalOrigin)
 }
 
+// Lender returns c's view of its endpoint's transport.Lender capability,
+// with communicator ranks, or nil when the endpoint does not have it.
+func (c *Comm) Lender() transport.Lender {
+	if _, ok := c.ep.(transport.Lender); !ok {
+		return nil
+	}
+	return lender{c}
+}
+
+// lender translates communicator ranks for the endpoint's Lender. It holds
+// one pointer, so boxing it in the interface allocates nothing.
+type lender struct{ c *Comm }
+
+func (l lender) Lend(from, stream int) ([]byte, error) {
+	g, err := l.c.GlobalRank(from)
+	if err != nil {
+		return nil, err
+	}
+	return l.c.ep.(transport.Lender).Lend(g, stream)
+}
+
+func (l lender) Release(from, stream int) error {
+	g, err := l.c.GlobalRank(from)
+	if err != nil {
+		return err
+	}
+	return l.c.ep.(transport.Lender).Release(g, stream)
+}
+
+func (l lender) Reserve(to, stream, n int) ([]byte, error) {
+	g, err := l.c.GlobalRank(to)
+	if err != nil {
+		return nil, err
+	}
+	return l.c.ep.(transport.Lender).Reserve(g, stream, n)
+}
+
+func (l lender) Commit(to, stream int, publish bool) error {
+	g, err := l.c.GlobalRank(to)
+	if err != nil {
+		return err
+	}
+	return l.c.ep.(transport.Lender).Commit(g, stream, publish)
+}
+
 // Subgroup derives a communicator over the given global ranks. Every member
 // of the subgroup must call Subgroup with the same set; the caller must be a
 // member. Duplicates are rejected; ordering is normalized ascending so that

@@ -10,6 +10,7 @@ import (
 	"aiacc/internal/leakcheck"
 	"aiacc/transport"
 	"aiacc/transport/chaos"
+	"aiacc/transport/shmnet"
 )
 
 // worldComms builds a mem network of the given size and returns the world
@@ -93,6 +94,52 @@ func TestSubgroup(t *testing.T) {
 	got, err := subs[2].Recv(0, 0)
 	if err != nil || string(got) != "hi" {
 		t.Fatalf("subgroup message = %q, %v", got, err)
+	}
+}
+
+// TestLenderTranslatesRanks: a communicator forwards its endpoint's
+// transport.Lender with communicator ranks translated to global ones, and
+// has none over an endpoint without it.
+func TestLenderTranslatesRanks(t *testing.T) {
+	if worldComms(t, 2, 1)[0].Lender() != nil {
+		t.Fatal("mem communicator reports a Lender")
+	}
+	net, err := shmnet.New(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	sub := make([]*Comm, 2)
+	for i, g := range []int{1, 3} {
+		ep, err := net.Endpoint(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sub[i], err = NewWorld(ep).Subgroup([]int{1, 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from, to := sub[0].Lender(), sub[1].Lender()
+	if from == nil || to == nil {
+		t.Fatal("shm communicator has no Lender")
+	}
+	slot, err := from.Reserve(1, 0, 3)
+	if err != nil || slot == nil {
+		t.Fatalf("reserve: %v", err)
+	}
+	copy(slot, "abc")
+	if err := from.Commit(1, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	got, err := to.Lend(0, 0)
+	if err != nil || string(got) != "abc" {
+		t.Fatalf("lend from communicator rank 0 (global 1): %q, %v", got, err)
+	}
+	if err := to.Release(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := to.Lend(2, 0); !errors.Is(err, ErrBadGroup) {
+		t.Fatalf("lend from rank 2 of 2: %v, want ErrBadGroup", err)
 	}
 }
 

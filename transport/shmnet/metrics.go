@@ -13,7 +13,11 @@ import (
 // waiters are resolving in the cheap Gosched phase or escalating to a block
 // (on a loaded host, a park-heavy profile means the ring is undersized or
 // the consumer is starved). The backstop counters are the lost-wake-up
-// canary: a park the timer ended although the peer had already moved.
+// canary: a park the timer ended although the peer had already moved. The
+// lend counters show how much traffic skips the transport's copies: frames
+// lent in place, frames committed from a reservation, and reservations that
+// got no slot and fell back to a copying Send. Lent and reserved frames
+// count in the traffic counters like any other.
 //
 // All instruments are resolved once at endpoint construction and kept in
 // index-addressed slices — the data plane increments atomics directly.
@@ -30,9 +34,11 @@ type shmMetrics struct {
 	txBytes, txFrames []*metrics.Counter
 	rxBytes, rxFrames []*metrics.Counter
 
-	ringOcc *metrics.Histogram // ring occupancy in bytes, observed at Send
+	ringOcc *metrics.Histogram // ring occupancy in bytes, observed at Send and Reserve
 	send    waitCounters
 	recv    waitCounters
+
+	lent, reserved, fallbacks *metrics.Counter // transport.Lender traffic
 }
 
 func newShmMetrics(rank, size, streams int) *shmMetrics {
@@ -59,8 +65,14 @@ func newShmMetrics(rank, size, streams int) *shmMetrics {
 		}
 	}
 	m.ringOcc = metrics.NewHistogram("aiacc_shm_ring_occupancy_bytes",
-		"Ring occupancy observed at Send (bytes queued ahead of this frame).",
+		"Ring occupancy observed at Send and Reserve (bytes queued ahead of this frame).",
 		metrics.SizeBytes, rankL)
+	m.lent = metrics.NewCounter("aiacc_shm_lent_frames_total",
+		"Frames received by Lend in place in the ring, without a copy.", rankL)
+	m.reserved = metrics.NewCounter("aiacc_shm_reserved_frames_total",
+		"Frames sent by Commit from a reserved ring slot, without a copy.", rankL)
+	m.fallbacks = metrics.NewCounter("aiacc_shm_reserve_fallbacks_total",
+		"Reserve calls that got no slot (ring full, lane busy or frame above half the ring).", rankL)
 	m.send = waitCounters{
 		spins: metrics.NewCounter("aiacc_shm_send_spin_waits_total",
 			"Send blocking episodes resolved within the spin/yield phase.", rankL),
@@ -80,7 +92,17 @@ func newShmMetrics(rank, size, streams int) *shmMetrics {
 	return m
 }
 
-// observeOccupancy samples the bytes already queued in the lane at Send.
+func (m *shmMetrics) countTx(idx, bytes int) {
+	m.txBytes[idx].Add(int64(bytes))
+	m.txFrames[idx].Inc()
+}
+
+func (m *shmMetrics) countRx(idx, bytes int) {
+	m.rxBytes[idx].Add(int64(bytes))
+	m.rxFrames[idx].Inc()
+}
+
+// observeOccupancy samples the bytes already queued in the lane.
 func (m *shmMetrics) observeOccupancy(l *lane) {
 	if !metrics.Enabled() {
 		return

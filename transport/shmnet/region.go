@@ -32,8 +32,10 @@ import (
 // so full/empty never alias and uint64 wraparound is a non-issue at any
 // achievable rate.
 const (
-	magicWord     = 0x61696163632d7368 // "aiacc-sh"
-	layoutVersion = 1
+	magicWord = 0x61696163632d7368 // "aiacc-sh"
+	// layoutVersion 2: frames start 4-byte aligned, and a skip word keeps a
+	// frame of at most half the ring from straddling its end.
+	layoutVersion = 2
 
 	fileHdrBytes  = 128
 	rankSlotBytes = 64
@@ -123,8 +125,12 @@ func mapRegion(f *os.File, size, streams, ringBytes int) (*region, error) {
 			}
 			runtime.Gosched()
 		}
-		if r.word(offMagic).Load() != magicWord || r.word(offVersion).Load() != layoutVersion ||
-			r.word(offSize).Load() != uint64(size) || r.word(offStreams).Load() != uint64(streams) ||
+		if magic, v := r.word(offMagic).Load(), r.word(offVersion).Load(); magic != magicWord || v != layoutVersion {
+			r.unmap()
+			return nil, fmt.Errorf("shmnet: %s: not a layout-%d region (magic %#x, version %d)",
+				f.Name(), layoutVersion, magic, v)
+		}
+		if r.word(offSize).Load() != uint64(size) || r.word(offStreams).Load() != uint64(streams) ||
 			r.word(offRing).Load() != uint64(ringBytes) {
 			got := fmt.Sprintf("size=%d streams=%d ring=%d",
 				r.word(offSize).Load(), r.word(offStreams).Load(), r.word(offRing).Load())

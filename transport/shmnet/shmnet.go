@@ -1,15 +1,20 @@
 // Package shmnet is the third transport.Network: lock-free SPSC ring buffers
 // in file-backed shared memory, for ranks co-located on one host. Where the
 // TCP mesh pays syscalls, socket buffers and kernel copies per frame, a shm
-// lane is two memcpys through an mmap'd ring with cache-line-padded cursors —
-// the "fast intra-node fabric" of the paper's two-tier testbed, standing in
-// for NVLink the way tcpnet stands in for the inter-node network.
+// lane is at most two memcpys through an mmap'd ring with cache-line-padded
+// cursors — the "fast intra-node fabric" of the paper's two-tier testbed,
+// standing in for NVLink the way tcpnet stands in for the inter-node network.
 //
 // One ring exists per directed (from, to, stream) triple, so streams between
 // the same pair never block each other (the property the multi-streamed
 // all-reduce relies on) and each ring has exactly one producer and one
 // consumer. Frames use the TCP wire format — 4-byte big-endian length, then
-// payload — streamed through the ring, so frames larger than the ring work.
+// payload — and every frame starts on a 4-byte boundary of the ring (layout
+// version 2). A frame of at most half the ring, length word included, is
+// never split by the ring's end: when it would straddle it, a skip word
+// takes its place and sends the reader to the ring's start, where the frame
+// is written whole. Larger frames stream through the ring in pieces, so
+// frames larger than the ring work.
 //
 // A waiter — a receiver on an empty ring, a sender on a full one — first
 // yields a few rounds, since on a small host handing the core to the peer
@@ -24,11 +29,19 @@
 // peers, so they keep the older wait: 64 yields, then sleeps doubling from
 // 2 µs to 200 µs.
 //
-// The buffer-ownership contract (transport.Endpoint) is satisfied by copy:
-// Send copies the payload into the ring and recycles the slice into the
-// shared wire pool (ownership moved to the transport); Recv carves a pooled
-// buffer and copies the frame out (ownership moved to the caller). Both
-// sides are alloc-free at steady state.
+// Send and Recv satisfy the buffer-ownership contract (transport.Endpoint)
+// by copy: Send copies the payload into the ring and recycles the slice into
+// the shared wire pool (ownership moved to the transport); Recv carves a
+// pooled buffer and copies the frame out (ownership moved to the caller).
+// Both sides are alloc-free at steady state. The transport.Lender methods
+// skip those copies for frames of at most half the ring: Lend hands out the
+// frame where it lies in the ring and frees its space at Release, and Reserve
+// hands out the free ring space a frame will occupy, for the caller to
+// encode into, and publishes it at Commit. Reserve never waits: a ring
+// without the room returns no slot. A lend or reservation holds its lane
+// side and counts as an in-flight op until it ends, so Close never unmaps
+// the region under one. Lend satisfies only frames above half the ring by
+// copy, lending a pooled copy that Release recycles.
 //
 // Two construction modes mirror memnet/tcpnet:
 //
@@ -57,6 +70,9 @@ import (
 // shared region — the shm analogue of the TCP mesh's ErrDuplicatePeer.
 var ErrDuplicateRank = errors.New("shmnet: rank already attached")
 
+// errNotHeld reports a Release or Commit with no lend or reservation to end.
+var errNotHeld = errors.New("shmnet: lane side not lent or reserved")
+
 const (
 	// maxFrameBytes mirrors tcpnet: length words above it are control
 	// markers or corruption.
@@ -64,6 +80,9 @@ const (
 	// abortMarker frames carry a 4-byte big-endian origin rank (same
 	// encoding as tcpnet's abort control frame).
 	abortMarker = 0xFFFFFFFE
+	// skipMarker is the length word of a skip: the rest of the ring up to
+	// its end is unused, and the next frame starts at the ring's start.
+	skipMarker = 0xFFFFFFFD
 
 	// DefaultRingBytes is the per-lane ring capacity. Large enough that a
 	// 64 KiB segment streams through in a couple of producer/consumer
@@ -308,6 +327,14 @@ type lane struct {
 	sendErr error // producer: sticky after a mid-frame failure wedged the stream
 	recvErr error // consumer: sticky after an abort marker or framing violation
 
+	// Held sides (transport.Lender), guarded like the rest of their side.
+	reserved bool   // producer: a Reserve awaits its Commit
+	resStart uint64 // producer: cursor of the reserved frame's length word
+	resN     int    // producer: the reserved payload's length
+	lent     bool   // consumer: a Lend awaits its Release
+	lentEnd  uint64 // consumer: the head after a frame lent in place
+	lentCopy []byte // consumer: the pooled copy of a lent frame above half the ring
+
 	// The lane's wakes, shared with the peer's handle; nil under Attach.
 	data  *wake       // a reader on an empty ring waits here
 	space *wake       // a writer on a full ring waits here
@@ -330,7 +357,7 @@ func newLane(reg *region, from, to, stream int, wakes []wake) *lane {
 }
 
 // Endpoint is one rank's handle on a shared-memory network. It implements
-// transport.Endpoint and transport.Aborter.
+// transport.Endpoint, transport.Aborter and transport.Lender.
 type Endpoint struct {
 	reg        *region
 	rank       int
@@ -340,7 +367,7 @@ type Endpoint struct {
 	ownsRegion bool // Attach mode: this endpoint's Close unmaps
 
 	closed atomic.Bool
-	ops    atomic.Int64 // in-flight Send/Recv/Abort count, gates unmap
+	ops    atomic.Int64 // in-flight ops (a lend or reservation until it ends), gates unmap
 
 	prod []*lane // to*streams+stream
 	cons []*lane // from*streams+stream
@@ -349,6 +376,7 @@ type Endpoint struct {
 
 var _ transport.Endpoint = (*Endpoint)(nil)
 var _ transport.Aborter = (*Endpoint)(nil)
+var _ transport.Lender = (*Endpoint)(nil)
 
 func newEndpoint(reg *region, rank int, cfg config, ownsRegion bool, wakes []wake) *Endpoint {
 	e := &Endpoint{
@@ -494,28 +522,109 @@ func (w *waiter) step(deadline time.Time) error {
 	return nil
 }
 
-// write streams p into the lane's ring, blocking while full. Called with
-// l.mu held; the local tail mirror is authoritative (sole producer).
-func (e *Endpoint) write(l *lane, to int, p []byte, deadline time.Time) error {
-	tail := l.tail.Load()
+// align4 rounds a ring cursor up to the next frame boundary.
+func align4(c uint64) uint64 { return (c + 3) &^ 3 }
+
+// whole reports whether a frame with an n-byte payload is kept contiguous in
+// the ring: at most half of it, length word included.
+func (l *lane) whole(n int) bool { return 4+n <= len(l.buf)/2 }
+
+// place returns the cursor of the length word of a frame with an n-byte
+// payload written after tail: the next 4-byte boundary, or, for a whole
+// frame that would straddle the ring's end from there, the next ring start,
+// with a skip word at the boundary.
+func (l *lane) place(tail uint64, n int) uint64 {
+	start := align4(tail)
+	if pos := int(start & l.mask); l.whole(n) && pos+4+n > len(l.buf) {
+		start += uint64(len(l.buf) - pos)
+	}
+	return start
+}
+
+// putHead writes, into the free space after tail, the length word of the
+// frame placed at start and the skip word before it if place put one there.
+func (l *lane) putHead(tail, start uint64, lenWord uint32) {
+	if a := align4(tail); a != start {
+		binary.BigEndian.PutUint32(l.buf[a&l.mask:], skipMarker)
+	}
+	binary.BigEndian.PutUint32(l.buf[start&l.mask:], lenWord)
+}
+
+// publishTail stores the producer cursor, then signals a parked reader.
+func (l *lane) publishTail(tail uint64) {
+	l.tail.Store(tail)
+	if l.data != nil {
+		l.data.signal()
+	}
+}
+
+// publishHead stores the consumer cursor, then signals a parked writer.
+func (l *lane) publishHead(head uint64) {
+	l.head.Store(head)
+	if l.space != nil {
+		l.space.signal()
+	}
+}
+
+// awaitSpace blocks until the ring has at least need free bytes after tail
+// and returns how many it has. Called with l.mu held; the local tail mirror
+// is authoritative (sole producer).
+func (e *Endpoint) awaitSpace(l *lane, to int, tail uint64, need int, deadline time.Time) (int, error) {
 	var w waiter
 	defer w.settle(&e.met.send)
-	for len(p) > 0 {
+	for {
 		head := l.head.Load()
-		free := len(l.buf) - int(tail-head)
-		if free <= 0 {
-			if e.closed.Load() {
-				return transport.ErrClosed
-			}
-			if to != e.rank && e.peerClosed(to) {
-				return &transport.PeerFailedError{Rank: to, Cause: transport.ErrClosed}
-			}
-			if err := e.await(l, &w, l.space, l.head, head, to, deadline); err != nil {
-				return err
-			}
-			continue
+		if free := len(l.buf) - int(tail-head); free >= need {
+			return free, nil
 		}
-		w.settle(&e.met.send)
+		if e.closed.Load() {
+			return 0, transport.ErrClosed
+		}
+		if to != e.rank && e.peerClosed(to) {
+			return 0, &transport.PeerFailedError{Rank: to, Cause: transport.ErrClosed}
+		}
+		if err := e.await(l, &w, l.space, l.head, head, to, deadline); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// awaitData blocks until at least need bytes after head are published and
+// returns how many are. Called with l.rmu held.
+func (e *Endpoint) awaitData(l *lane, from int, head uint64, need int, deadline time.Time) (int, error) {
+	var w waiter
+	defer w.settle(&e.met.recv)
+	for {
+		tail := l.tail.Load()
+		if avail := int(tail - head); avail >= need {
+			return avail, nil
+		}
+		if e.closed.Load() {
+			return 0, transport.ErrClosed
+		}
+		if from != e.rank && e.peerClosed(from) {
+			// Producer is gone: re-check for bytes it wrote before
+			// closing (writes are ordered before the state store).
+			if l.tail.Load() != tail {
+				continue
+			}
+			return 0, &transport.PeerFailedError{Rank: from, Cause: transport.ErrClosed}
+		}
+		if err := e.await(l, &w, l.data, l.tail, tail, from, deadline); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// write streams p into the lane's ring, blocking while full. Called with
+// l.mu held.
+func (e *Endpoint) write(l *lane, to int, p []byte, deadline time.Time) error {
+	tail := l.tail.Load()
+	for len(p) > 0 {
+		free, err := e.awaitSpace(l, to, tail, 1, deadline)
+		if err != nil {
+			return err
+		}
 		n := min(free, len(p))
 		pos := int(tail & l.mask)
 		k := copy(l.buf[pos:], p[:n])
@@ -523,10 +632,7 @@ func (e *Endpoint) write(l *lane, to int, p []byte, deadline time.Time) error {
 			copy(l.buf, p[k:n])
 		}
 		tail += uint64(n)
-		l.tail.Store(tail)
-		if l.data != nil {
-			l.data.signal()
-		}
+		l.publishTail(tail)
 		p = p[n:]
 	}
 	return nil
@@ -536,29 +642,11 @@ func (e *Endpoint) write(l *lane, to int, p []byte, deadline time.Time) error {
 // l.rmu held.
 func (e *Endpoint) read(l *lane, from int, dst []byte, deadline time.Time) error {
 	head := l.head.Load()
-	var w waiter
-	defer w.settle(&e.met.recv)
 	for len(dst) > 0 {
-		tail := l.tail.Load()
-		avail := int(tail - head)
-		if avail <= 0 {
-			if e.closed.Load() {
-				return transport.ErrClosed
-			}
-			if from != e.rank && e.peerClosed(from) {
-				// Producer is gone: re-check for bytes it wrote before
-				// closing (writes are ordered before the state store).
-				if l.tail.Load() != head {
-					continue
-				}
-				return &transport.PeerFailedError{Rank: from, Cause: transport.ErrClosed}
-			}
-			if err := e.await(l, &w, l.data, l.tail, tail, from, deadline); err != nil {
-				return err
-			}
-			continue
+		avail, err := e.awaitData(l, from, head, 1, deadline)
+		if err != nil {
+			return err
 		}
-		w.settle(&e.met.recv)
 		n := min(avail, len(dst))
 		pos := int(head & l.mask)
 		k := copy(dst[:n], l.buf[pos:])
@@ -566,10 +654,7 @@ func (e *Endpoint) read(l *lane, from int, dst []byte, deadline time.Time) error
 			copy(dst[k:n], l.buf)
 		}
 		head += uint64(n)
-		l.head.Store(head)
-		if l.space != nil {
-			l.space.signal()
-		}
+		l.publishHead(head)
 		dst = dst[n:]
 	}
 	return nil
@@ -594,39 +679,43 @@ func (e *Endpoint) Send(to, stream int, data []byte) error {
 	defer e.exit()
 	l := e.prod[to*e.streams+stream]
 	l.mu.Lock()
-	err := e.sendLocked(l, to, stream, uint32(len(data)), data)
+	err := e.sendLocked(l, to, uint32(len(data)), data)
 	l.mu.Unlock()
 	bufpool.Put(data)
 	if err != nil {
 		return e.classifySend(to, stream, err)
 	}
-	idx := to*e.streams + stream
-	e.met.txBytes[idx].Add(int64(len(data)))
-	e.met.txFrames[idx].Inc()
+	e.met.countTx(to*e.streams+stream, len(data))
 	return nil
 }
 
-// sendLocked writes one framed message (4-byte BE length word, then body).
-// A mid-frame failure leaves a torn frame in the ring; the lane is wedged
-// and stays failed for every later send, like a TCP socket after a write
-// timeout.
-func (e *Endpoint) sendLocked(l *lane, to, stream int, lenWord uint32, body []byte) error {
+// sendLocked writes one framed message: any alignment padding and skip word,
+// the 4-byte BE length word, then the body. Padding, skip and length word
+// are published in one cursor store, so a reader that sees any of them sees
+// the length word. A mid-frame failure leaves a torn frame in the ring; the
+// lane is wedged and stays failed for every later send, like a TCP socket
+// after a write timeout.
+func (e *Endpoint) sendLocked(l *lane, to int, lenWord uint32, body []byte) error {
+	if l.reserved {
+		return transport.ErrBusy
+	}
 	if l.sendErr != nil {
 		return l.sendErr
 	}
 	deadline := e.deadline()
 	e.met.observeOccupancy(l)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], lenWord)
-	if err := e.write(l, to, hdr[:], deadline); err != nil {
-		l.sendErr = err
-		return err
+	tail := l.tail.Load()
+	start := l.place(tail, len(body))
+	_, err := e.awaitSpace(l, to, tail, int(start-tail)+4, deadline)
+	if err == nil {
+		l.putHead(tail, start, lenWord)
+		l.publishTail(start + 4)
+		err = e.write(l, to, body, deadline)
 	}
-	if err := e.write(l, to, body, deadline); err != nil {
+	if err != nil {
 		l.sendErr = err
-		return err
 	}
-	return nil
+	return err
 }
 
 func (e *Endpoint) classifySend(to, stream int, err error) error {
@@ -650,41 +739,202 @@ func (e *Endpoint) Recv(from, stream int) ([]byte, error) {
 	l := e.cons[from*e.streams+stream]
 	l.rmu.Lock()
 	defer l.rmu.Unlock()
-	if l.recvErr != nil {
-		return nil, l.recvErr
-	}
 	deadline := e.deadline()
-	var hdr [4]byte
-	if err := e.read(l, from, hdr[:], deadline); err != nil {
+	size, err := e.header(l, from, stream, deadline)
+	if err != nil {
+		return nil, err
+	}
+	buf := bufpool.Get(size)
+	if err := e.read(l, from, buf, deadline); err != nil {
+		bufpool.Put(buf)
 		return nil, e.classifyRecv(from, stream, err)
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	e.met.countRx(from*e.streams+stream, size)
+	return buf, nil
+}
+
+// header waits for the next frame and consumes its length word, with the
+// padding and skip word before it, returning the payload size; an abort
+// marker or a bad length word fails the lane for good. Called with l.rmu
+// held.
+func (e *Endpoint) header(l *lane, from, stream int, deadline time.Time) (int, error) {
+	if l.lent {
+		return 0, fmt.Errorf("recv %d<-%d stream %d: %w", e.rank, from, stream, transport.ErrBusy)
+	}
+	if l.recvErr != nil {
+		return 0, l.recvErr
+	}
+	head := l.head.Load()
+	start := align4(head)
+	if _, err := e.awaitData(l, from, head, int(start-head)+4, deadline); err != nil {
+		return 0, e.classifyRecv(from, stream, err)
+	}
+	size := binary.BigEndian.Uint32(l.buf[start&l.mask:])
+	if size == skipMarker {
+		start += uint64(len(l.buf)) - start&l.mask
+		size = binary.BigEndian.Uint32(l.buf)
+	}
+	l.publishHead(start + 4)
 	if size == abortMarker {
 		var origin [4]byte
 		if err := e.read(l, from, origin[:], deadline); err != nil {
-			return nil, e.classifyRecv(from, stream, err)
+			return 0, e.classifyRecv(from, stream, err)
 		}
 		// The lane is condemned: this and every later Recv reports the
 		// abort's origin (frames queued ahead of the marker were already
 		// delivered in order).
 		l.recvErr = fmt.Errorf("recv %d<-%d stream %d: %w", e.rank, from, stream,
 			&transport.PeerFailedError{Rank: int(binary.BigEndian.Uint32(origin[:])), Cause: transport.ErrAborted})
-		return nil, l.recvErr
+		return 0, l.recvErr
 	}
 	if size > maxFrameBytes {
 		l.recvErr = fmt.Errorf("recv %d<-%d stream %d: %w: length word %#x",
 			e.rank, from, stream, transport.ErrFrameTooLarge, size)
+		return 0, l.recvErr
+	}
+	return int(size), nil
+}
+
+// Lend implements transport.Lender: it blocks like Recv for the next frame
+// and returns it in place in the ring, a frame above half the ring as a
+// pooled copy. The lane side stays held, and the op in flight, until
+// Release.
+func (e *Endpoint) Lend(from, stream int) ([]byte, error) {
+	if err := e.checkArgs(from, stream); err != nil {
+		return nil, err
+	}
+	if err := e.enter(); err != nil {
+		return nil, err
+	}
+	l := e.cons[from*e.streams+stream]
+	l.rmu.Lock()
+	defer l.rmu.Unlock()
+	p, err := e.lendLocked(l, from, stream)
+	if err != nil {
+		e.exit()
+		return nil, err
+	}
+	l.lent = true
+	e.met.countRx(from*e.streams+stream, len(p))
+	return p, nil
+}
+
+func (e *Endpoint) lendLocked(l *lane, from, stream int) ([]byte, error) {
+	deadline := e.deadline()
+	size, err := e.header(l, from, stream, deadline)
+	if err != nil {
+		return nil, err
+	}
+	if !l.whole(size) {
+		buf := bufpool.Get(size)
+		if err := e.read(l, from, buf, deadline); err != nil {
+			bufpool.Put(buf)
+			return nil, e.classifyRecv(from, stream, err)
+		}
+		l.lentCopy = buf
+		return buf, nil
+	}
+	head := l.head.Load()
+	pos := int(head & l.mask)
+	if pos+size > len(l.buf) {
+		l.recvErr = fmt.Errorf("recv %d<-%d stream %d: %w: %d-byte frame split at the ring's end",
+			e.rank, from, stream, transport.ErrFrameTooLarge, size)
 		return nil, l.recvErr
 	}
-	buf := bufpool.Get(int(size))
-	if err := e.read(l, from, buf, deadline); err != nil {
-		bufpool.Put(buf)
+	if _, err := e.awaitData(l, from, head, size, deadline); err != nil {
 		return nil, e.classifyRecv(from, stream, err)
 	}
-	idx := from*e.streams + stream
-	e.met.rxBytes[idx].Add(int64(size))
-	e.met.rxFrames[idx].Inc()
-	return buf, nil
+	l.lentEnd = head + uint64(size)
+	e.met.lent.Inc()
+	return l.buf[pos : pos+size : pos+size], nil
+}
+
+// Release implements transport.Lender: it ends the lend on the lane side,
+// freeing the frame's ring space (or recycling its copy).
+func (e *Endpoint) Release(from, stream int) error {
+	if err := e.checkArgs(from, stream); err != nil {
+		return err
+	}
+	l := e.cons[from*e.streams+stream]
+	l.rmu.Lock()
+	defer l.rmu.Unlock()
+	if !l.lent {
+		return fmt.Errorf("release %d<-%d stream %d: %w", e.rank, from, stream, errNotHeld)
+	}
+	l.lent = false
+	if l.lentCopy != nil {
+		bufpool.Put(l.lentCopy)
+		l.lentCopy = nil
+	} else {
+		l.publishHead(l.lentEnd)
+	}
+	e.exit()
+	return nil
+}
+
+// Reserve implements transport.Lender: it claims the ring space of one
+// n-byte frame when the ring has it now, without waiting, and returns the
+// payload's slot there. A frame above half the ring, a ring without the
+// room, and a lane side another goroutine is using get no slot.
+func (e *Endpoint) Reserve(to, stream, n int) ([]byte, error) {
+	if err := e.checkArgs(to, stream); err != nil {
+		return nil, err
+	}
+	l := e.prod[to*e.streams+stream]
+	if n < 0 || !l.whole(n) || !l.mu.TryLock() {
+		e.met.fallbacks.Inc()
+		return nil, nil
+	}
+	defer l.mu.Unlock()
+	if err := e.enter(); err != nil {
+		return nil, err
+	}
+	switch {
+	case l.reserved:
+		e.exit()
+		return nil, fmt.Errorf("send %d->%d stream %d: %w", e.rank, to, stream, transport.ErrBusy)
+	case l.sendErr != nil:
+		e.exit()
+		return nil, e.classifySend(to, stream, l.sendErr)
+	}
+	tail := l.tail.Load()
+	start := l.place(tail, n)
+	if int(start-tail)+4+n > len(l.buf)-int(tail-l.head.Load()) {
+		e.exit()
+		e.met.fallbacks.Inc()
+		return nil, nil
+	}
+	e.met.observeOccupancy(l)
+	l.reserved, l.resStart, l.resN = true, start, n
+	pos := int(start&l.mask) + 4
+	return l.buf[pos : pos+n : pos+n], nil
+}
+
+// Commit implements transport.Lender: it ends the reservation on the lane
+// side, publishing the slot as one frame when publish is set.
+func (e *Endpoint) Commit(to, stream int, publish bool) error {
+	if err := e.checkArgs(to, stream); err != nil {
+		return err
+	}
+	l := e.prod[to*e.streams+stream]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.reserved {
+		return fmt.Errorf("commit %d->%d stream %d: %w", e.rank, to, stream, errNotHeld)
+	}
+	l.reserved = false
+	defer e.exit()
+	if !publish {
+		return nil
+	}
+	if e.closed.Load() {
+		return transport.ErrClosed
+	}
+	l.putHead(l.tail.Load(), l.resStart, uint32(l.resN))
+	l.publishTail(l.resStart + 4 + uint64(l.resN))
+	e.met.reserved.Inc()
+	e.met.countTx(to*e.streams+stream, l.resN)
+	return nil
 }
 
 func (e *Endpoint) classifyRecv(from, stream int, err error) error {
@@ -714,7 +964,7 @@ func (e *Endpoint) Abort(to, stream, origin int) error {
 	}
 	var body [4]byte
 	binary.BigEndian.PutUint32(body[:], uint32(origin))
-	if err := e.sendLocked(l, to, stream, abortMarker, body[:]); err != nil {
+	if err := e.sendLocked(l, to, abortMarker, body[:]); err != nil {
 		return e.classifySend(to, stream, err)
 	}
 	l.aborted = true

@@ -219,7 +219,10 @@ func withBackstop(t *testing.T, d time.Duration) {
 // empty-ring wait park and only a signal can end them. Frames run from 1 B
 // to twice the ring. A rank sends frame i+1 only after it has received
 // frame i, so every wait lies on a cycle around the ring: one lost wake-up
-// stalls all ranks, and the watchdog reports the hang.
+// stalls all ranks, and the watchdog reports the hang. Stream 1 takes the
+// borrow path (transport.Lender): frames are sent through a reservation
+// when the ring has the room, by Send otherwise, and received by Lend, so
+// Release and Commit must wake a parked peer as read and write do.
 func TestShmWakeStress(t *testing.T) {
 	withBackstop(t, 30*time.Second)
 	const ranks, streams = 4, 2
@@ -248,11 +251,21 @@ func TestShmWakeStress(t *testing.T) {
 		return send, recv
 	}
 	send0, recv0 := parks()
+	borrows := func() (lent, reserved int64) {
+		for r := 0; r < ranks; r++ {
+			met := mustEndpoint(t, net, r).(*Endpoint).met
+			lent += met.lent.Value()
+			reserved += met.reserved.Value()
+		}
+		return lent, reserved
+	}
+	lent0, reserved0 := borrows()
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < ranks; r++ {
 		ep := mustEndpoint(t, net, r)
+		lend := ep.(transport.Lender)
 		to, from := (r+1)%ranks, (r+ranks-1)%ranks
 		for s := 0; s < streams; s++ {
 			credit := make(chan struct{}, rounds)
@@ -264,7 +277,7 @@ func TestShmWakeStress(t *testing.T) {
 						<-credit
 					}
 					stall(i, r+s)
-					if err := ep.Send(to, s, payload(size(r, s, i), byte(i))); err != nil {
+					if err := stressSend(ep, lend, s == 1, to, s, payload(size(r, s, i), byte(i))); err != nil {
 						t.Errorf("rank %d stream %d send %d: %v", r, s, i, err)
 						return
 					}
@@ -274,18 +287,32 @@ func TestShmWakeStress(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
 					stall(i, 4+r+s)
-					got, err := ep.Recv(from, s)
+					var got []byte
+					var err error
+					if s == 1 {
+						got, err = lend.Lend(from, s)
+					} else {
+						got, err = ep.Recv(from, s)
+					}
 					if err != nil {
 						t.Errorf("rank %d stream %d recv %d: %v", r, s, i, err)
 						return
 					}
-					credit <- struct{}{}
 					want := payload(size(from, s, i), byte(i))
 					if !bytes.Equal(got, want) {
 						t.Errorf("rank %d stream %d frame %d: payload mismatch", r, s, i)
 					}
 					bufpool.Put(want)
-					bufpool.Put(got)
+					if s == 1 {
+						err = lend.Release(from, s)
+					} else {
+						bufpool.Put(got)
+					}
+					if err != nil {
+						t.Errorf("rank %d stream %d release %d: %v", r, s, i, err)
+						return
+					}
+					credit <- struct{}{}
 				}
 			}(r, s)
 		}
@@ -299,9 +326,32 @@ func TestShmWakeStress(t *testing.T) {
 	}
 	send1, recv1 := parks()
 	t.Logf("parks: %d full-ring, %d empty-ring", send1-send0, recv1-recv0)
+	lent, reserved := borrows()
+	lent, reserved = lent-lent0, reserved-reserved0
+	t.Logf("borrow path: %d frames lent in place, %d reserved", lent, reserved)
+	if lent == 0 || reserved == 0 {
+		t.Errorf("stream 1 did not take the borrow path: %d lent, %d reserved", lent, reserved)
+	}
 	if send1 == send0 || recv1 == recv0 {
 		t.Errorf("want both waits to park: %d full-ring, %d empty-ring parks", send1-send0, recv1-recv0)
 	}
+}
+
+// stressSend sends p, through a reservation when borrow is set and the ring
+// has the room now.
+func stressSend(ep transport.Endpoint, lend transport.Lender, borrow bool, to, stream int, p []byte) error {
+	if borrow {
+		slot, err := lend.Reserve(to, stream, len(p))
+		if err != nil {
+			return err
+		}
+		if slot != nil {
+			copy(slot, p)
+			bufpool.Put(p)
+			return lend.Commit(to, stream, true)
+		}
+	}
+	return ep.Send(to, stream, p)
 }
 
 // TestShmWakeWithoutBackstop re-runs the close, peer-close and deadline

@@ -20,6 +20,13 @@
 //     network (e.g. shm) and inter-host traffic over another (e.g. TCP).
 //   - transport/chaos: a deterministic fault-injection decorator over any
 //     Network.
+//
+// Beside Endpoint sit optional capabilities an endpoint may implement and a
+// caller detects with a type assertion: Aborter (collective abort) and
+// Lender (frames lent in place and encoded in place, so a transport whose
+// wire is memory skips the copies between its buffers and the caller's).
+// Only shmnet implements Lender; wrappers that do not forward it simply
+// hide it, and callers fall back to Send and Recv.
 package transport
 
 import (
@@ -76,6 +83,36 @@ type Endpoint interface {
 	// Close releases the endpoint. Pending and subsequent operations fail
 	// with ErrClosed.
 	Close() error
+}
+
+// ErrBusy is returned by an operation on a lane side that a Lend or a
+// Reserve still holds (see Lender).
+var ErrBusy = errors.New("transport: lane side lent or reserved")
+
+// Lender is the optional endpoint capability of frames that never pass
+// through a caller-owned buffer. It changes the buffer-ownership contract
+// only for the frames it touches:
+//
+//   - Lend blocks like Recv for the next frame from `from` on the stream, but
+//     the returned payload stays the transport's: the caller may read it
+//     until Release(from, stream), must call Release exactly once, and must
+//     not write, keep or recycle it.
+//   - Reserve claims room for one n-byte frame to `to` on the stream without
+//     waiting. It returns a nil slot and no error when the room is not there
+//     now (or never will be); the caller then sends a buffer of its own.
+//     Otherwise the caller fills the n-byte slot, which it may also read
+//     back, and ends the reservation with Commit(to, stream, publish)
+//     exactly once: publish sends the slot as one frame, !publish drops it.
+//
+// A lend or a reservation holds its lane side: until it ends, a Recv or Lend
+// on the same (from, stream), or a Send, Abort or Reserve on the same
+// (to, stream), fails with ErrBusy. Ending one on a closed endpoint is still
+// required; a committed frame is then dropped with ErrClosed.
+type Lender interface {
+	Lend(from, stream int) ([]byte, error)
+	Release(from, stream int) error
+	Reserve(to, stream, n int) ([]byte, error)
+	Commit(to, stream int, publish bool) error
 }
 
 // Network is a fully-connected set of endpoints.
