@@ -58,9 +58,10 @@ race: purego
 # the ring exchange that hangs, rather than slows, if a wake is lost (one of
 # its streams on lent and reserved frames), and its borrow lifecycle tests:
 # lends and reservations ended once, refused while held, drained by Close
-# and by an abort, and the skip word at every ring offset.
+# and by an abort, and the skip word at every ring offset; and a receive
+# that fails mid-frame, which fails its lane side for good.
 chaos:
-	$(GO) test -race -count=1 -short -run 'TestChaosSoak|TestAbort|TestPrioritySchedLiveness|TestShmWake|TestShmLend' ./collective/ ./transport/chaos/ ./engine/ ./transport/shmnet/
+	$(GO) test -race -count=1 -short -run 'TestChaosSoak|TestAbort|TestPrioritySchedLiveness|TestShmWake|TestShmLend|TestShmRecvMidFrame' ./collective/ ./transport/chaos/ ./engine/ ./transport/shmnet/
 
 # Virtual-time tests (internal/vtime, DESIGN.md §8): the real engine over
 # memnet's modelled link inside a testing/synctest bubble, which Go 1.24 ships

@@ -305,10 +305,20 @@ func benchRingAllReduceShm(b *testing.B, codec compress.Codec, elems int) {
 // BenchmarkEngineIterationTCP measures one full live engine iteration (sync
 // + pack + multi-stream all-reduce) across 4 workers over real TCP loopback
 // sockets — the end-to-end iteration cost a single-node multi-process
-// deployment would pay.
+// deployment would pay. Each iteration reduces 1 MiB in four 256 KiB units:
+// single-fragment slices of one tensor, or with frags=2 units that each
+// merge two 128 KiB tensors, reduced in place over their pieces.
 func BenchmarkEngineIterationTCP(b *testing.B) {
-	for _, streams := range []int{1, 4} {
-		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
+	for _, bc := range []struct{ streams, frags int }{{1, 1}, {4, 1}, {4, 2}} {
+		name := fmt.Sprintf("streams=%d", bc.streams)
+		if bc.frags > 1 {
+			name += fmt.Sprintf(",frags=%d", bc.frags)
+		}
+		streams, tensors := bc.streams, 1
+		if bc.frags > 1 {
+			tensors = 4 * bc.frags
+		}
+		b.Run(name, func(b *testing.B) {
 			cfg := engine.DefaultConfig()
 			cfg.Streams = streams
 			cfg.GranularityBytes = 256 << 10
@@ -320,7 +330,11 @@ func BenchmarkEngineIterationTCP(b *testing.B) {
 			}
 			defer func() { _ = net.Close() }()
 			engines := make([]*engine.Engine, workers)
-			grads := make([]*tensor.Tensor, workers)
+			grads := make([][]*tensor.Tensor, workers)
+			names := make([]string, tensors)
+			for i := range names {
+				names[i] = fmt.Sprintf("w%d", i)
+			}
 			for r := 0; r < workers; r++ {
 				ep, err := net.Endpoint(r)
 				if err != nil {
@@ -330,15 +344,17 @@ func BenchmarkEngineIterationTCP(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := e.Register("w", 1<<18); err != nil {
-					b.Fatal(err)
+				for _, name := range names {
+					if err := e.Register(name, 1<<18/tensors); err != nil {
+						b.Fatal(err)
+					}
+					grads[r] = append(grads[r], tensor.Filled(1, 1<<18/tensors))
 				}
 				if err := e.Start(); err != nil {
 					b.Fatal(err)
 				}
 				defer func() { _ = e.Close() }()
 				engines[r] = e
-				grads[r] = tensor.Filled(1, 1<<18)
 			}
 			b.SetBytes(1 << 20)
 			b.ReportAllocs()
@@ -352,9 +368,11 @@ func BenchmarkEngineIterationTCP(b *testing.B) {
 				go func(r int) {
 					defer wg.Done()
 					for i := 0; i < b.N; i++ {
-						if err := engines[r].PushGradient("w", grads[r]); err != nil {
-							b.Error(err)
-							return
+						for j, name := range names {
+							if err := engines[r].PushGradient(name, grads[r][j]); err != nil {
+								b.Error(err)
+								return
+							}
 						}
 						if err := engines[r].WaitIteration(); err != nil {
 							b.Error(err)

@@ -62,7 +62,10 @@ func lockstep(t *testing.T, net transport.Network, op func(c *mpi.Comm, rank int
 // all-reduce (several segments per chunk, scaled on the owner) and the
 // readiness AND ring allocate nothing. The shm cases run the ring over the
 // shared-memory transport, whose frames here are all lent and encoded in
-// place (transport.Lender). HierarchicalAllReduceCodec is left out: it
+// place (transport.Lender). The pieces cases run RingAllReducePieces over a
+// unit of four pieces cut inside ring chunks and segments, a one-element
+// piece among them: the windows over the pieces live on the stack.
+// HierarchicalAllReduceCodec is left out: it
 // splits its node and cross-node sub-communicators and starts a worker
 // goroutine on every call, so it allocates by design.
 func TestCollectivesZeroAllocSteadyState(t *testing.T) {
@@ -75,6 +78,13 @@ func TestCollectivesZeroAllocSteadyState(t *testing.T) {
 				WithScale(0.25), WithSegmentBytes(4<<10))
 		}
 	}
+	piecesOp := func(codec compress.Codec) func(c *mpi.Comm, data []float32, _ []uint64) error {
+		return func(c *mpi.Comm, data []float32, _ []uint64) error {
+			pieces := [4][]float32{data[:1], data[1:2], data[2:3333], data[3333:]}
+			return RingAllReducePieces(c, 0, pieces[:], tensor.OpSum, codec,
+				WithScale(0.25), WithSegmentBytes(4<<10))
+		}
+	}
 	cases := []struct {
 		name string
 		net  func() (transport.Network, error)
@@ -84,6 +94,10 @@ func TestCollectivesZeroAllocSteadyState(t *testing.T) {
 		{"ring fp16 scaled", mem, ringOp(compress.FP16{})},
 		{"shm ring fp32 scaled", shm, ringOp(compress.FP32{})},
 		{"shm ring fp16 scaled", shm, ringOp(compress.FP16{})},
+		{"pieces fp32 scaled", mem, piecesOp(compress.FP32{})},
+		{"pieces fp16 scaled", mem, piecesOp(compress.FP16{})},
+		{"shm pieces fp32 scaled", shm, piecesOp(compress.FP32{})},
+		{"shm pieces fp16 scaled", shm, piecesOp(compress.FP16{})},
 		{"and bits", mem, func(c *mpi.Comm, _ []float32, bits []uint64) error {
 			return AndAllReduceBits(c, 0, bits)
 		}},

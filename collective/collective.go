@@ -10,6 +10,11 @@
 //   - HierarchicalAllReduceCodec, the paper's "tree" all-reduce, composed of
 //     the same phases over node and cross-node sub-communicators.
 //
+// The two all-reduces also take data in several pieces, such as an all-reduce
+// unit's fragments in their gradient tensors (RingAllReducePieces,
+// HierarchicalAllReducePieces): the same ring over the pieces' concatenation,
+// reduced where the pieces lie.
+//
 // Beside them sit the two control-plane collectives: BroadcastCodec (a
 // binomial tree, for parameter sync) and AndAllReduceBits (the bit-wise AND
 // all-reduce of the gradient synchronization vector).
@@ -70,15 +75,21 @@ const (
 // reduced there, and the all-gather starts from that postcondition. A
 // reduce-scatter applies o.scale to the owned chunk; on one rank that chunk
 // is all of data.
-func ring(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, ph phases, o options) error {
-	if c.Size() == 1 || len(data) == 0 {
+//
+// data may lie in several pieces. The frames, chunk and segment bounds and
+// the reduction order are those of the pieces' concatenation; only the
+// codec and reduce calls split at piece boundaries, so the result is
+// bit-identical to gathering the pieces, running the ring over the copy and
+// scattering it back.
+func ring(c Comm, stream int, data window, op tensor.ReduceOp, codec compress.Codec, ph phases, o options) error {
+	if c.Size() == 1 || data.n == 0 {
 		if ph&phaseReduceScatter != 0 && o.scale != 0 {
-			wire.ScaleFloat32s(data, o.scale)
+			scaleWindow(data, o.scale)
 		}
 		return nil
 	}
 	var p ringPipeline
-	p.init(c, stream, len(data), codec, o)
+	p.init(c, stream, data.n, codec, o)
 	defer p.r.end()
 	if ph&phaseReduceScatter != 0 {
 		if err := p.reduceScatter(data, op); err != nil {
@@ -111,8 +122,20 @@ func ring(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress
 // the all-gather phase, received payloads are forwarded verbatim — each
 // reduced chunk is encoded exactly once, by its origin rank.
 func RingAllReduceCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
+	pieces := [1][]float32{data}
+	return RingAllReducePieces(c, stream, pieces[:], op, codec, opts...)
+}
+
+// RingAllReducePieces is RingAllReduceCodec over data that lies in several
+// pieces, such as an all-reduce unit's fragments in their gradient tensors:
+// it all-reduces the pieces' concatenation in place, in the pieces, and the
+// result is bit-identical to gathering them into one slice, running
+// RingAllReduceCodec over it and scattering it back. Every rank must pass
+// pieces of the same total length; where the pieces split it is each rank's
+// own business.
+func RingAllReducePieces(c Comm, stream int, pieces [][]float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
 	t0 := opStart()
-	err := ring(c, stream, data, op, codec, phaseAllReduce, buildOptions(opts))
+	err := ring(c, stream, wholeWindow(pieces), op, codec, phaseAllReduce, buildOptions(opts))
 	obsOp(mRing, t0)
 	return Unwind(c, stream, err)
 }
@@ -125,7 +148,8 @@ func RingAllReduceCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, 
 // own, with the same segment pipelining and options.
 func ReduceScatterCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) ([]float32, error) {
 	t0 := opStart()
-	err := ring(c, stream, data, op, codec, phaseReduceScatter, buildOptions(opts))
+	pieces := [1][]float32{data}
+	err := ring(c, stream, wholeWindow(pieces[:]), op, codec, phaseReduceScatter, buildOptions(opts))
 	obsOp(mReduceScatter, t0)
 	if err = Unwind(c, stream, err); err != nil {
 		return nil, err
@@ -142,7 +166,8 @@ func ReduceScatterCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, 
 // ranks finish bit-identical.
 func AllGatherCodec(c Comm, stream int, data []float32, codec compress.Codec, opts ...Option) error {
 	t0 := opStart()
-	err := ring(c, stream, data, tensor.OpSum, codec, phaseAllGather, buildOptions(opts))
+	pieces := [1][]float32{data}
+	err := ring(c, stream, wholeWindow(pieces[:]), tensor.OpSum, codec, phaseAllGather, buildOptions(opts))
 	obsOp(mAllGather, t0)
 	return Unwind(c, stream, err)
 }
@@ -279,10 +304,18 @@ func andAllReduceBits(c *mpi.Comm, stream int, bits []uint64) error {
 // across ranks, and — for exactly-representable sums — bit-identical to a
 // leader-funnel hierarchy (intra ring, leader ring, broadcast).
 func HierarchicalAllReduceCodec(c *mpi.Comm, stream, gpusPerNode int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
+	return HierarchicalAllReducePieces(c, stream, gpusPerNode, [][]float32{data}, op, codec, opts...)
+}
+
+// HierarchicalAllReducePieces is HierarchicalAllReduceCodec over data that
+// lies in several pieces, as RingAllReducePieces is to RingAllReduceCodec:
+// the same schedule over the pieces' concatenation, bit-identical to the
+// gathered copy.
+func HierarchicalAllReducePieces(c *mpi.Comm, stream, gpusPerNode int, pieces [][]float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
 	// The phases unwind within their sub-communicators; the outer unwind over
 	// the full communicator is what carries a failure across phase boundaries
 	// (e.g. to ranks already parked in the next phase).
-	return Unwind(c, stream, hierarchicalAllReduce(c, stream, gpusPerNode, data, op, codec, buildOptions(opts)))
+	return Unwind(c, stream, hierarchicalAllReduce(c, stream, gpusPerNode, wholeWindow(pieces), op, codec, buildOptions(opts)))
 }
 
 // twoLevelPipelineMin is the smallest element count worth splitting into two
@@ -290,8 +323,8 @@ func HierarchicalAllReduceCodec(c *mpi.Comm, stream, gpusPerNode int, data []flo
 // intra/inter overlap recovers.
 const twoLevelPipelineMin = 4096
 
-func hierarchicalAllReduce(c *mpi.Comm, stream, gpusPerNode int, data []float32, op tensor.ReduceOp, codec compress.Codec, o options) error {
-	if c.Size() == 1 || len(data) == 0 {
+func hierarchicalAllReduce(c *mpi.Comm, stream, gpusPerNode int, data window, op tensor.ReduceOp, codec compress.Codec, o options) error {
+	if c.Size() == 1 || data.n == 0 {
 		return ring(c, stream, data, op, codec, phaseAllReduce, o)
 	}
 	if gpusPerNode <= 0 {
@@ -332,18 +365,18 @@ func hierarchicalAllReduce(c *mpi.Comm, stream, gpusPerNode int, data []float32,
 // so each tier issues its lanes' frames in deterministic order (the FIFO
 // matching the transports require) while the two tiers overlap. Only X
 // applies o.scale: each element is scaled once, by its cross-node owner.
-func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, o options) error {
+func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data window, op tensor.ReduceOp, codec compress.Codec, o options) error {
 	intra := o
 	intra.scale = 0
 	blocks := 2
-	if len(data) < twoLevelPipelineMin {
+	if data.n < twoLevelPipelineMin {
 		blocks = 1
 	}
 
 	// The worker pulls shard jobs in block order; results come back in the
 	// same order on done. Channel capacities cover every block, so neither
 	// side ever blocks on the channels themselves.
-	reqs := make(chan []float32, blocks)
+	reqs := make(chan window, blocks)
 	done := make(chan error, blocks)
 	go func() {
 		for shard := range reqs {
@@ -353,14 +386,14 @@ func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data []float32, op ten
 	issued := 0
 	var firstErr error
 	for b := 0; b < blocks; b++ {
-		lo, hi := chunkBounds(len(data), blocks, b)
-		blk := data[lo:hi]
+		lo, hi := chunkBounds(data.n, blocks, b)
+		blk := data.slice(lo, hi)
 		if err := ring(node, stream, blk, op, codec, phaseReduceScatter, intra); err != nil {
 			firstErr = fmt.Errorf("hierarchical all-reduce intra reduce-scatter block %d: %w", b, err)
 			break
 		}
-		cLo, cHi := chunkBounds(len(blk), node.Size(), node.Rank())
-		reqs <- blk[cLo:cHi]
+		cLo, cHi := chunkBounds(blk.n, node.Size(), node.Rank())
+		reqs <- blk.slice(cLo, cHi)
 		issued++
 	}
 	close(reqs)
@@ -381,8 +414,8 @@ func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data []float32, op ten
 		if firstErr != nil {
 			continue
 		}
-		lo, hi := chunkBounds(len(data), blocks, b)
-		if err := ring(node, stream, data[lo:hi], op, codec, phaseAllGather, intra); err != nil {
+		lo, hi := chunkBounds(data.n, blocks, b)
+		if err := ring(node, stream, data.slice(lo, hi), op, codec, phaseAllGather, intra); err != nil {
 			firstErr = fmt.Errorf("hierarchical all-reduce intra all-gather block %d: %w", b, err)
 		}
 	}

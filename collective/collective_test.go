@@ -23,7 +23,15 @@ func runRanks(t *testing.T, size, streams int, fn func(c *mpi.Comm) error) {
 	if err != nil {
 		t.Fatalf("NewMem: %v", err)
 	}
+	runNetRanks(t, net, fn)
+}
+
+// runNetRanks executes fn once per rank of net, fails the test on any
+// returned error and closes net.
+func runNetRanks(t *testing.T, net transport.Network, fn func(c *mpi.Comm) error) {
+	t.Helper()
 	defer func() { _ = net.Close() }()
+	size := net.Size()
 	var wg sync.WaitGroup
 	errc := make(chan error, size)
 	for r := 0; r < size; r++ {

@@ -6,7 +6,6 @@ import (
 
 	"aiacc/compress"
 	"aiacc/internal/sendpool"
-	"aiacc/internal/wire"
 	"aiacc/tensor"
 	"aiacc/transport"
 )
@@ -280,7 +279,7 @@ func (p *ringPipeline) segElems() int {
 // the incoming chunk r-2-s, so chunk k starts at rank k+1 and its last hop
 // lands on rank k. That last hop, step n-2, is where the owner applies the
 // pipeline's scale.
-func (p *ringPipeline) reduceScatter(data []float32, op tensor.ReduceOp) error {
+func (p *ringPipeline) reduceScatter(data window, op tensor.ReduceOp) error {
 	n := p.c.Size()
 	rank := p.c.Rank()
 	phase := segStart(p.timed)
@@ -290,8 +289,8 @@ func (p *ringPipeline) reduceScatter(data []float32, op tensor.ReduceOp) error {
 		p.scratch = *fp
 	}
 	for step := 0; step < n-1; step++ {
-		sLo, sHi := chunkBounds(len(data), n, (rank-step-1+n)%n)
-		rLo, rHi := chunkBounds(len(data), n, (rank-step-2+2*n)%n)
+		sLo, sHi := chunkBounds(data.n, n, (rank-step-1+n)%n)
+		rLo, rHi := chunkBounds(data.n, n, (rank-step-2+2*n)%n)
 		var scale float32
 		if step == n-2 {
 			scale = p.scale
@@ -310,7 +309,7 @@ func (p *ringPipeline) reduceScatter(data []float32, op tensor.ReduceOp) error {
 // slot sets alternate between "forward now" and "fill for the next step".
 // Under a lossy codec the owner folds the codec's quantization into its own
 // copy too, so all ranks finish bit-identical.
-func (p *ringPipeline) allGather(data []float32) error {
+func (p *ringPipeline) allGather(data window) error {
 	n := p.c.Size()
 	rank := p.c.Rank()
 	requant := !codecLossless(p.codec)
@@ -323,8 +322,8 @@ func (p *ringPipeline) allGather(data []float32) error {
 		defer putSlots(spare)
 	}
 	for step := 0; step < n-1; step++ {
-		sLo, sHi := chunkBounds(len(data), n, (rank-step+n)%n)
-		rLo, rHi := chunkBounds(len(data), n, (rank-step-1+n)%n)
+		sLo, sHi := chunkBounds(data.n, n, (rank-step+n)%n)
+		rLo, rHi := chunkBounds(data.n, n, (rank-step-1+n)%n)
 		var cur, nxt [][]byte
 		if slots != nil {
 			cur, nxt = *slots, *spare
@@ -373,9 +372,9 @@ func (p *ringPipeline) done(payload []byte, lent bool) error {
 // overtake one queued there, the segment is encoded straight into a ring
 // slot the transport reserves; otherwise, or when it has none, into an
 // owned buffer that the pipe sends.
-func (p *ringPipeline) encodeSend(chunk []float32, segs, i int, requant bool) error {
-	lo, hi := chunkBounds(len(chunk), segs, i)
-	src := chunk[lo:hi]
+func (p *ringPipeline) encodeSend(chunk window, segs, i int, requant bool) error {
+	lo, hi := chunkBounds(chunk.n, segs, i)
+	src := chunk.slice(lo, hi)
 	if p.lend != nil {
 		idle, err := p.r.idle()
 		if err != nil {
@@ -389,13 +388,13 @@ func (p *ringPipeline) encodeSend(chunk []float32, segs, i int, requant bool) er
 	}
 	buf := p.r.takeBuf()
 	t0 := segStart(p.timed)
-	buf = p.codec.EncodeTo(buf, src)
+	buf = encodeTo(p.codec, buf, src)
 	segObs(mSegEncodeNs, t0)
 	if p.timed {
 		mChunkBytes.Observe(int64(len(buf)))
 	}
 	if requant {
-		if err := p.codec.Decode(src, buf); err != nil {
+		if err := decodeTo(p.codec, src, buf, false); err != nil {
 			p.r.giveBuf(buf)
 			return err
 		}
@@ -407,14 +406,14 @@ func (p *ringPipeline) encodeSend(chunk []float32, segs, i int, requant bool) er
 // the requantization back from the slot, and commits it. It reports false,
 // with nothing sent, when the transport has no slot now or the encoding
 // does not match the reserved length.
-func (p *ringPipeline) encodeReserved(src []float32, requant bool) (bool, error) {
-	n := int(p.codec.WireBytes(len(src)))
+func (p *ringPipeline) encodeReserved(src window, requant bool) (bool, error) {
+	n := int(p.codec.WireBytes(src.n))
 	slot, err := p.lend.Reserve(p.next, p.stream, n)
 	if slot == nil || err != nil {
 		return false, err
 	}
 	t0 := segStart(p.timed)
-	buf := p.codec.EncodeTo(slot[:0], src)
+	buf := encodeTo(p.codec, slot[:0], src)
 	segObs(mSegEncodeNs, t0)
 	if len(buf) != n {
 		return false, p.lend.Commit(p.next, p.stream, false)
@@ -423,7 +422,7 @@ func (p *ringPipeline) encodeReserved(src []float32, requant bool) (bool, error)
 		mChunkBytes.Observe(int64(n))
 	}
 	if requant {
-		if err := p.codec.Decode(src, buf); err != nil {
+		if err := decodeTo(p.codec, src, buf, false); err != nil {
 			_ = p.lend.Commit(p.next, p.stream, false)
 			return false, err
 		}
@@ -443,9 +442,9 @@ func (p *ringPipeline) encodeReserved(src []float32, requant bool) (bool, error)
 // then sees only the all-gather's decodes. The other ops decode into the
 // scratch segment and reduce from it. A non-zero scale multiplies each
 // reduced segment in the same timed section, while it is cache-hot.
-func (p *ringPipeline) reduceStep(data []float32, sLo, sHi, rLo, rHi int, op tensor.ReduceOp, scale float32) error {
-	send := data[sLo:sHi]
-	sendSegs := numSegments(len(send), p.segBytes)
+func (p *ringPipeline) reduceStep(data window, sLo, sHi, rLo, rHi int, op tensor.ReduceOp, scale float32) error {
+	send := data.slice(sLo, sHi)
+	sendSegs := numSegments(send.n, p.segBytes)
 	recvSegs := numSegments(rHi-rLo, p.segBytes)
 	if err := p.encodeSend(send, sendSegs, 0, false); err != nil {
 		return err
@@ -465,19 +464,19 @@ func (p *ringPipeline) reduceStep(data []float32, sLo, sHi, rLo, rHi int, op ten
 			}
 		}
 		lo, hi := chunkBounds(rHi-rLo, recvSegs, i)
-		dst := data[rLo+lo : rLo+hi]
+		dst := data.slice(rLo+lo, rLo+hi)
 		t0 := segStart(p.timed)
 		if op == tensor.OpSum {
-			err = p.codec.DecodeAdd(dst, payload)
+			err = decodeTo(p.codec, dst, payload, true)
 		} else {
 			tmp := p.scratch[:hi-lo]
 			if err = p.codec.Decode(tmp, payload); err == nil {
 				segObsNext(mSegDecodeNs, &t0)
-				err = op.Apply(dst, tmp)
+				err = applyFrom(op, dst, tmp)
 			}
 		}
 		if err == nil && scale != 0 {
-			wire.ScaleFloat32s(dst, scale)
+			scaleWindow(dst, scale)
 		}
 		segObs(mSegReduceNs, t0)
 		if derr := p.done(payload, lent); err == nil {
@@ -503,7 +502,7 @@ func (p *ringPipeline) reduceStep(data []float32, sLo, sHi, rLo, rHi int, op ten
 // verbatim — no decode→re-encode on the critical path and no per-hop
 // re-quantization. Received payloads are decoded into data and, except on
 // the final step, parked in next for the following step's forward.
-func (p *ringPipeline) gatherStep(data []float32, sLo, sHi, rLo, rHi int, forward, keep, requant bool, slots, next [][]byte) error {
+func (p *ringPipeline) gatherStep(data window, sLo, sHi, rLo, rHi int, forward, keep, requant bool, slots, next [][]byte) error {
 	sendSegs := numSegments(sHi-sLo, p.segBytes)
 	recvSegs := numSegments(rHi-rLo, p.segBytes)
 	// dispatch sends segment j: the stored payload when forwarding (its
@@ -515,7 +514,7 @@ func (p *ringPipeline) gatherStep(data []float32, sLo, sHi, rLo, rHi int, forwar
 			slots[j] = nil
 			return p.r.send(p.c, p.next, p.stream, buf)
 		}
-		return p.encodeSend(data[sLo:sHi], sendSegs, j, requant)
+		return p.encodeSend(data.slice(sLo, sHi), sendSegs, j, requant)
 	}
 	if err := dispatch(0); err != nil {
 		return err
@@ -534,7 +533,7 @@ func (p *ringPipeline) gatherStep(data []float32, sLo, sHi, rLo, rHi int, forwar
 		}
 		lo, hi := chunkBounds(rHi-rLo, recvSegs, i)
 		t0 := segStart(p.timed)
-		if err := p.codec.Decode(data[rLo+lo:rLo+hi], payload); err != nil {
+		if err := decodeTo(p.codec, data.slice(rLo+lo, rLo+hi), payload, false); err != nil {
 			_ = p.done(payload, lent)
 			return err
 		}

@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -33,28 +32,7 @@ func runTwoTierRanks(t *testing.T, hosts, perHost, streams int, fn func(c *mpi.C
 	if err != nil {
 		t.Fatalf("NewTwoTier: %v", err)
 	}
-	defer func() { _ = net.Close() }()
-	size := hosts * perHost
-	var wg sync.WaitGroup
-	errc := make(chan error, size)
-	for r := 0; r < size; r++ {
-		ep, err := net.Endpoint(r)
-		if err != nil {
-			t.Fatalf("Endpoint(%d): %v", r, err)
-		}
-		wg.Add(1)
-		go func(ep transport.Endpoint) {
-			defer wg.Done()
-			if err := fn(mpi.NewWorld(ep)); err != nil {
-				errc <- err
-			}
-		}(ep)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Errorf("rank error: %v", err)
-	}
+	runNetRanks(t, net, fn)
 }
 
 // TestHierarchicalOverTwoTier runs the two-level schedule on its target

@@ -16,6 +16,13 @@ import (
 var ErrCorrupt = errors.New("compress: corrupt payload")
 
 // Codec converts between fp32 gradient slices and wire bytes.
+//
+// Every codec is split-invariant: the encoding of a concatenation is the
+// concatenation of the encodings, so WireBytes is additive, and decoding a
+// payload split at WireBytes of the first part gives the whole's decode.
+// The ring collectives rely on it to run over an all-reduce unit's
+// fragments where they lie, one codec call per fragment, with the frames of
+// a gathered copy.
 type Codec interface {
 	// Name identifies the codec.
 	Name() string

@@ -11,14 +11,18 @@
 //     runs a collective agreement round (decentralized min/AND all-reduce,
 //     or the Horovod-style master baseline),
 //  3. packs the globally agreed gradients into all-reduce units of the tuned
-//     granularity (splitting large tensors, merging small ones),
+//     granularity (splitting large tensors, merging small ones); a unit is a
+//     list of fragments, spans of the pushed tensors, and is never copied
+//     into a buffer of its own,
 //  4. dispatches each unit to its stream's dispatcher (sched.go), which
 //     runs ring (or hierarchical) all-reduce over independent communication
 //     streams concurrently, optionally fp16-compressed, and within a stream
 //     always runs the most urgent unit first; the collective also averages,
 //     each chunk owner scaling its 1/n of the unit (collective.WithScale),
-//  5. unpacks reduced units back into the gradient tensors and fires the
-//     per-gradient completion callback for the optimizer.
+//  5. finds each reduced unit already in the gradient tensors, since the
+//     collective ran over the unit's fragments where they lie
+//     (collective.RingAllReducePieces), and fires the per-gradient
+//     completion callback for the optimizer.
 //
 // All of this happens concurrently with the caller's ongoing backward pass,
 // which is what lets communication hide behind computation (Fig. 5).
@@ -310,10 +314,12 @@ func (e *Engine) coordinator() gradsync.Coordinator {
 
 // PushGradient hands a locally computed gradient to the engine. The tensor's
 // storage is shared with the engine until WaitIteration returns: the engine
-// reduces into it in place, so afterwards it holds the globally aggregated
-// (and averaged) gradient. After an iteration that failed, the tensor's
-// contents are unspecified: a reduction may have stopped part-way through it.
-// Safe for concurrent use.
+// reduces every unit in place, in the pushed tensors, so afterwards the
+// tensor holds the globally aggregated (and averaged) gradient. Distinct
+// gradients must therefore not share storage: units reducing overlapping
+// memory would corrupt each other. After an iteration that failed, the
+// tensor's contents are unspecified: a reduction may have stopped part-way
+// through it. Safe for concurrent use.
 func (e *Engine) PushGradient(name string, grad *tensor.Tensor) error {
 	if !e.started {
 		return ErrNotStarted
@@ -530,25 +536,17 @@ func (e *Engine) runIteration() error {
 	return err
 }
 
-// unitBufPool recycles the per-unit pack/unpack buffers across units and
-// iterations: at a fixed granularity the same capacities come around every
-// iteration, so the steady state allocates nothing.
-var unitBufPool = sync.Pool{New: func() any { return new([]float32) }}
+// piecesPool recycles the per-unit piece lists. A list lives as long as its
+// unit's all-reduce, and with PriorityDepth 2 a stream parks units mid-flight
+// while another runs, so a list per stream would not do.
+var piecesPool = sync.Pool{New: func() any { return new([][]float32) }}
 
-func getUnitBuf(n int) *[]float32 {
-	bp := unitBufPool.Get().(*[]float32)
-	if cap(*bp) < n {
-		*bp = make([]float32, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
-// reduceUnit all-reduces and averages one unit on the given stream, through
-// a gathered copy when the unit spans several gradients. comm is the
-// communicator the ring frames travel through — the plain one with one
-// class, a tagging plexComm with several — and yield, when non-nil, is the
-// segment-boundary preemption gate.
+// reduceUnit all-reduces and averages one unit on the given stream, in the
+// pushed tensors: the unit's pieces are its fragments' spans, and the
+// collective runs over them where they lie. comm is the communicator the
+// ring frames travel through — the plain one with one class, a tagging
+// plexComm with several — and yield, when non-nil, is the segment-boundary
+// preemption gate.
 func (e *Engine) reduceUnit(streamID int, u packing.Unit, comm collective.Comm, yield func()) error {
 	if e.cfg.Trace != nil {
 		span := e.cfg.Trace.Begin(fmt.Sprintf("all-reduce unit %d", u.Seq), "comm", streamID)
@@ -557,25 +555,18 @@ func (e *Engine) reduceUnit(streamID int, u packing.Unit, comm collective.Comm, 
 	}
 	busyStart := clockStart()
 	defer e.observeStreamBusy(streamID, busyStart)
-	// A unit that is one fragment is reduced where it lies, in the pushed
-	// tensor; only a unit merging several gradients needs a contiguous copy.
-	var buf []float32
-	inPlace := len(u.Fragments) == 1
-	if inPlace {
-		data, err := e.gradData(u.Fragments[0].GradID)
+	pp := piecesPool.Get().(*[][]float32)
+	defer putPieces(pp)
+	for _, f := range u.Fragments {
+		data, err := e.gradData(f.GradID)
 		if err != nil {
 			return err
 		}
-		if buf, err = u.Fragments[0].Span(data); err != nil {
+		span, err := f.Span(data)
+		if err != nil {
 			return err
 		}
-	} else {
-		bp := getUnitBuf(u.Elems)
-		defer unitBufPool.Put(bp)
-		buf = *bp
-		if err := packing.Gather(u, e.gradData, buf); err != nil {
-			return err
-		}
+		*pp = append(*pp, span)
 	}
 	// The collective averages: each chunk owner scales its 1/n of the unit.
 	var scale float32
@@ -585,24 +576,27 @@ func (e *Engine) reduceUnit(streamID int, u packing.Unit, comm collective.Comm, 
 	var rerr error
 	switch {
 	case e.cfg.Algorithm == Hierarchical:
-		rerr = collective.HierarchicalAllReduceCodec(
-			e.comm, streamID, e.cfg.GPUsPerNode, buf, tensor.OpSum, e.cfg.Codec,
+		rerr = collective.HierarchicalAllReducePieces(
+			e.comm, streamID, e.cfg.GPUsPerNode, *pp, tensor.OpSum, e.cfg.Codec,
 			collective.WithSegmentBytes(e.cfg.SegmentBytes), collective.WithScale(scale))
 	default:
-		rerr = collective.RingAllReduceCodec(comm, streamID, buf, tensor.OpSum, e.cfg.Codec,
+		rerr = collective.RingAllReducePieces(comm, streamID, *pp, tensor.OpSum, e.cfg.Codec,
 			collective.WithSegmentBytes(e.cfg.SegmentBytes), collective.WithYield(yield),
 			collective.WithScale(scale))
 	}
 	if rerr != nil {
 		return fmt.Errorf("unit %d all-reduce: %w", u.Seq, rerr)
 	}
-	if !inPlace {
-		if err := packing.Scatter(u, e.gradData, buf); err != nil {
-			return err
-		}
-	}
 	e.completeFragments(u)
 	return nil
+}
+
+// putPieces drops a piece list's references to the gradient tensors and
+// pools it.
+func putPieces(pp *[][]float32) {
+	clear(*pp)
+	*pp = (*pp)[:0]
+	piecesPool.Put(pp)
 }
 
 // observeStreamBusy accumulates one unit's all-reduce time into the stream's

@@ -180,6 +180,12 @@ func (p *Packer) Pack(byID func(id int) (gradsync.Gradient, error), readyIDs []i
 // Gather copies the unit's fragments out of the gradient tensors into buf,
 // which must have exactly u.Elems elements. lookup returns the flat storage
 // of a gradient tensor by id.
+//
+// The engine does not call Gather or Scatter: it reduces every unit in the
+// pushed tensors, over the fragments' spans (collective.RingAllReducePieces).
+// Both serve only the benchmark's packing probe, whose
+// packing.gather_scatter_us charges a copy that no workload pays; retiring
+// that probe retires them.
 func Gather(u Unit, lookup func(id int) ([]float32, error), buf []float32) error {
 	if len(buf) != u.Elems {
 		return fmt.Errorf("%w: buffer %d elements, unit %d", ErrFragmentRange, len(buf), u.Elems)
@@ -200,8 +206,8 @@ func Gather(u Unit, lookup func(id int) ([]float32, error), buf []float32) error
 	return nil
 }
 
-// Scatter copies the reduced unit buffer back into the gradient tensors —
-// the unpack/regroup step after the all-reduce completes.
+// Scatter copies the reduced unit buffer back into the gradient tensors,
+// the inverse of Gather; like it, kept only for the benchmark's probe.
 func Scatter(u Unit, lookup func(id int) ([]float32, error), buf []float32) error {
 	if len(buf) != u.Elems {
 		return fmt.Errorf("%w: buffer %d elements, unit %d", ErrFragmentRange, len(buf), u.Elems)

@@ -37,6 +37,10 @@ type memNetwork struct {
 	// fan-out.
 	down []chan struct{}
 
+	// sendTimers[(from*size+to)*streams+stream] and recvTimers (same index)
+	// are the lane sides' reused deadline and link-delay timers.
+	sendTimers, recvTimers []timerSlot
+
 	// drained flips once Close has recycled undelivered payloads; late sends
 	// racing the drain (e.g. from abandoned pooled senders) compensate by
 	// re-draining their lane, so teardown leaves the pool balanced either way.
@@ -122,6 +126,8 @@ func NewMem(size, streams int, opts ...MemOption) (Network, error) {
 	n.poison = make([][]chan struct{}, size*size)
 	n.poisonOrigin = make([][]int, size*size)
 	n.poisonOnce = make([]sync.Once, size*size*streams)
+	n.sendTimers = make([]timerSlot, size*size*streams)
+	n.recvTimers = make([]timerSlot, size*size*streams)
 	for i := range n.chans {
 		cs := make([]chan []byte, streams)
 		ps := make([]chan struct{}, streams)
@@ -205,13 +211,14 @@ func (e *memEndpoint) Rank() int    { return e.rank }
 func (e *memEndpoint) Size() int    { return e.net.size }
 func (e *memEndpoint) Streams() int { return e.net.streams }
 
-// opTimer returns a deadline timer when the network has an op timeout, else
-// nil (an unarmed select case). The caller stops the returned timer.
-func (e *memEndpoint) opTimer() (*time.Timer, <-chan time.Time) {
+// opTimer arms the lane side's timer for the op timeout when the network
+// has one, else returns nil (an unarmed select case). The caller disarms a
+// returned timer.
+func (e *memEndpoint) opTimer(slot *timerSlot) (*time.Timer, <-chan time.Time) {
 	if e.net.opTimeout <= 0 {
 		return nil, nil
 	}
-	t := time.NewTimer(e.net.opTimeout)
+	t := slot.arm(e.net.opTimeout)
 	return t, t.C
 }
 
@@ -222,6 +229,7 @@ func (e *memEndpoint) Send(to, stream int, data []byte) error {
 	if err := checkStream(stream, e.net.streams); err != nil {
 		return err
 	}
+	slot := &e.net.sendTimers[(e.rank*e.net.size+to)*e.net.streams+stream]
 	if l := e.net.link; l != nil && to != e.rank {
 		// Model the stream's serialization delay: with `active` of this
 		// sender's streams on the wire when it starts, the payload drains at
@@ -235,13 +243,16 @@ func (e *memEndpoint) Send(to, stream int, data []byte) error {
 		if bps := l.BytesPerSecond(int(active)); bps > 0 {
 			delay += time.Duration(float64(len(data)) * float64(active) / bps * float64(time.Second))
 		}
+		t := slot.arm(delay)
 		select {
 		case <-e.closed:
+			slot.disarm(t)
 			e.net.sending[e.rank].Add(-1)
 			bufpool.Put(data)
 			return ErrClosed
-		case <-time.After(delay):
+		case <-t.C:
 		}
+		slot.disarm(t)
 		e.net.sending[e.rank].Add(-1)
 	}
 	ch := e.net.chans[e.rank*e.net.size+to][stream]
@@ -255,9 +266,9 @@ func (e *memEndpoint) Send(to, stream int, data []byte) error {
 		return nil
 	default:
 	}
-	timer, deadline := e.opTimer()
+	timer, deadline := e.opTimer(slot)
 	if timer != nil {
-		defer timer.Stop()
+		defer slot.disarm(timer)
 	}
 	// The transport owns `data` from here on: any error exit recycles it so
 	// failed operations leave the shared pool balanced.
@@ -309,9 +320,10 @@ func (e *memEndpoint) Recv(from, stream int) ([]byte, error) {
 		return data, nil
 	default:
 	}
-	timer, deadline := e.opTimer()
+	slot := &e.net.recvTimers[laneIdx*e.net.streams+stream]
+	timer, deadline := e.opTimer(slot)
 	if timer != nil {
-		defer timer.Stop()
+		defer slot.disarm(timer)
 	}
 	poison := e.net.poison[laneIdx][stream]
 	for {

@@ -450,3 +450,85 @@ func TestShmLayoutV1Rejected(t *testing.T) {
 		t.Fatalf("layout-1 region: got %v, want a version error", err)
 	}
 }
+
+// stallFrame leaves in the ring what a sender stalled mid-frame leaves: the
+// length word of an n-byte frame of zeros and the first k bytes of its body.
+// It returns a function that writes the rest of the body.
+func stallFrame(t *testing.T, e *Endpoint, to, stream, n, k int) func() {
+	t.Helper()
+	l := e.prod[to*e.streams+stream]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	tail := l.tail.Load()
+	start := l.place(tail, n)
+	l.putHead(tail, start, uint32(n))
+	l.publishTail(start + 4)
+	body := make([]byte, n)
+	if err := e.write(l, to, body[:k], e.deadline()); err != nil {
+		t.Fatalf("write %d body bytes: %v", k, err)
+	}
+	return func() {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if err := e.write(l, to, body[k:], e.deadline()); err != nil {
+			t.Fatalf("write the rest of the body: %v", err)
+		}
+	}
+}
+
+// TestShmRecvMidFrameFailureIsSticky: once a receive has consumed a frame's
+// length word and then fails, as when the body stalls past the op timeout,
+// the lane side is failed for good, like a send that fails mid-frame. The
+// rest of the body may still land, and a later receive that went on would
+// read body bytes (zeros here: an empty frame) as the next length word. The
+// three places a body is awaited: Recv, a Lend in place, and a Lend of a
+// frame above half the ring, which is copied.
+func TestShmRecvMidFrameFailureIsSticky(t *testing.T) {
+	net, err := New(2, 3, WithOpTimeout(50*time.Millisecond), WithRingBytes(minRingBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	a, b := mustEndpoint(t, net, 0), mustEndpoint(t, net, 1)
+	lb := asLender(t, b)
+	cases := []struct {
+		name    string
+		stream  int
+		n       int
+		receive func(stream int) error
+	}{
+		{"recv", 0, 64, func(s int) error {
+			p, err := b.Recv(0, s)
+			bufpool.Put(p)
+			return err
+		}},
+		{"lend in place", 1, 64, func(s int) error {
+			_, err := lb.Lend(0, s)
+			return err
+		}},
+		{"lend copied", 2, minRingBytes * 3 / 4, func(s int) error {
+			_, err := lb.Lend(0, s)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		finish := stallFrame(t, a.(*Endpoint), 1, tc.stream, tc.n, 16)
+		first := tc.receive(tc.stream)
+		if !errors.Is(first, transport.ErrTimeout) {
+			t.Fatalf("%s: stalled body: got %v, want ErrTimeout", tc.name, first)
+		}
+		finish()
+		if err := a.Send(1, tc.stream, payload(8, 1)); err != nil {
+			t.Fatalf("%s: send after the stalled frame: %v", tc.name, err)
+		}
+		p, err := b.Recv(0, tc.stream)
+		bufpool.Put(p)
+		if err == nil || err.Error() != first.Error() {
+			t.Fatalf("%s: next Recv: got %d bytes, err %v; want the sticky %v", tc.name, len(p), err, first)
+		}
+		p, err = lb.Lend(0, tc.stream)
+		if err == nil || err.Error() != first.Error() {
+			t.Fatalf("%s: next Lend: got %d bytes, err %v; want the sticky %v", tc.name, len(p), err, first)
+		}
+	}
+}

@@ -325,7 +325,7 @@ type lane struct {
 
 	aborted bool  // producer: abort marker already queued
 	sendErr error // producer: sticky after a mid-frame failure wedged the stream
-	recvErr error // consumer: sticky after an abort marker or framing violation
+	recvErr error // consumer: sticky after an abort marker, a framing violation or a mid-frame failure
 
 	// Held sides (transport.Lender), guarded like the rest of their side.
 	reserved bool   // producer: a Reserve awaits its Commit
@@ -747,10 +747,19 @@ func (e *Endpoint) Recv(from, stream int) ([]byte, error) {
 	buf := bufpool.Get(size)
 	if err := e.read(l, from, buf, deadline); err != nil {
 		bufpool.Put(buf)
-		return nil, e.classifyRecv(from, stream, err)
+		return nil, e.failRecv(l, from, stream, err)
 	}
 	e.met.countRx(from*e.streams+stream, size)
 	return buf, nil
+}
+
+// failRecv fails the lane side for good after header consumed a frame's
+// length word and a later step failed: the rest of the frame may still
+// arrive, and the next read would take its bytes for a length word. It
+// mirrors sendLocked's sticky sendErr. Called with l.rmu held.
+func (e *Endpoint) failRecv(l *lane, from, stream int, err error) error {
+	l.recvErr = e.classifyRecv(from, stream, err)
+	return l.recvErr
 }
 
 // header waits for the next frame and consumes its length word, with the
@@ -829,7 +838,7 @@ func (e *Endpoint) lendLocked(l *lane, from, stream int) ([]byte, error) {
 		buf := bufpool.Get(size)
 		if err := e.read(l, from, buf, deadline); err != nil {
 			bufpool.Put(buf)
-			return nil, e.classifyRecv(from, stream, err)
+			return nil, e.failRecv(l, from, stream, err)
 		}
 		l.lentCopy = buf
 		return buf, nil
@@ -842,7 +851,7 @@ func (e *Endpoint) lendLocked(l *lane, from, stream int) ([]byte, error) {
 		return nil, l.recvErr
 	}
 	if _, err := e.awaitData(l, from, head, size, deadline); err != nil {
-		return nil, e.classifyRecv(from, stream, err)
+		return nil, e.failRecv(l, from, stream, err)
 	}
 	l.lentEnd = head + uint64(size)
 	e.met.lent.Inc()

@@ -472,6 +472,8 @@ type tcpEndpoint struct {
 	// reports closed.
 	inbox     []chan []byte
 	readerErr []error
+	// recvTimers[from*streams+stream] is the lane's reused Recv deadline.
+	recvTimers []timerSlot
 
 	// peerDown[r] is closed (with the cause stored in downErr[r] first) when
 	// any reader from peer r dies while this endpoint is still open, or a
@@ -499,18 +501,19 @@ var _ Aborter = (*tcpEndpoint)(nil)
 
 func newTCPEndpoint(rank, size, streams int, cfg tcpConfig) *tcpEndpoint {
 	ep := &tcpEndpoint{
-		rank:      rank,
-		size:      size,
-		streams:   streams,
-		cfg:       cfg,
-		out:       make([]*connWriter, size*streams),
-		inbox:     make([]chan []byte, size*streams),
-		readerErr: make([]error, size*streams),
-		peerDown:  make([]chan struct{}, size),
-		downErr:   make([]error, size),
-		downOnce:  make([]sync.Once, size),
-		closed:    make(chan struct{}),
-		met:       newTCPMetrics(rank, size, streams),
+		rank:       rank,
+		size:       size,
+		streams:    streams,
+		cfg:        cfg,
+		out:        make([]*connWriter, size*streams),
+		inbox:      make([]chan []byte, size*streams),
+		readerErr:  make([]error, size*streams),
+		recvTimers: make([]timerSlot, size*streams),
+		peerDown:   make([]chan struct{}, size),
+		downErr:    make([]error, size),
+		downOnce:   make([]sync.Once, size),
+		closed:     make(chan struct{}),
+		met:        newTCPMetrics(rank, size, streams),
 	}
 	for i := range ep.inbox {
 		w := newConnWriter()
@@ -856,8 +859,9 @@ func (e *tcpEndpoint) Recv(from, stream int) ([]byte, error) {
 	}
 	var deadline <-chan time.Time
 	if e.cfg.opTimeout > 0 {
-		timer := time.NewTimer(e.cfg.opTimeout)
-		defer timer.Stop()
+		slot := &e.recvTimers[idx]
+		timer := slot.arm(e.cfg.opTimeout)
+		defer slot.disarm(timer)
 		deadline = timer.C
 	}
 	select {
