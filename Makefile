@@ -2,7 +2,8 @@
 #
 # `make ci` is the check gate for changes touching the hot path: it runs the
 # tier-1 verify (build + full test suite), a gofmt gate, vet, the race detector over the
-# packages that exercise the transport ownership contract, a smoke run of
+# packages that exercise the transport ownership contract, ten seconds of
+# fuzzing of the frame tagger, a smoke run of
 # the live-path profiling benchmarks and the wire kernels (1 iteration —
 # catches benchmark bit-rot, not performance), and the metrics-overhead gate (alloc-free increments plus
 # the <2% instrumentation bound on the live all-reduce). The byte-path packages
@@ -12,9 +13,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt build test vet purego race chaos vtime bench-smoke metrics-overhead bench-module bench
+.PHONY: ci fmt build test vet purego race chaos vtime fuzz-smoke bench-smoke metrics-overhead bench-module bench
 
-ci: fmt vet build test purego race chaos vtime bench-smoke metrics-overhead bench-module
+ci: fmt vet build test purego race chaos vtime fuzz-smoke bench-smoke metrics-overhead bench-module
 
 build:
 	$(GO) build ./...
@@ -68,6 +69,13 @@ chaos:
 # only under this experiment. Tier-1 does not set it and never builds them.
 vtime:
 	GOEXPERIMENT=synctest $(GO) test -count=1 -run VTime ./...
+
+# Ten seconds of native fuzzing of the frame tagger's receive path
+# (engine FuzzPlexRecv): arbitrary frames, short ones and arbitrary tags
+# included, must come back whole or as the lane's sticky error. The test
+# target runs its seed corpus alone; this one searches beyond it.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzPlexRecv -fuzztime 10s ./engine/
 
 bench-smoke:
 	$(GO) test -run XXX -bench 'RingAllReduceShm|EngineIterationTCP|WireKernels|ShmPingPong' -benchtime 1x . ./internal/wire/ ./transport/shmnet/

@@ -44,11 +44,11 @@ func TestSpaceBasics(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// 7 streams x 8 granularities x 5 segments, times ring at depths
-	// {1, 2} plus the tree at node groups {2, 4, 8}: the product's 4480
-	// points hold only 1400 distinct engine configurations.
-	if s.Size() != 7*8*5*(2+3) {
-		t.Errorf("Size = %d, want 1400", s.Size())
+	// 7 streams x 8 granularities x 5 segments x depths {1, 2}, times the
+	// ring plus the tree at node groups {2, 4, 8}: the product's 4480
+	// points hold 2240 distinct engine configurations.
+	if s.Size() != 7*8*5*2*(1+3) {
+		t.Errorf("Size = %d, want 2240", s.Size())
 	}
 	// Points are distinct and each is its own canonical form.
 	points := s.Points()
@@ -67,7 +67,7 @@ func TestSpaceBasics(t *testing.T) {
 	}
 	for _, alias := range []Params{
 		{Streams: 2, GranularityBytes: 1 << 20, Algorithm: AlgoRing, SegmentBytes: 64 << 10, GPUsPerNode: 4, PriorityDepth: 0},
-		{Streams: 2, GranularityBytes: 1 << 20, Algorithm: AlgoTree, SegmentBytes: 64 << 10, GPUsPerNode: 1, PriorityDepth: 2},
+		{Streams: 2, GranularityBytes: 1 << 20, Algorithm: AlgoTree, SegmentBytes: 64 << 10, GPUsPerNode: 1, PriorityDepth: 0},
 	} {
 		if canonical(alias) != ring {
 			t.Errorf("canonical(%v) = %v, want %v", alias, canonical(alias), ring)
@@ -85,8 +85,8 @@ func TestSpaceBasics(t *testing.T) {
 	if got := s.ForWorld(4).NodeGroups; !slices.Equal(got, []int{1, 2, 4}) {
 		t.Errorf("ForWorld(4) node groups = %v", got)
 	}
-	if got := s.ForWorld(4).Size(); got != 7*8*5*(2+2) {
-		t.Errorf("ForWorld(4) size = %d, want 1120", got)
+	if got := s.ForWorld(4).Size(); got != 7*8*5*2*(1+2) {
+		t.Errorf("ForWorld(4) size = %d, want 1680", got)
 	}
 }
 
@@ -105,8 +105,7 @@ func TestSpaceNeighbor(t *testing.T) {
 	if seg.SegmentBytes != 1<<20 {
 		t.Errorf("segment neighbor = %d", seg.SegmentBytes)
 	}
-	// Moving a ring point to the tree also picks the nearest node group,
-	// and the tree's one class.
+	// Moving a ring point to the tree also picks the nearest node group.
 	flip := s.Neighbor(p, dimAlgo, 1)
 	if flip.Algorithm != AlgoTree || flip.GPUsPerNode != 2 || flip.PriorityDepth != 1 {
 		t.Errorf("algorithm neighbor = %v", flip)
@@ -114,9 +113,9 @@ func TestSpaceNeighbor(t *testing.T) {
 	if got := s.Neighbor(p, dimNodeGroup, 1); got != flip {
 		t.Errorf("node-group neighbor of a ring point = %v, want %v", got, flip)
 	}
-	// A tree point asked for more classes becomes the ring.
+	// A tree point asked for more classes stays the tree.
 	deep := s.Neighbor(flip, dimDepth, 1)
-	if deep.Algorithm != AlgoRing || deep.PriorityDepth != 2 || deep.Streams != 8 {
+	if deep.Algorithm != AlgoTree || deep.GPUsPerNode != 2 || deep.PriorityDepth != 2 || deep.Streams != 8 {
 		t.Errorf("depth neighbor of a tree point = %v", deep)
 	}
 	for d := range dims {

@@ -53,8 +53,8 @@ type Params struct {
 	GPUsPerNode int
 	// PriorityDepth is the priority setting (engine.Policy.PriorityDepth):
 	// 0 and 1 both mean one class, 2 gives each priority its own class and
-	// preempts in-flight units at segment boundaries. Ring only: the tree
-	// runs one class, so tree points of a Space carry 1.
+	// preempts in-flight units at segment boundaries, in the ring and in
+	// both tiers of the tree.
 	PriorityDepth int
 }
 
@@ -105,7 +105,7 @@ type Space struct {
 	// (ForWorld, ForSimulator) before it searches.
 	NodeGroups []int
 	// Depths lists candidate PriorityDepth values, ascending: a subset of
-	// {1, 2}. Only the ring schedules by priority.
+	// {1, 2}.
 	Depths []int
 }
 
@@ -185,15 +185,12 @@ func count[T int | int64](name, unit string, gauge *metrics.Gauge, list func(*Sp
 }
 
 // canonical maps p to the one point that stands for every configuration the
-// engine runs identically: the tree runs one class; a tree of node groups of
-// 1 is the flat ring; the ring ignores the node group, so ring points carry
-// 1 (flat); PriorityDepth 0 and 1 are the same one class, whose point is 1.
+// engine runs identically: a tree of node groups of 1 is the flat ring; the
+// ring ignores the node group, so ring points carry 1 (flat); PriorityDepth
+// 0 and 1 are the same one class, whose point is 1.
 func canonical(p Params) Params {
-	if p.Algorithm == AlgoTree {
-		p.PriorityDepth = 1
-		if p.GPUsPerNode == 1 {
-			p.Algorithm = AlgoRing
-		}
+	if p.Algorithm == AlgoTree && p.GPUsPerNode == 1 {
+		p.Algorithm = AlgoRing
 	}
 	if p.Algorithm != AlgoTree {
 		p.GPUsPerNode = 1

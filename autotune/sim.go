@@ -9,7 +9,7 @@ import (
 
 // SimEvaluator prices points on the simulator at base: simulated seconds per
 // iteration, or 1e9 for a point the simulator rejects (a tree point away from
-// the topology's node boundary, or at PriorityDepth 2).
+// the topology's node boundary).
 func SimEvaluator(base cluster.Config) Evaluator {
 	return func(p Params, _ int) float64 {
 		cfg := base

@@ -33,9 +33,9 @@ func TestSimConfigSeesEveryField(t *testing.T) {
 		t.Errorf("simulator node groups = %v, want [1 8]", got)
 	}
 	points := space.Points()
-	// Ring at depths {1, 2} plus the tree at the topology's node group.
-	if len(points) != 7*8*5*(2+1) {
-		t.Errorf("simulator space has %d points, want 840", len(points))
+	// Ring and the tree at the topology's node group, each at depths {1, 2}.
+	if len(points) != 7*8*5*(2+2) {
+		t.Errorf("simulator space has %d points, want 1120", len(points))
 	}
 	in := make(map[autotune.Params]bool, len(points))
 	policies := make(map[engine.Policy]autotune.Params, len(points))
@@ -87,21 +87,19 @@ func TestSimConfigSeesEveryField(t *testing.T) {
 // costs 1e9.
 func TestSimEvaluatorRejectsUnpricedTree(t *testing.T) {
 	base := simBase(64)
-	for _, p := range []autotune.Params{
-		{Streams: 4, GranularityBytes: 4 << 20, Algorithm: autotune.AlgoTree, SegmentBytes: 256 << 10, GPUsPerNode: 4, PriorityDepth: 1},
-		{Streams: 4, GranularityBytes: 4 << 20, Algorithm: autotune.AlgoTree, SegmentBytes: 256 << 10, GPUsPerNode: 8, PriorityDepth: 2},
-	} {
-		cfg := base
-		cfg.Engine.Policy = p.Apply(base.Engine.Policy)
-		if _, err := cluster.Simulate(cfg); !errors.Is(err, cluster.ErrBadConfig) {
-			t.Errorf("Simulate(%v) error = %v", p, err)
-		}
-		if c := autotune.SimEvaluator(base)(p, 1); c != 1e9 {
-			t.Errorf("cost of %v = %v, want 1e9", p, c)
-		}
+	p := autotune.Params{Streams: 4, GranularityBytes: 4 << 20, Algorithm: autotune.AlgoTree, SegmentBytes: 256 << 10, GPUsPerNode: 4, PriorityDepth: 1}
+	cfg := base
+	cfg.Engine.Policy = p.Apply(base.Engine.Policy)
+	if _, err := cluster.Simulate(cfg); !errors.Is(err, cluster.ErrBadConfig) {
+		t.Errorf("Simulate(%v) error = %v", p, err)
 	}
-	ok := autotune.Params{Streams: 4, GranularityBytes: 4 << 20, Algorithm: autotune.AlgoTree, SegmentBytes: 256 << 10, GPUsPerNode: 8, PriorityDepth: 1}
-	if c := autotune.SimEvaluator(base)(ok, 1); c <= 0 || c >= 1e9 {
-		t.Errorf("cost of %v = %v", ok, c)
+	if c := autotune.SimEvaluator(base)(p, 1); c != 1e9 {
+		t.Errorf("cost of %v = %v, want 1e9", p, c)
+	}
+	for _, depth := range []int{1, 2} {
+		ok := autotune.Params{Streams: 4, GranularityBytes: 4 << 20, Algorithm: autotune.AlgoTree, SegmentBytes: 256 << 10, GPUsPerNode: 8, PriorityDepth: depth}
+		if c := autotune.SimEvaluator(base)(ok, 1); c <= 0 || c >= 1e9 {
+			t.Errorf("cost of %v = %v", ok, c)
+		}
 	}
 }

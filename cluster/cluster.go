@@ -124,12 +124,10 @@ func (e Engine) effLink() float64 {
 }
 
 // EngineDefaults returns the published default configuration of each engine.
-// A baseline's segment is its whole unit, so its codec pass (when compressed)
-// is priced whole-chunk.
 func EngineDefaults(kind EngineKind) Engine {
 	baseline := func(streams int, granularity int64, eff float64) Engine {
 		return Engine{
-			Policy: engine.Policy{Streams: streams, GranularityBytes: granularity, SegmentBytes: granularity,
+			Policy: engine.Policy{Streams: streams, GranularityBytes: granularity,
 				Algorithm: engine.Ring, Coordinator: engine.Master},
 			Kind: kind, WireBytesPerElem: 4, LinkEfficiency: eff,
 		}

@@ -133,6 +133,20 @@ func TestSegmentPipeliningHidesCodec(t *testing.T) {
 	}
 }
 
+// A baseline has no segment pipelining, so its fp16 codec pass is priced
+// whole however its SegmentBytes is set: raising the granularity after
+// EngineDefaults must price BytePS as building it at that granularity does.
+func TestBaselineCodecPricedWhole(t *testing.T) {
+	raised := baselineConfig(16, model.ResNet50(), BytePS)
+	raised.Engine.WireBytesPerElem = 2
+	raised.Engine.GranularityBytes = 64 << 20
+	built := raised
+	built.Engine.SegmentBytes = 64 << 20
+	if a, b := simOrFatal(t, raised), simOrFatal(t, built); a != b {
+		t.Errorf("BytePS fp16 at 64 MiB units: granularity raised after EngineDefaults gives\n%+v, built at 64 MiB gives\n%+v", a, b)
+	}
+}
+
 func TestSingleGPUHasNoComm(t *testing.T) {
 	res := simOrFatal(t, aiaccConfig(1, model.ResNet50()))
 	if res.Units != 0 || res.SyncRounds != 0 || res.ExposedComm != 0 {

@@ -54,7 +54,6 @@ func TestPolicyValidation(t *testing.T) {
 		{"min sync -1", func(p *engine.Policy) { p.MinSyncBytes = -1 }},
 		{"depth -1", func(p *engine.Policy) { p.PriorityDepth = -1 }},
 		{"depth 3", func(p *engine.Policy) { p.PriorityDepth = 3 }},
-		{"depth 2 under hierarchical", func(p *engine.Policy) { p.Algorithm, p.PriorityDepth = engine.Hierarchical, 2 }},
 		{"hierarchical without nodes", func(p *engine.Policy) { p.Algorithm, p.GPUsPerNode = engine.Hierarchical, 0 }},
 		{"unknown algorithm", func(p *engine.Policy) { p.Algorithm = 0 }},
 		{"unknown coordinator", func(p *engine.Policy) { p.Coordinator = engine.Master + 1 }},

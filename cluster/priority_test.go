@@ -91,8 +91,8 @@ func TestPriorityDepthSweep(t *testing.T) {
 }
 
 // Only AIACC runs depth 2: the baselines have no preemption to price. The
-// settings themselves, and depth 2 under the hierarchical algorithm, are
-// engine.Policy's rules (TestPolicyValidation).
+// settings themselves are engine.Policy's rules (TestPolicyValidation), which
+// accept depth 2 under both algorithms.
 func TestPriorityDepthValidation(t *testing.T) {
 	for _, kind := range []EngineKind{Horovod, PyTorchDDP, BytePS, MXNetPS} {
 		cfg := baselineConfig(32, model.BERTLarge(), kind)

@@ -200,16 +200,21 @@ func (w *worker) wireBytes(b int64) int64 {
 }
 
 // codecExposure returns the serial codec cost on a unit's critical path.
-// Compressing engines pay an encode+decode pass over the fp32 payload; with
-// wire-pipelining segments (Engine.SegmentBytes, 0 meaning
-// collective.DefaultSegmentBytes as in the engine) only the pipeline-fill
-// segment's codec share stays exposed — the rest overlaps the in-flight
-// transfer — at a fixed per-segment framing cost (DESIGN.md §6).
+// Compressing engines pay an encode+decode pass over the fp32 payload. The
+// baselines pay it whole: they have no segment pipelining, whatever their
+// SegmentBytes says. AIACC cuts a unit into wire-pipelining segments
+// (Engine.SegmentBytes, 0 meaning collective.DefaultSegmentBytes as in the
+// engine), so only the pipeline-fill segment's codec share stays exposed —
+// the rest overlaps the in-flight transfer — at a fixed per-segment framing
+// cost (DESIGN.md §6).
 func (w *worker) codecExposure(bytes int64) time.Duration {
 	if w.cfg.Engine.WireBytesPerElem != 2 || w.cal.CodecBytesPerSec <= 0 || w.world() == 1 {
 		return 0
 	}
 	full := time.Duration(float64(bytes) / w.cal.CodecBytesPerSec * float64(time.Second))
+	if w.cfg.Engine.Kind != AIACC {
+		return full
+	}
 	seg := w.cfg.Engine.SegmentBytes
 	if seg == 0 {
 		seg = collective.DefaultSegmentBytes

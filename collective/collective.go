@@ -19,6 +19,13 @@
 // binomial tree, for parameter sync) and AndAllReduceBits (the bit-wise AND
 // all-reduce of the gradient synchronization vector).
 //
+// Every operation runs over one communicator type, *mpi.Comm, and takes
+// everything it needs from it: the members and their global ranks, the
+// sender pool, the sub-groups the two-level schedule derives, and the
+// transport's in-place frames (Comm.Lender, nil when the endpoint has none).
+// A communicator over a wrapping endpoint (mpi.Comm.Over), such as the
+// engine's frame tagger, runs every operation unchanged.
+//
 // Every operation takes a stream id. Operations on distinct streams are fully
 // independent and may run concurrently from different goroutines — this is
 // the property the multi-streamed communication engine exploits. Concurrent
@@ -81,7 +88,7 @@ const (
 // codec and reduce calls split at piece boundaries, so the result is
 // bit-identical to gathering the pieces, running the ring over the copy and
 // scattering it back.
-func ring(c Comm, stream int, data window, op tensor.ReduceOp, codec compress.Codec, ph phases, o options) error {
+func ring(c *mpi.Comm, stream int, data window, op tensor.ReduceOp, codec compress.Codec, ph phases, o options) error {
 	if c.Size() == 1 || data.n == 0 {
 		if ph&phaseReduceScatter != 0 && o.scale != 0 {
 			scaleWindow(data, o.scale)
@@ -121,7 +128,7 @@ func ring(c Comm, stream int, data window, op tensor.ReduceOp, codec compress.Co
 // transfer of segment i+1 and each encode overlaps the in-flight send. In
 // the all-gather phase, received payloads are forwarded verbatim — each
 // reduced chunk is encoded exactly once, by its origin rank.
-func RingAllReduceCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
+func RingAllReduceCodec(c *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
 	pieces := [1][]float32{data}
 	return RingAllReducePieces(c, stream, pieces[:], op, codec, opts...)
 }
@@ -133,7 +140,7 @@ func RingAllReduceCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, 
 // RingAllReduceCodec over it and scattering it back. Every rank must pass
 // pieces of the same total length; where the pieces split it is each rank's
 // own business.
-func RingAllReducePieces(c Comm, stream int, pieces [][]float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
+func RingAllReducePieces(c *mpi.Comm, stream int, pieces [][]float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
 	t0 := opStart()
 	err := ring(c, stream, wholeWindow(pieces), op, codec, phaseAllReduce, buildOptions(opts))
 	obsOp(mRing, t0)
@@ -146,7 +153,7 @@ func RingAllReducePieces(c Comm, stream int, pieces [][]float32, op tensor.Reduc
 // view into data. The other chunks of data are left partially reduced and
 // must not be used. It is the first phase of RingAllReduceCodec run on its
 // own, with the same segment pipelining and options.
-func ReduceScatterCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) ([]float32, error) {
+func ReduceScatterCodec(c *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) ([]float32, error) {
 	t0 := opStart()
 	pieces := [1][]float32{data}
 	err := ring(c, stream, wholeWindow(pieces[:]), op, codec, phaseReduceScatter, buildOptions(opts))
@@ -164,7 +171,7 @@ func ReduceScatterCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, 
 // its own: each chunk is encoded once, by its owner, and forwarded verbatim,
 // and under a lossy codec the owner's copy is re-quantized as well, so all
 // ranks finish bit-identical.
-func AllGatherCodec(c Comm, stream int, data []float32, codec compress.Codec, opts ...Option) error {
+func AllGatherCodec(c *mpi.Comm, stream int, data []float32, codec compress.Codec, opts ...Option) error {
 	t0 := opStart()
 	pieces := [1][]float32{data}
 	err := ring(c, stream, wholeWindow(pieces[:]), tensor.OpSum, codec, phaseAllGather, buildOptions(opts))

@@ -6,6 +6,7 @@ import (
 
 	"aiacc/compress"
 	"aiacc/internal/sendpool"
+	"aiacc/mpi"
 	"aiacc/tensor"
 	"aiacc/transport"
 )
@@ -121,7 +122,7 @@ type segRing struct {
 // beginSeg returns the ring by value so it stays on the caller's stack. Its
 // sender is borrowed from c's pool. wireHint is the expected encoded segment
 // size, used to draw buffers from the right pool size class.
-func beginSeg(c Comm, wireHint int) segRing {
+func beginSeg(c *mpi.Comm, wireHint int) segRing {
 	pool := c.Senders()
 	return segRing{pool: pool, pipe: pool.Get(), wireHint: wireHint}
 }
@@ -157,7 +158,7 @@ func (r *segRing) giveBuf(b []byte) {
 // When the pipe is full it first waits for the oldest in-flight send, so the
 // caller overlaps at most PipeDepth frames. On error the unsent buffer is
 // reclaimed.
-func (r *segRing) send(c Comm, to, stream int, buf []byte) error {
+func (r *segRing) send(c *mpi.Comm, to, stream int, buf []byte) error {
 	if r.out == sendpool.PipeDepth {
 		if err := r.wait(); err != nil {
 			r.giveBuf(buf)
@@ -219,7 +220,7 @@ func (r *segRing) end() {
 // ringPipeline is the per-operation state of a segment-pipelined ring
 // operation: one or both of its phases, run by ring.
 type ringPipeline struct {
-	c          Comm
+	c          *mpi.Comm
 	stream     int
 	next, prev int
 	codec      compress.Codec
@@ -244,7 +245,7 @@ func (p *ringPipeline) pause() {
 // dataLen elements. It is a method rather than a
 // constructor so the pipeline stays a stack value on the hot path; the
 // caller owns the send ring (p.r.end).
-func (p *ringPipeline) init(c Comm, stream, dataLen int, codec compress.Codec, o options) {
+func (p *ringPipeline) init(c *mpi.Comm, stream, dataLen int, codec compress.Codec, o options) {
 	n := c.Size()
 	rank := c.Rank()
 	maxChunk := dataLen/n + 1
@@ -253,10 +254,7 @@ func (p *ringPipeline) init(c Comm, stream, dataLen int, codec compress.Codec, o
 	p.codec, p.segBytes, p.maxChunk = codec, o.segBytes, maxChunk
 	p.yield, p.scale = o.yield, o.scale
 	p.r = beginSeg(p.c, int(codec.WireBytes(p.segElems())))
-	p.lend = nil
-	if lc, ok := c.(lendingComm); ok {
-		p.lend = lc.Lender()
-	}
+	p.lend = c.Lender()
 	p.timed = segTimed()
 	mSegCount.Set(int64(numSegments(maxChunk, o.segBytes)))
 }

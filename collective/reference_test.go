@@ -20,11 +20,11 @@ import (
 // reduce-scatter owning chunk r) and hence the order of every fp32 addition
 // match the pipelined ring, so under a lossless codec the two must agree bit
 // for bit.
-func ringAllReduceReference(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec) error {
+func ringAllReduceReference(c *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec) error {
 	return Unwind(c, stream, ringAllReduceSerial(c, stream, data, op, codec))
 }
 
-func ringAllReduceSerial(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec) error {
+func ringAllReduceSerial(c *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec) error {
 	n := c.Size()
 	if n == 1 || len(data) == 0 {
 		return nil

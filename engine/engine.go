@@ -287,7 +287,7 @@ func (e *Engine) Start() error {
 		e.sched[s] = newStreamSched()
 	}
 	if e.preempt {
-		e.plex = newPlexTable(e.comm, e.cfg.Streams)
+		e.plex = newPlexTable(e.comm.Endpoint(), e.cfg.Streams, e.comm.Size())
 	}
 	e.publishConfig()
 	e.started = true
@@ -543,11 +543,11 @@ var piecesPool = sync.Pool{New: func() any { return new([][]float32) }}
 
 // reduceUnit all-reduces and averages one unit on the given stream, in the
 // pushed tensors: the unit's pieces are its fragments' spans, and the
-// collective runs over them where they lie. comm is the communicator the
-// ring frames travel through — the plain one with one class, a tagging
-// plexComm with several — and yield, when non-nil, is the segment-boundary
-// preemption gate.
-func (e *Engine) reduceUnit(streamID int, u packing.Unit, comm collective.Comm, yield func()) error {
+// collective runs over them where they lie. comm is the engine's
+// communicator, over the real endpoint with one class and over the unit's
+// tagging view (plexEndpoint) with several; yield, when non-nil, is the
+// segment-boundary preemption gate. Both algorithms take both.
+func (e *Engine) reduceUnit(streamID int, u packing.Unit, comm *mpi.Comm, yield func()) error {
 	if e.cfg.Trace != nil {
 		span := e.cfg.Trace.Begin(fmt.Sprintf("all-reduce unit %d", u.Seq), "comm", streamID)
 		span = span.Arg("bytes", strconv.FormatInt(u.Bytes(), 10))
@@ -573,16 +573,14 @@ func (e *Engine) reduceUnit(streamID int, u packing.Unit, comm collective.Comm, 
 	if e.cfg.Average && e.comm.Size() > 1 {
 		scale = float32(1) / float32(e.comm.Size())
 	}
+	seg, gate, avg := collective.WithSegmentBytes(e.cfg.SegmentBytes), collective.WithYield(yield),
+		collective.WithScale(scale)
 	var rerr error
-	switch {
-	case e.cfg.Algorithm == Hierarchical:
-		rerr = collective.HierarchicalAllReducePieces(
-			e.comm, streamID, e.cfg.GPUsPerNode, *pp, tensor.OpSum, e.cfg.Codec,
-			collective.WithSegmentBytes(e.cfg.SegmentBytes), collective.WithScale(scale))
-	default:
-		rerr = collective.RingAllReducePieces(comm, streamID, *pp, tensor.OpSum, e.cfg.Codec,
-			collective.WithSegmentBytes(e.cfg.SegmentBytes), collective.WithYield(yield),
-			collective.WithScale(scale))
+	if e.cfg.Algorithm == Hierarchical {
+		rerr = collective.HierarchicalAllReducePieces(comm, streamID, e.cfg.GPUsPerNode, *pp, tensor.OpSum,
+			e.cfg.Codec, seg, gate, avg)
+	} else {
+		rerr = collective.RingAllReducePieces(comm, streamID, *pp, tensor.OpSum, e.cfg.Codec, seg, gate, avg)
 	}
 	if rerr != nil {
 		return fmt.Errorf("unit %d all-reduce: %w", u.Seq, rerr)

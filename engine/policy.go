@@ -72,11 +72,9 @@ type Policy struct {
 	// Any other value is ErrBadConfig; coarser classes never beat one per
 	// priority in the depth sweep (EXPERIMENTS.md "One priority setting").
 	// Scheduling never changes unit composition, only dispatch timing, so
-	// fp32 results are bit-identical across settings. Ring only: the
-	// frame-tagging multiplexer wraps the flat communicator, and the
-	// two-level schedule runs over sub-communicators it cannot wrap, so
-	// Hierarchical runs one class and rejects PriorityDepth 2.
-	// Priority-ordered packing applies either way.
+	// fp32 results are bit-identical across settings. Both algorithms take
+	// every setting: under Hierarchical a unit yields at the segment
+	// boundaries of both tiers. Priority-ordered packing applies either way.
 	PriorityDepth int
 	// Algorithm selects ring or hierarchical all-reduce.
 	Algorithm Algorithm
@@ -108,9 +106,6 @@ func (p Policy) Validate() error {
 		return fmt.Errorf("%w: segmentBytes %d", ErrBadConfig, p.SegmentBytes)
 	case p.PriorityDepth < 0 || p.PriorityDepth > 2:
 		return fmt.Errorf("%w: priorityDepth %d (0 and 1: one class; 2: one class per priority)",
-			ErrBadConfig, p.PriorityDepth)
-	case p.Algorithm == Hierarchical && p.PriorityDepth == 2:
-		return fmt.Errorf("%w: priorityDepth %d under the hierarchical algorithm, which runs one class",
 			ErrBadConfig, p.PriorityDepth)
 	}
 	return nil

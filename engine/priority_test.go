@@ -196,19 +196,37 @@ func TestPrioritySchedBitIdentity(t *testing.T) {
 }
 
 // TestPrioritySchedPreemption drives the preemption path under load: a slow
-// modeled link stretches the embedding unit's transfer so the dense layers'
-// units (pushed afterwards, agreed in later rounds) arrive while it is in
-// flight and park it at a segment boundary. Asserts preemption actually
-// happened and that preempted transfers resumed — under -race this also
-// shakes the plex lane demux and yield-gate interleavings.
+// modeled link stretches the transfer of a large, least urgent head layer,
+// and the small layers the next forward needs first are pushed while it is
+// in flight, so they start at once and park it at a segment boundary.
+// Asserts that this iteration's preemptions happened and that the preempted
+// transfers resumed — under -race this also shakes the plex lane demux and
+// yield-gate interleavings. The two-level schedule (two nodes of two ranks)
+// parks in both of its tiers.
 func TestPrioritySchedPreemption(t *testing.T) {
-	params := skewedProfile()
+	for _, tc := range []struct {
+		algo Algorithm
+		size int
+	}{{Ring, 2}, {Hierarchical, 4}} {
+		t.Run(tc.algo.String(), func(t *testing.T) { testPrioritySchedPreemption(t, tc.algo, tc.size) })
+	}
+}
+
+func testPrioritySchedPreemption(t *testing.T, algo Algorithm, size int) {
+	params := []priorityParam{
+		{"head.weight", 48 << 10, 3}, // pushed first: three 64 KiB units
+		{"dense2.weight", 512, 2},
+		{"dense1.weight", 1 << 10, 1},
+		{"embed.weight", 256, 0},
+	}
 	cfg := DefaultConfig()
-	cfg.Streams = 1 // one lane: dense units must contend with the embedding
+	cfg.Streams = 1 // one lane: the urgent units must contend with the head
 	cfg.PriorityDepth = 2
 	cfg.GranularityBytes = 64 << 10
 	cfg.SegmentBytes = 4 << 10
 	cfg.MinSyncBytes = 1
+	cfg.Algorithm = algo
+	cfg.GPUsPerNode = 2
 	slow := []transport.MemOption{transport.WithModeledLink(netmodel.Link{
 		Kind:            netmodel.TCP,
 		CapacityGbps:    0.8,
@@ -217,27 +235,19 @@ func TestPrioritySchedPreemption(t *testing.T) {
 		BaseLatency:     50 * time.Microsecond,
 	})}
 
+	// The counters are process-wide series per rank label, so count only
+	// what this run adds.
 	var preempts, resumed int64
-	runPriorityEngines(t, 2, cfg, params, slow, func(e *Engine) error {
-		for iter := 0; iter < 4; iter++ {
+	runPriorityEngines(t, size, cfg, params, slow, func(e *Engine) error {
+		p0, r0 := e.met.preemptions.Value(), e.met.resumedSegs.Value()
+		for iter := 0; iter < 2; iter++ {
 			grads := priorityGrads(e.Rank(), iter, params)
-			// Odd iterations push in backward order (head first, embedding
-			// last): the less urgent head/dense units start transferring in
-			// early sync rounds and the huge layer-0 embedding — most urgent
-			// for the next forward — lands later and preempts them. Even
-			// iterations push forward order to exercise the non-preempting
-			// direction too.
-			if iter%2 == 0 {
-				for i := 0; i < len(params); i++ {
-					if err := e.PushGradient(params[i].name, grads[params[i].name]); err != nil {
-						return err
-					}
+			for i, p := range params {
+				if err := e.PushGradient(p.name, grads[p.name]); err != nil {
+					return err
 				}
-			} else {
-				for i := len(params) - 1; i >= 0; i-- {
-					if err := e.PushGradient(params[i].name, grads[params[i].name]); err != nil {
-						return err
-					}
+				if i == 0 {
+					time.Sleep(time.Millisecond) // the head's units start
 				}
 			}
 			if err := e.WaitIteration(); err != nil {
@@ -245,8 +255,8 @@ func TestPrioritySchedPreemption(t *testing.T) {
 			}
 		}
 		if e.Rank() == 0 {
-			preempts = e.met.preemptions.Value()
-			resumed = e.met.resumedSegs.Value()
+			preempts = e.met.preemptions.Value() - p0
+			resumed = e.met.resumedSegs.Value() - r0
 		}
 		return nil
 	})
@@ -458,35 +468,41 @@ func runLiveness(t *testing.T, cfg Config, seed int64) map[string][]float32 {
 	case <-time.After(60 * time.Second):
 		buf := make([]byte, 1<<20)
 		n := runtime.Stack(buf, true)
-		t.Fatalf("seed %d, depth %d, streams %d: hung\n%s", seed, cfg.PriorityDepth, cfg.Streams, buf[:n])
+		t.Fatalf("%v, seed %d, depth %d, streams %d: hung\n%s", cfg.Algorithm, seed, cfg.PriorityDepth, cfg.Streams, buf[:n])
 	}
 	return out
 }
 
 // TestPrioritySchedLiveness runs the preemptive depth on the 4-rank paced
-// shape under delay-only chaos: every run must finish, and its fp32 results
-// must be bit-identical to the one-class dispatcher's under the same seed.
+// shape under delay-only chaos, over the flat ring and over the two-level
+// schedule of two nodes of two ranks: every run must finish, and its fp32
+// results must be bit-identical to the one-class dispatcher's under the same
+// seed and algorithm.
 func TestPrioritySchedLiveness(t *testing.T) {
 	base := DefaultConfig()
 	base.GranularityBytes = 32 << 10
 	base.SegmentBytes = 4 << 10
 	base.MinSyncBytes = 1
-	for _, streams := range []int{1, 2} {
-		for seed := int64(1); seed <= 3; seed++ {
-			ref := base
-			ref.Streams = streams
-			want := runLiveness(t, ref, seed)
-			cfg := ref
-			cfg.PriorityDepth = 2
-			got := runLiveness(t, cfg, seed)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d, streams %d: %d reduced tensors, want %d", seed, streams, len(got), len(want))
-			}
-			for key, w := range want {
-				g := got[key]
-				for i := range w {
-					if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
-						t.Fatalf("seed %d, streams %d: %s[%d] = %v, want %v", seed, streams, key, i, g[i], w[i])
+	base.GPUsPerNode = 2
+	for _, algo := range []Algorithm{Ring, Hierarchical} {
+		for _, streams := range []int{1, 2} {
+			for seed := int64(1); seed <= 3; seed++ {
+				ref := base
+				ref.Algorithm = algo
+				ref.Streams = streams
+				want := runLiveness(t, ref, seed)
+				cfg := ref
+				cfg.PriorityDepth = 2
+				got := runLiveness(t, cfg, seed)
+				if len(got) != len(want) {
+					t.Fatalf("%v, seed %d, streams %d: %d reduced tensors, want %d", algo, seed, streams, len(got), len(want))
+				}
+				for key, w := range want {
+					g := got[key]
+					for i := range w {
+						if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
+							t.Fatalf("%v, seed %d, streams %d: %s[%d] = %v, want %v", algo, seed, streams, key, i, g[i], w[i])
+						}
 					}
 				}
 			}

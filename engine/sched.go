@@ -28,15 +28,17 @@
 // the top is the (Priority, Seq) minimum, and a stream runs at most one
 // goroutine per distinct priority among its in-flight units.
 //
-// With one class (PriorityDepth 0 or 1, one registered priority, and always
-// under Hierarchical) the stack holds at most one unit and the queue is FIFO
-// in Seq order — Algorithm 1's multi-stream pool — and units run on the plain
-// communicator with no frame tag and no yield hook. As in the pool, dispatch
-// then waits while the stream already queues streamBacklog units. Under
-// preemption (PriorityDepth 2), started units interleave over the stream's
-// lanes through the frame tagger (plex.go); every unit but the top parks at
-// its next wire-segment boundary (collective.WithYield) and later resumes
-// from its completed segments, with nothing re-sent or re-encoded.
+// With one class (PriorityDepth 0 or 1, or one registered priority) the
+// stack holds at most one unit and the queue is FIFO in Seq order —
+// Algorithm 1's multi-stream pool — and units run on the plain communicator
+// with no frame tag and no yield hook. As in the pool, dispatch then waits
+// while the stream already queues streamBacklog units. Under preemption
+// (PriorityDepth 2), each unit runs on the communicator over its own view of
+// the frame tagger (plex.go), so started units interleave over the stream's
+// lanes, flat ring and two-level schedule alike; every unit but the top
+// parks at its next wire-segment boundary (collective.WithYield), in each
+// tier of the two-level schedule, and later resumes from its completed
+// segments, with nothing re-sent or re-encoded.
 //
 // On failure or close every gate opens, and parked units run into their
 // poisoned lanes and unwind.
@@ -139,14 +141,16 @@ func (e *Engine) schedRun(st *streamSched, u packing.Unit) {
 
 // runUnit runs one unit's all-reduce. Under preemption its frames are
 // tagged through the multiplexer and a gate at every segment boundary parks
-// it while it is not the top of its stream's stack.
+// it while it is not the top of its stream's stack. The two-level schedule
+// calls the gate from two goroutines, its intra-node caller and its
+// cross-node worker, so the gate's bookkeeping lives under st.mu.
 func (e *Engine) runUnit(st *streamSched, u packing.Unit) error {
 	streamID := u.Seq % e.cfg.Streams
 	if !e.preempt {
 		return e.reduceUnit(streamID, u, e.comm, nil)
 	}
 	var (
-		preempted bool
+		preempted bool // under st.mu, as are the counts
 		preempts  int64
 		resumed   int64
 	)
@@ -167,11 +171,13 @@ func (e *Engine) runUnit(st *streamSched, u packing.Unit) error {
 		}
 		st.mu.Unlock()
 	}
-	err := e.reduceUnit(streamID, u, plexComm{t: e.plex, tag: uint32(u.Seq)}, yield)
+	err := e.reduceUnit(streamID, u, e.comm.Over(plexEndpoint{t: e.plex, tag: uint32(u.Seq)}), yield)
+	st.mu.Lock()
 	if preempts > 0 {
 		e.met.preemptions.Add(preempts)
 		e.met.resumedSegs.Add(resumed)
 	}
+	st.mu.Unlock()
 	return err
 }
 

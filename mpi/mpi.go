@@ -60,6 +60,18 @@ func (c *Comm) Close() { c.senders.Close() }
 // Senders returns the sender pool that collectives over c borrow from.
 func (c *Comm) Senders() *sendpool.Pool { return c.senders }
 
+// Endpoint returns the transport endpoint c runs over.
+func (c *Comm) Endpoint() transport.Endpoint { return c.ep }
+
+// Over returns c over ep, a view of c's endpoint that reaches the same ranks
+// by the same global numbers (for example a frame-tagging wrapper): the same
+// group, rank and sender pool, with every send, receive and abort going
+// through ep. Sub-communicators derived from the result, and its Lender,
+// are ep's too.
+func (c *Comm) Over(ep transport.Endpoint) *Comm {
+	return &Comm{ep: ep, group: c.group, rank: c.rank, senders: c.senders}
+}
+
 // Rank returns the caller's rank within this communicator.
 func (c *Comm) Rank() int { return c.rank }
 

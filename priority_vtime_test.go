@@ -103,7 +103,8 @@ func resnetLikeProfile() pacedProfile {
 	return burstProfile("resnet-like", grads, 6, 250*time.Microsecond)
 }
 
-// pacedConfig is the swept engine configuration over the defaults.
+// pacedConfig is the swept engine configuration over the defaults, on the
+// flat ring.
 func pacedConfig(streams int, segment, granularity int64, depth int, minSync int64) engine.Config {
 	cfg := engine.DefaultConfig()
 	cfg.Streams = streams
@@ -231,40 +232,45 @@ func pacedVTime[T testing.TB](t T, prof pacedProfile, cfg engine.Config) (iter, 
 // virtual time reproduces to the nanosecond: 2 streams, 64 KiB segments,
 // 256 KiB units, default MinSyncBytes. Against the one-class pool (depth 1),
 // one class per priority with segment-boundary preemption (depth 2) must cut
-// the next-forward stall and cost no iteration time.
+// the next-forward stall and cost no iteration time, over the flat ring and
+// over the two-level schedule of two nodes of two ranks alike.
 func TestVTimePriorityDepth(t *testing.T) {
 	profiles := []pacedProfile{
 		zooProfile(model.ResNet50(), 64, 25*time.Millisecond),
 		zooProfile(model.BERTLarge(), 1024, 30*time.Millisecond),
 	}
 	for _, prof := range profiles {
-		var iter, stall [3]time.Duration // by depth
-		for _, depth := range []int{1, 2} {
-			cfg := pacedConfig(2, 64<<10, 256<<10, depth, 0)
-			i1, s1 := pacedVTime(t, prof, cfg)
-			i2, s2 := pacedVTime(t, prof, cfg)
-			if i1 != i2 || s1 != s2 {
-				t.Errorf("%s depth %d: iteration %v then %v, stall %v then %v, want identical virtual times",
-					prof.name, depth, i1, i2, s1, s2)
+		for _, algo := range []engine.Algorithm{engine.Ring, engine.Hierarchical} {
+			var iter, stall [3]time.Duration // by depth
+			for _, depth := range []int{1, 2} {
+				cfg := pacedConfig(2, 64<<10, 256<<10, depth, 0)
+				cfg.Algorithm, cfg.GPUsPerNode = algo, 2
+				i1, s1 := pacedVTime(t, prof, cfg)
+				i2, s2 := pacedVTime(t, prof, cfg)
+				if i1 != i2 || s1 != s2 {
+					t.Errorf("%s %v depth %d: iteration %v then %v, stall %v then %v, want identical virtual times",
+						prof.name, algo, depth, i1, i2, s1, s2)
+				}
+				iter[depth], stall[depth] = i1, s1
+				t.Logf("%s %v depth %d: iteration %v, stall %v", prof.name, algo, depth, i1, s1)
 			}
-			iter[depth], stall[depth] = i1, s1
-			t.Logf("%s depth %d: iteration %v, stall %v", prof.name, depth, i1, s1)
-		}
-		if stall[2] >= stall[1] {
-			t.Errorf("%s: depth 2 stall %v, want below depth 1's %v", prof.name, stall[2], stall[1])
-		}
-		if iter[2] > iter[1] {
-			t.Errorf("%s: depth 2 iteration %v, want at most depth 1's %v", prof.name, iter[2], iter[1])
+			if stall[2] >= stall[1] {
+				t.Errorf("%s %v: depth 2 stall %v, want below depth 1's %v", prof.name, algo, stall[2], stall[1])
+			}
+			if iter[2] > iter[1] {
+				t.Errorf("%s %v: depth 2 iteration %v, want at most depth 1's %v", prof.name, algo, iter[2], iter[1])
+			}
 		}
 	}
 }
 
 // BenchmarkVTimePrioritySweep runs the priority-depth grid of EXPERIMENTS.md
-// "One priority setting" once, whatever b.N, and logs one line per cell:
-// profile, MinSyncBytes, streams, segment KiB, granularity KiB, depth, then
-// the iteration time and stall in ms (-v prints them all; without it the
-// testing package keeps ten per profile). Select profiles with a
-// sub-benchmark pattern:
+// "One priority setting" once, whatever b.N, over the flat ring and over the
+// two-level schedule of two nodes of two ranks, and logs one line per cell:
+// profile, MinSyncBytes, streams, segment KiB, granularity KiB, algorithm,
+// depth, then the iteration time and stall in ms (-v prints them all;
+// without it the testing package keeps ten per profile). Select profiles
+// with a sub-benchmark pattern:
 //
 //	GOEXPERIMENT=synctest go test -run '^$' -bench 'VTimePrioritySweep/ctr$' -benchtime 1x -v .
 func BenchmarkVTimePrioritySweep(b *testing.B) {
@@ -281,11 +287,14 @@ func BenchmarkVTimePrioritySweep(b *testing.B) {
 				for _, streams := range []int{1, 2, 4, 8} {
 					for _, segment := range []int64{64 << 10, 128 << 10, 512 << 10} {
 						for _, gran := range []int64{256 << 10, 1 << 20, 4 << 20} {
-							for _, depth := range []int{1, 2} {
-								cfg := pacedConfig(streams, segment, gran, depth, minSync)
-								iter, stall := pacedVTime(b, prof, cfg)
-								b.Logf("cell %s %d %d %d %d %d %.6f %.6f", prof.name, minSync, streams,
-									segment>>10, gran>>10, depth, ms(iter), ms(stall))
+							for _, algo := range []engine.Algorithm{engine.Ring, engine.Hierarchical} {
+								for _, depth := range []int{1, 2} {
+									cfg := pacedConfig(streams, segment, gran, depth, minSync)
+									cfg.Algorithm, cfg.GPUsPerNode = algo, 2
+									iter, stall := pacedVTime(b, prof, cfg)
+									b.Logf("cell %s %d %d %d %d %v %d %.6f %.6f", prof.name, minSync, streams,
+										segment>>10, gran>>10, algo, depth, ms(iter), ms(stall))
+								}
 							}
 						}
 					}

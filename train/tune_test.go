@@ -133,18 +133,14 @@ type tunedKey struct {
 // effectiveKey is the configuration cfg actually runs, by the equivalences
 // of NewEngine and the collectives, stated here independently of the
 // tuner's canonical form: a tree of one-rank nodes is the flat ring, the
-// ring has no node groups, PriorityDepth 0 and 1 are one class, and the
-// two-level schedule runs one class.
+// ring has no node groups, and PriorityDepth 0 and 1 are one class.
 func effectiveKey(cfg engine.Config) tunedKey {
 	k := tunedKey{cfg.Algorithm, cfg.Streams, cfg.GranularityBytes, cfg.SegmentBytes, cfg.GPUsPerNode, max(cfg.PriorityDepth, 1)}
 	if k.algorithm == engine.Hierarchical && k.gpusPerNode == 1 {
 		k.algorithm = engine.Ring
-		k.priorityDepth = 1
 	}
 	if k.algorithm == engine.Ring {
 		k.gpusPerNode = 0
-	} else {
-		k.priorityDepth = 1
 	}
 	return k
 }
@@ -153,11 +149,11 @@ func effectiveKey(cfg engine.Config) tunedKey {
 // once, and lose none that the plain Cartesian product of their declared
 // values reached.
 func TestSpaceDistinct(t *testing.T) {
-	if got := autotune.DefaultSpace().Size(); got != 1400 {
-		t.Errorf("DefaultSpace().Size() = %d, want 1400", got)
+	if got := autotune.DefaultSpace().Size(); got != 2240 {
+		t.Errorf("DefaultSpace().Size() = %d, want 2240", got)
 	}
-	if got := LiveSpace().Size(); got != 144 {
-		t.Errorf("LiveSpace().Size() = %d, want 144", got)
+	if got := LiveSpace().Size(); got != 216 {
+		t.Errorf("LiveSpace().Size() = %d, want 216", got)
 	}
 	base := engine.DefaultConfig()
 	apply := func(p autotune.Params) engine.Config {
